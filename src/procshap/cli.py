@@ -28,7 +28,13 @@ from .process_tree import (
     tree_from_text,
     tree_to_text,
 )
-from .reports import AttributionReport, RunConfig, emit_report, run_matrix
+from .reports import (
+    AttributionReport,
+    RunConfig,
+    emit_report,
+    run_matrix,
+    warn_if_degenerate,
+)
 
 CONFIG_KEYS = {
     "log": str,
@@ -83,12 +89,6 @@ def _build_specs(args) -> tuple[PropertySpec, ...]:
                 prop=prop, safety_pair=pair, mode=mode, loop_bound=args.loop_bound
             )
         )
-        if mode is TauMode.SKIP and prop in (Property.SAT, Property.LIV):
-            print(
-                f"warning: {name} in skip mode is degenerate (every coalition "
-                f"satisfies it)",
-                file=sys.stderr,
-            )
     return tuple(specs)
 
 
@@ -177,12 +177,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    """Append the --config file's value for every flag not given on the
+    command line, whether written ``--key value`` or ``--key=value``."""
+
+    given = [arg.split("=", 1)[0] for arg in argv]
+    if "--config" not in given:
         return argv
-    index = argv.index("--config")
-    path = argv[index + 1]
+    index = given.index("--config")
+    if argv[index] != "--config":
+        path = argv[index].split("=", 1)[1]
+    elif index + 1 < len(argv):
+        path = argv[index + 1]
+    else:
+        parser.error("argument --config: expected one argument")
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        parser.error(f"argument --config: {exc}")
     defaults = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -195,7 +208,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     out = list(argv)
     for key, value in defaults.items():
         flag = f"--{key}"
-        if flag not in argv:
+        if flag not in given:
             out += [flag, value]
     return out
 
@@ -231,15 +244,16 @@ def cmd_verify(args) -> int:
     coalition = _coalition_from_args(args, n)
     specs = _build_specs(args)
     cache = ValueCache()
+    for spec in specs:
+        warn_if_degenerate(spec, cache)
     prover = _prover_config(args)
     results = {}
     for spec in specs:
         value = evaluate(tree, coalition, spec, cache, args.backend, prover)
         results[spec.prop.value] = value
         print(f"{spec.prop.value}: {value}")
-    if cache.warnings:
-        for message in cache.warnings:
-            print(f"warning: {message}", file=sys.stderr)
+    for message in cache.warnings:
+        print(f"warning: {message}", file=sys.stderr)
     print(json.dumps({"coalition": list(coalition.members()), "values": results}))
     return 0
 
@@ -291,6 +305,9 @@ def cmd_matrix(args) -> int:
     config = _run_config_from_args(args, tuple(noise_levels))
     report = run_matrix(config)
     paths = emit_report(report, args.out)
+    for record in report.configurations:
+        for message in record.get("cache", {}).get("warnings", ()):
+            print(f"warning: {record['id']}: {message}", file=sys.stderr)
     failures = [r["id"] for r in report.configurations if r.get("error")]
     print(f"ran {len(report.configurations)} configurations "
           f"({len(noise_levels)} noise x {len(config.properties)} properties); "

@@ -30,13 +30,12 @@ import os
 import re
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 from .oracle import Property, PropertySpec
-from .process_tree import Coalition, Op, ProcessTree, TauMode, substitute
+from .process_tree import Op, ProcessTree, TauMode
 from .propositional import (
     FALSE,
     TRUE,
@@ -276,7 +275,6 @@ class ProverConfig:
     timeout_s: float = 2.0
     extra_args: tuple[str, ...] = ()
     unknown_policy: str = "zero"  # or "abort"
-    max_workers: int | None = None
     dump_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -380,23 +378,3 @@ def value_via_prover(
         spec.prop.value,
     )
 
-
-def evaluate_coalitions_via_prover(
-    tree: ProcessTree,
-    coalitions: Sequence[Coalition],
-    spec: PropertySpec,
-    config: ProverConfig,
-    warn: Callable[[str], None] | None = None,
-) -> list[int]:
-    """Evaluate many coalitions against the prover with a bounded worker
-    pool; results are returned in input order regardless of scheduling."""
-
-    workers = config.max_workers or os.cpu_count() or 1
-
-    def one(coalition: Coalition) -> int:
-        return value_via_prover(substitute(tree, coalition), spec, config, warn)
-
-    if workers == 1 or len(coalitions) <= 1:
-        return [one(c) for c in coalitions]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, coalitions))

@@ -19,7 +19,7 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,9 +69,7 @@ class RunConfig:
     backend: str = "oracle"  # oracle | prover
     prover: ProverConfig | None = None
     diagnostics: DiagnosticsConfig = DiagnosticsConfig()
-    exact_limit: int = 20
     max_depth: int = 64
-    workers: int = 0  # 0 = one per configuration, capped at cpu count
 
     def __post_init__(self) -> None:
         if not self.noise_levels:
@@ -140,6 +138,16 @@ def _finite(x: float | None) -> float | None:
     return float(x)
 
 
+def warn_if_degenerate(spec: PropertySpec, cache: ValueCache) -> None:
+    """Record the warning for sat and liv in skip mode: every coalition wins."""
+
+    if spec.mode is TauMode.SKIP and spec.prop in (Property.SAT, Property.LIV):
+        cache.add_warning(
+            f"{spec.prop.value} is degenerate in skip mode: every coalition "
+            f"evaluates to 1"
+        )
+
+
 def run_single(
     config: RunConfig,
     tree: ProcessTree,
@@ -153,12 +161,7 @@ def run_single(
     n = len(nodes)
     id_text = {i: node.node_id.text for i, node in enumerate(nodes)}
     cache = ValueCache()
-
-    if spec.mode is TauMode.SKIP and spec.prop in (Property.SAT, Property.LIV):
-        cache.add_warning(
-            f"{spec.prop.value} is degenerate in skip mode: every coalition "
-            f"evaluates to 1"
-        )
+    warn_if_degenerate(spec, cache)
 
     game = Game(
         n=n,
@@ -169,7 +172,7 @@ def run_single(
 
     convergence = None
     if config.method == "exact":
-        estimate = exact_shapley(game, exact_limit=config.exact_limit)
+        estimate = exact_shapley(game)
     elif config.method == "mc":
         estimate, report = mc_permutation_shapley(
             game,
@@ -231,7 +234,11 @@ def run_matrix(config: RunConfig) -> AttributionReport:
     """Run the full noise x property sweep over one log.
 
     Configuration failures are recorded in the report without aborting
-    sibling configurations.  Deterministic for a fixed seed."""
+    sibling configurations.  Deterministic for a fixed seed.
+
+    Oracle configurations run in order on the calling thread: the oracle
+    is pure Python under the GIL.  Prover configurations overlap on up to
+    cpu-count threads: prover calls wait on subprocesses."""
 
     log = parse_xes(config.log_path)
     trees: dict[float, ProcessTree] = {}
@@ -269,12 +276,12 @@ def run_matrix(config: RunConfig) -> AttributionReport:
         except Exception as exc:
             return {**base, "error": f"{type(exc).__name__}: {exc}", "phi": {}}
 
-    workers = config.workers or min(len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
-        records = [run_job(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if config.backend == "prover":
+        workers = min(len(jobs), os.cpu_count() or 1)
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_job, jobs))
+    else:
+        records = [run_job(job) for job in jobs]
 
     cross = _cross_analyses(config, records)
     meta = {

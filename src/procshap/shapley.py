@@ -32,15 +32,10 @@ class Game:
 
     n: int
     value: Callable[[Coalition], int]
-    players: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("a game needs at least one player")
-        if not self.players:
-            object.__setattr__(self, "players", tuple(range(self.n)))
-        elif len(self.players) != self.n:
-            raise ValueError("players list must have length n")
 
     def value_of_mask(self, mask: int) -> int:
         return self.value(Coalition(self.n, mask))
@@ -100,12 +95,10 @@ def exact_shapley(game: Game, exact_limit: int = 20) -> ShapleyEstimate:
                 numerators[i] += weights[size] * diff
 
     denom = fact[n]
-    phi_exact = {
-        game.players[i]: Fraction(numerators[i], denom) for i in range(n)
-    }
+    phi_exact = {i: Fraction(numerators[i], denom) for i in range(n)}
     return ShapleyEstimate(
         phi={p: float(f) for p, f in phi_exact.items()},
-        samples={p: 1 << (n - 1) for p in game.players},
+        samples={i: 1 << (n - 1) for i in range(n)},
         method="exact",
         phi_exact=phi_exact,
     )
@@ -158,17 +151,17 @@ def mc_permutation_shapley(
         done = block * n
         crossed = done // checkpoint_every > (done - n) // checkpoint_every
         if crossed or block == blocks:
-            snapshot = {game.players[i]: float(sums[i] / done) for i in range(n)}
+            snapshot = {i: float(sums[i] / done) for i in range(n)}
             if checkpoints:
                 delta = convergence_delta_max(checkpoints[-1][1], snapshot)
             checkpoints.append((done, snapshot))
             if delta < epsilon and done >= min_permutations:
                 break
 
-    phi = {game.players[i]: float(sums[i] / done) for i in range(n)}
+    phi = {i: float(sums[i] / done) for i in range(n)}
     estimate = ShapleyEstimate(
         phi=phi,
-        samples={p: done for p in game.players},
+        samples={i: done for i in range(n)},
         method="mc",
         seed=seed,
     )
@@ -205,10 +198,10 @@ def rs_subset_shapley(
                 if b:
                     mask |= 1 << j
             total += game.value_of_mask(mask | bit) - game.value_of_mask(mask)
-        phi[game.players[i]] = total / samples_per_player
+        phi[i] = total / samples_per_player
     return ShapleyEstimate(
         phi=phi,
-        samples={p: samples_per_player for p in game.players},
+        samples={i: samples_per_player for i in range(n)},
         method="rs",
         seed=seed,
     )

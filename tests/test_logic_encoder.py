@@ -14,7 +14,6 @@ from procshap.logic_encoder import (
     SZSStatus,
     emit_tptp,
     encode,
-    evaluate_coalitions_via_prover,
     parse_szs,
     run_prover,
     spec_value,
@@ -263,16 +262,6 @@ def test_value_via_prover_dumps_problems(tmp_path):
     value_via_prover(tree, SAT, config)
     dumped = list((tmp_path / "problems").glob("*.p"))
     assert len(dumped) == 1 and dumped[0].name.startswith("sat_")
-
-
-def test_evaluate_coalitions_pool_order():
-    config = fake_prover_config(max_workers=4)
-    tree = assign_node_ids(xor(activity("a"), activity("b")))
-    n = node_count(tree)
-    coalitions = [Coalition(n, mask) for mask in range(1 << n)]
-    values = evaluate_coalitions_via_prover(tree, coalitions, SAT, config)
-    expected = [v_sat(substitute(tree, c), SAT) for c in coalitions]
-    assert values == expected
 
 
 def test_evaluate_with_prover_backend_through_cache():

@@ -3,11 +3,14 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
 
-from procshap.cli import main
+from procshap import reports
+from procshap.cli import _apply_config_file, build_parser, main
+from procshap.event_log import Event, EventLog, Trace, dump_xes
 from procshap.oracle import Property, PropertySpec
 from procshap.reports import (
     AttributionReport,
@@ -16,7 +19,9 @@ from procshap.reports import (
     emit_report,
     render_summary,
     run_matrix,
+    run_single,
 )
+from procshap.shapley import exact_shapley
 
 SAF_PAIR = ("pay compensation", "reject request")
 
@@ -71,10 +76,57 @@ def test_matrix_deterministic_bytes(running_example_file):
     assert first == second
 
 
-def test_matrix_parallel_equals_sequential(running_example_file):
-    sequential = run_matrix(small_config(running_example_file, workers=1))
-    parallel = run_matrix(small_config(running_example_file, workers=4))
-    assert sequential.to_json() == parallel.to_json()
+@pytest.fixture
+def tiny_log_file(tmp_path):
+    # mines to seq(a, xor(b, c)): 5 nodes, small enough for the fake prover
+    log = EventLog(
+        traces=(
+            Trace("1", (Event("a"), Event("b"))),
+            Trace("2", (Event("a"), Event("c"))),
+        )
+    )
+    path = tmp_path / "tiny.xes"
+    path.write_bytes(dump_xes(log))
+    return path
+
+
+def test_matrix_prover_threads_equal_oracle(tiny_log_file):
+    # the prover backend is the one path that runs configurations on threads
+    from test_logic_encoder import fake_prover_config
+
+    def exact_report(**backend):
+        return run_matrix(
+            RunConfig(
+                log_path=str(tiny_log_file),
+                noise_levels=(0.0,),
+                properties=(PropertySpec(Property.SAT), PropertySpec(Property.LIV)),
+                method="exact",
+                **backend,
+            )
+        )
+
+    oracle = exact_report()
+    prover = exact_report(backend="prover", prover=fake_prover_config())
+    assert len(prover.configurations) == 2
+    for via_oracle, via_prover in zip(oracle.configurations, prover.configurations):
+        assert via_prover["error"] is None
+        assert via_prover["node_count"] == 5
+        assert via_prover["phi"] == via_oracle["phi"]
+        assert via_prover["classification"] == via_oracle["classification"]
+        assert via_prover["top_k"] == via_oracle["top_k"]
+
+
+def test_matrix_oracle_runs_on_calling_thread(monkeypatch, running_example_file):
+    threads = []
+
+    def recording_run_single(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return run_single(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "run_single", recording_run_single)
+    report = run_matrix(small_config(running_example_file))
+    assert len(threads) == len(report.configurations) == 4
+    assert set(threads) == {threading.get_ident()}
 
 
 def test_matrix_counters_and_structure(running_example_file):
@@ -90,18 +142,23 @@ def test_matrix_counters_and_structure(running_example_file):
     assert cross["baseline_noise"] == 0.0
 
 
-def test_error_isolation(tmp_path, running_example_file):
-    # a config whose exact method refuses (n > limit) must not poison others
+def test_error_isolation(monkeypatch, running_example_file):
+    # a config whose Shapley step raises must not poison its siblings
+    def failing_on_14_nodes(game):
+        if game.n == 14:  # the noise-0 tree; noise 1 mines 13 nodes
+            raise ValueError("refused")
+        return exact_shapley(game)
+
+    monkeypatch.setattr(reports, "exact_shapley", failing_on_14_nodes)
     config = RunConfig(
         log_path=str(running_example_file),
         noise_levels=(0.0, 1.0),
         properties=(PropertySpec(Property.SAT),),
         method="exact",
-        exact_limit=13,  # the 14-node noise-0 tree is refused, 13-node passes
     )
     report = run_matrix(config)
     errors = {r["id"]: r.get("error") for r in report.configurations}
-    assert errors[config_id(0.0, PropertySpec(Property.SAT))] is not None
+    assert errors[config_id(0.0, PropertySpec(Property.SAT))] == "ValueError: refused"
     assert errors[config_id(1.0, PropertySpec(Property.SAT))] is None
 
 
@@ -245,7 +302,22 @@ def test_cli_skip_mode_warning(tmp_path, running_example_file, capsys):
     capsys.readouterr()
     main(["verify", "--tree", str(tmp_path / "tree.txt"), "--property", "sat",
           "--tau", "skip"])
-    assert "degenerate" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("degenerate") == 1
+
+
+def test_cli_skip_mode_warning_printed_once(tmp_path, tiny_log_file, capsys):
+    rc = main(["attribute", "--log", str(tiny_log_file), "--property", "sat",
+               "--tau", "skip", "--method", "exact"])
+    assert rc == 0
+    assert capsys.readouterr().err.count("degenerate") == 1
+
+    rc = main(["matrix", "--log", str(tiny_log_file), "--noise", "0.0,1.0",
+               "--property", "sat", "--tau", "skip", "--method", "exact",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("degenerate") == 2  # one per configuration
+    assert "noise0_sat" in err and "noise1_sat" in err
 
 
 def test_cli_attribute_exact(running_example_file, capsys):
@@ -296,6 +368,39 @@ def test_cli_config_file(tmp_path, running_example_file, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["meta"]["seed"] == 3
     assert report["meta"]["configuration_count"] == 2
+
+
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--seed=5"]])
+def test_cli_flags_override_config_file(tmp_path, flags):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("seed = 3\nmethod = exact\n")
+    parser = build_parser()
+    argv = ["--config", str(config_file), "matrix", "--log", "x.xes",
+            "--out", "out", *flags]
+    args = parser.parse_args(_apply_config_file(parser, argv))
+    assert args.seed == 5
+    assert args.method == "exact"
+
+
+def test_cli_config_given_with_equals(tmp_path):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("seed = 3\n")
+    parser = build_parser()
+    argv = [f"--config={config_file}", "matrix", "--log", "x.xes", "--out", "out"]
+    args = parser.parse_args(_apply_config_file(parser, argv))
+    assert args.seed == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [["matrix", "--config"], ["--config", "missing.conf", "matrix"]]
+)
+def test_cli_config_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "argument --config" in err
 
 
 def test_cli_prover_backend_and_dump(tmp_path, running_example_file, capsys):
