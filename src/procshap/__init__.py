@@ -38,12 +38,12 @@ from .logic_encoder import (
 )
 from .miner import MinerConfig, discover, filter_dfg
 from .oracle import (
-    Commitment,
     Property,
     PropertySpec,
     TauMode,
     ValueCache,
     evaluate,
+    tree_game,
     v_liv,
     v_saf,
     v_sat,
@@ -74,10 +74,12 @@ from .shapley import (
     ConvergenceReport,
     Game,
     ShapleyEstimate,
+    TreeGame,
     convergence_delta_max,
     exact_shapley,
     mc_permutation_shapley,
     rs_subset_shapley,
+    tree_shapley,
 )
 
 __version__ = "0.1.0"

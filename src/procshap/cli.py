@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "property satisfaction to workflow nodes via Shapley values.",
     )
     parser.add_argument("--config", default=None, metavar="FILE",
-                        help="key = value defaults file; flags override")
+                        help="key = value defaults file, before or after the "
+                        "subcommand; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mine", help="discover a process tree from a log")
@@ -177,8 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Append the --config file's value for every flag not given on the
-    command line, whether written ``--key value`` or ``--key=value``."""
+    """Take ``--config FILE`` (or ``--config=FILE``) out of *argv*, before
+    or after the subcommand, and append the file's value for every flag
+    not given on the command line, whether written ``--key value`` or
+    ``--key=value``."""
 
     given = [arg.split("=", 1)[0] for arg in argv]
     if "--config" not in given:
@@ -186,8 +189,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     index = given.index("--config")
     if argv[index] != "--config":
         path = argv[index].split("=", 1)[1]
+        out = argv[:index] + argv[index + 1 :]
     elif index + 1 < len(argv):
         path = argv[index + 1]
+        out = argv[:index] + argv[index + 2 :]
     else:
         parser.error("argument --config: expected one argument")
     try:
@@ -205,7 +210,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         if key not in CONFIG_KEYS:
             raise SystemExit(f"{path}:{lineno}: unknown config key {key!r}")
         defaults[key] = value
-    out = list(argv)
     for key, value in defaults.items():
         flag = f"--{key}"
         if flag not in given:

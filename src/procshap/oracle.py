@@ -1,5 +1,8 @@
 """Boolean value functions for coalitions: satisfiability, liveness and
-safety of the tau-substituted tree, plus the memoizing evaluation front-end.
+safety of the tau-substituted tree, the memoizing evaluation front-end,
+and the same verdicts as a bottom-up tree summary (``tree_game``) from
+which ``shapley.tree_shapley`` computes exact Shapley values without
+evaluating coalitions one by one.
 
 Semantics are commitment-based.  A commitment resolves every choice in the
 tree up front: one child per Xor node and one redo count (0..K) per Loop
@@ -15,26 +18,24 @@ execution path.  Then
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable
 
-from .process_tree import Coalition, Op, ProcessTree, TauMode, iter_nodes, substitute
+from .process_tree import Coalition, Op, ProcessTree, TauMode, substitute
+from .shapley import TreeGame
 
 __all__ = [
     "TauMode",
     "Property",
     "PropertySpec",
-    "Commitment",
     "ValueCache",
     "v_sat",
     "v_liv",
     "v_saf",
     "evaluate",
-    "iter_commitments",
-    "commitment_run",
+    "tree_game",
 ]
 
 
@@ -158,84 +159,52 @@ _ORACLE = {
 }
 
 
-@dataclass(frozen=True)
-class Commitment:
-    """Static resolution of all choices: one child ordinal per Xor node,
-    one redo count per Loop node (by node index)."""
+def tree_game(tree: ProcessTree, spec: PropertySpec) -> TreeGame:
+    """The oracle's verdict on every coalition of *tree*'s nodes as a
+    bottom-up summary, for exact Shapley values by ``tree_shapley``.
 
-    xor_choice: tuple[tuple[int, int], ...] = ()
-    loop_redo: tuple[tuple[int, int], ...] = ()
+    The state of a subtree is ``(can_complete, always_completes)`` for sat
+    and liv and its set of occurrence profiles for saf; ``join`` applies
+    the rules of ``_can_complete``, ``_always_completes`` and ``_profiles``
+    to two children's states."""
 
-    def choice_for(self, index: int) -> int:
-        return dict(self.xor_choice)[index]
+    bound = spec.loop_bound
+    skip = spec.mode is TauMode.SKIP
+    if spec.prop is Property.SAF:
+        pair = frozenset(spec.safety_pair)
+        removed = frozenset({frozenset()}) if skip else frozenset()
 
-    def redos_for(self, index: int) -> int:
-        return dict(self.loop_redo)[index]
+        def leaf(node: ProcessTree):
+            if node.removed:
+                return removed
+            return frozenset({frozenset({node.label} & pair)})
 
+        def join(op: Op, a, b):
+            if op is Op.XOR:
+                return a | b
+            both = frozenset(p | q for p in a for q in b)
+            if op is Op.LOOP:
+                return a if bound == 0 else a | both
+            return both  # Seq / And
 
-def iter_commitments(tree_c: ProcessTree, bound: int) -> Iterator[Commitment]:
-    """Enumerate every commitment of a (substituted, id-assigned) tree.
-    Exponential; intended for small trees and testing."""
+        return TreeGame(tree, leaf, removed, join, lambda state: pair not in state)
 
-    xors = [n for n in iter_nodes(tree_c) if n.op is Op.XOR]
-    loops = [n for n in iter_nodes(tree_c) if n.op is Op.LOOP]
-    choice_spaces = [range(len(n.children)) for n in xors]
-    redo_spaces = [range(bound + 1) for _ in loops]
-    for combo in itertools.product(*choice_spaces, *redo_spaces):
-        choices = combo[: len(xors)]
-        redos = combo[len(xors) :]
-        yield Commitment(
-            xor_choice=tuple(
-                (n.node_id.index, c) for n, c in zip(xors, choices)  # type: ignore[union-attr]
-            ),
-            loop_redo=tuple(
-                (n.node_id.index, r) for n, r in zip(loops, redos)  # type: ignore[union-attr]
-            ),
-        )
+    removed = (skip, skip)
 
+    def leaf(node: ProcessTree):
+        return removed if node.removed else (True, True)
 
-def commitment_run(
-    tree_c: ProcessTree, commitment: Commitment, mode: TauMode
-) -> tuple[str, ...] | None:
-    """The trace produced by executing the tree under *commitment*, or
-    None when the run deadlocks on a blocked removed-tau.  And-children
-    are concatenated in order; occurrence judgements are order-insensitive
-    so this canonical interleaving is sufficient."""
+    def join(op: Op, a, b):
+        (can_a, always_a), (can_b, always_b) = a, b
+        if op is Op.XOR:
+            return can_a or can_b, always_a and always_b
+        if op is Op.LOOP:  # (do, redo): commit to zero redos to complete
+            return can_a, always_a and (bound == 0 or always_b)
+        return can_a and can_b, always_a and always_b  # Seq / And
 
-    xor_choice = dict(commitment.xor_choice)
-    loop_redo = dict(commitment.loop_redo)
-
-    def run(node: ProcessTree) -> tuple[str, ...] | None:
-        if node.is_leaf:
-            if node.removed and mode is TauMode.BLOCKED:
-                return None
-            if node.is_activity:
-                return (node.label,)
-            return ()
-        if node.op is Op.XOR:
-            chosen = node.children[xor_choice[node.node_id.index]]  # type: ignore[union-attr]
-            return run(chosen)
-        if node.op is Op.LOOP:
-            do, redo = node.children
-            do_trace = run(do)
-            if do_trace is None:
-                return None
-            redos = loop_redo[node.node_id.index]  # type: ignore[union-attr]
-            if redos == 0:
-                return do_trace
-            redo_trace = run(redo)
-            if redo_trace is None:
-                return None
-            return do_trace + (redo_trace + do_trace) * redos
-        parts: tuple[str, ...] = ()
-        for child in node.children:
-            sub = run(child)
-            if sub is None:
-                return None
-            parts += sub
-        return parts
-
-    return run(tree_c)
+    if spec.prop is Property.SAT:
+        return TreeGame(tree, leaf, removed, join, lambda state: state[0])
+    return TreeGame(tree, leaf, removed, join, lambda state: state[0] and state[1])
 
 
 class ValueCache:

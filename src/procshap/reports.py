@@ -36,7 +36,7 @@ from .diagnostics import (
 from .event_log import parse_xes
 from .logic_encoder import ProverConfig
 from .miner import MinerConfig, discover
-from .oracle import Property, PropertySpec, TauMode, ValueCache, evaluate
+from .oracle import Property, PropertySpec, TauMode, ValueCache, evaluate, tree_game
 from .process_tree import (
     ProcessTree,
     export_dot,
@@ -49,6 +49,7 @@ from .shapley import (
     exact_shapley,
     mc_permutation_shapley,
     rs_subset_shapley,
+    tree_shapley,
 )
 
 DEFAULT_NOISE_LEVELS = (0.0, 0.25, 0.5, 1.0)
@@ -155,7 +156,11 @@ def run_single(
     spec: PropertySpec,
     seed: int | None,
 ) -> dict:
-    """Attribution and diagnostics for one mined tree and one property."""
+    """Attribution and diagnostics for one mined tree and one property.
+
+    Exact values on the oracle backend come from ``tree_shapley``, which
+    evaluates no coalition, so the cache counters read 0 there; every
+    other method and backend queries the game through the cache."""
 
     nodes = list(iter_nodes(tree))
     n = len(nodes)
@@ -171,7 +176,9 @@ def run_single(
     )
 
     convergence = None
-    if config.method == "exact":
+    if config.method == "exact" and config.backend == "oracle":
+        estimate = tree_shapley(tree_game(tree, spec))
+    elif config.method == "exact":
         estimate = exact_shapley(game)
     elif config.method == "mc":
         estimate, report = mc_permutation_shapley(

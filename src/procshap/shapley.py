@@ -1,10 +1,17 @@
-"""Shapley values of boolean coalition games: exact enumeration,
-Monte Carlo permutation sampling, and random subset sampling.
+"""Shapley values of boolean coalition games: exact values over the tree,
+exact enumeration, Monte Carlo permutation sampling, and random subset
+sampling.
 
-The exact path evaluates the classical subset-weighted sum with rational
-weights, so efficiency, symmetry and dummy hold exactly.  Both samplers
-draw from a seeded numpy generator and are bit-reproducible for a fixed
-seed; contributions are reduced in sample order.
+There are two exact paths, and both build the classical subset-weighted
+sum with rational weights, so efficiency, symmetry and dummy hold
+exactly.  ``tree_shapley`` takes a ``TreeGame``, whose value is a
+bottom-up summary of the coalition-reduced tree (the oracle's verdicts
+are), and counts winning coalitions per size over the tree in polynomial
+time.  ``exact_shapley`` takes a black-box ``Game`` (the prover's
+verdicts) and enumerates all 2^n coalitions, so it refuses large n.
+
+Both samplers draw from a seeded numpy generator and are bit-reproducible
+for a fixed seed; contributions are reduced in sample order.
 
 The permutation sampler works in whole rotation blocks: it draws one
 permutation per block and evaluates all n of its cyclic rotations, so
@@ -19,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
-from .process_tree import Coalition
+from .process_tree import Coalition, Op, ProcessTree, node_count
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,29 @@ class Game:
 
     def value_of_mask(self, mask: int) -> int:
         return self.value(Coalition(self.n, mask))
+
+
+@dataclass(frozen=True)
+class TreeGame:
+    """A boolean game over the nodes of a process tree (players are the
+    preorder node indices) whose value is a bottom-up summary of the
+    coalition-reduced tree.
+
+    Removing a node collapses its subtree to one removed tau, so a
+    coalition's value is ``wins(state(root))``, where an absent node has
+    state ``removed``, a present leaf has state ``leaf(node)``, and a
+    present operator folds its children's states left to right:
+    ``join(op, join(op, s1, s2), s3) ...``."""
+
+    tree: ProcessTree
+    leaf: Callable[[ProcessTree], Hashable]
+    removed: Hashable
+    join: Callable[[Op, Hashable, Hashable], Hashable]
+    wins: Callable[[Hashable], bool]
+
+    @property
+    def n(self) -> int:
+        return node_count(self.tree)
 
 
 @dataclass(frozen=True)
@@ -65,8 +95,122 @@ def convergence_delta_max(
     return max((abs(curr[p] - prev[p]) for p in curr), default=0.0)
 
 
+def _shapley_weights(n: int) -> list[int]:
+    """k! (n-1-k)! for k = 0..n-1: the Shapley weight of a coalition of
+    size k that player i joins, times n!."""
+    fact = [math.factorial(k) for k in range(n + 1)]
+    return [fact[k] * fact[n - 1 - k] for k in range(n)]
+
+
+def _exact_estimate(numerators: list[int]) -> ShapleyEstimate:
+    n = len(numerators)
+    denom = math.factorial(n)
+    phi_exact = {i: Fraction(numerators[i], denom) for i in range(n)}
+    return ShapleyEstimate(
+        phi={p: float(f) for p, f in phi_exact.items()},
+        samples={i: 1 << (n - 1) for i in range(n)},
+        method="exact",
+        phi_exact=phi_exact,
+    )
+
+
+def tree_shapley(game: TreeGame) -> ShapleyEstimate:
+    """Exact Shapley values of a tree game in polynomial time, by counting
+    winning coalitions per size over the tree (size-stratified model
+    counting: Deutch, Frost, Kimelfeld, Monet, SIGMOD 2022; Van den
+    Broeck et al., AAAI 2021).
+
+    Each subtree gets a table from summary state to count polynomial,
+    whose coefficient k counts the coalitions of the subtree's nodes with
+    k members that give it that state.  A present node convolves its
+    children's tables and shifts by one; an absent node takes the removed
+    state with its size - 1 descendants free, (1 + x)^(size - 1).  Forcing
+    player i in changes only the tables on the path from i to the root,
+    where an absent ancestor leaves the others free but counts i:
+    x (1 + x)^(size - 2).  With A[k] the winning coalitions of size k
+    that contain i and W[k] all winning ones of size k,
+
+        phi_i = sum_k k! (n-1-k)! (A[k+1] - (W[k] - A[k])) / n!,
+
+    the same integer numerators as ``exact_shapley``'s enumeration.
+
+    A polynomial is stored as its value at x = 2^(n+1) (Kronecker
+    substitution): no coefficient exceeds 2^n, so a convolution is one
+    integer product and the coefficients read back exactly."""
+
+    nodes: list[ProcessTree] = []
+    children: list[list[int]] = []
+    parent: list[int] = []
+    stack = [(game.tree, -1)]
+    while stack:  # preorder positions, children in order
+        node, up = stack.pop()
+        if up >= 0:
+            children[up].append(len(nodes))
+        parent.append(up)
+        children.append([])
+        nodes.append(node)
+        stack.extend((child, len(nodes) - 1) for child in reversed(node.children))
+    n = len(nodes)
+    width = n + 1
+    x = 1 << width
+    free = [1]  # free[m] = (1 + x)^m
+    for _ in range(n):
+        free.append(free[-1] * (1 + x))
+    size = [1] * n
+    for pos in reversed(range(1, n)):
+        size[parent[pos]] += size[pos]
+
+    def present(pos: int, child_tables: list[dict]) -> dict:
+        if not child_tables:
+            return {game.leaf(nodes[pos]): x}
+        op = nodes[pos].op
+        acc = child_tables[0]
+        for right in child_tables[1:]:
+            out: dict = {}
+            for a, p in acc.items():
+                for b, q in right.items():
+                    state = game.join(op, a, b)
+                    out[state] = out.get(state, 0) + p * q
+            acc = out
+        return {state: p << width for state, p in acc.items()}
+
+    def with_absent(table: dict, poly: int) -> dict:
+        table[game.removed] = table.get(game.removed, 0) + poly
+        return table
+
+    def winning(table: dict) -> int:
+        return sum(p for state, p in table.items() if game.wins(state))
+
+    tables: list[dict] = [{} for _ in range(n)]
+    for pos in reversed(range(n)):  # children before parents
+        own = present(pos, [tables[c] for c in children[pos]])
+        tables[pos] = with_absent(own, free[size[pos] - 1])
+
+    def coefficients(poly: int) -> list[int]:
+        return [(poly >> (width * k)) & (x - 1) for k in range(n + 1)]
+
+    total = coefficients(winning(tables[0]))
+    weights = _shapley_weights(n)
+    numerators = []
+    for i in range(n):
+        table = present(i, [tables[c] for c in children[i]])
+        below, up = i, parent[i]
+        while up >= 0:
+            child_tables = [table if c == below else tables[c] for c in children[up]]
+            table = with_absent(present(up, child_tables), free[size[up] - 2] << width)
+            below, up = up, parent[up]
+        with_i = coefficients(winning(table))
+        numerators.append(
+            sum(
+                weights[k] * (with_i[k + 1] - (total[k] - with_i[k]))
+                for k in range(n)
+            )
+        )
+    return _exact_estimate(numerators)
+
+
 def exact_shapley(game: Game, exact_limit: int = 20) -> ShapleyEstimate:
-    """Exact Shapley values over all 2^n coalitions.
+    """Exact Shapley values over all 2^n coalitions of a black-box game.
 
     phi_i = sum over S not containing i of
             |S|! (n-|S|-1)! / n! * (v(S+i) - v(S)).
@@ -79,8 +223,7 @@ def exact_shapley(game: Game, exact_limit: int = 20) -> ShapleyEstimate:
             f"use mc_permutation_shapley or rs_subset_shapley"
         )
     values = [game.value_of_mask(mask) for mask in range(1 << n)]
-    fact = [math.factorial(k) for k in range(n + 1)]
-    weights = [fact[s] * fact[n - 1 - s] for s in range(n)]
+    weights = _shapley_weights(n)
 
     numerators = [0] * n
     for mask in range(1 << n):
@@ -93,15 +236,7 @@ def exact_shapley(game: Game, exact_limit: int = 20) -> ShapleyEstimate:
             diff = values[mask | bit] - v_s
             if diff:
                 numerators[i] += weights[size] * diff
-
-    denom = fact[n]
-    phi_exact = {i: Fraction(numerators[i], denom) for i in range(n)}
-    return ShapleyEstimate(
-        phi={p: float(f) for p, f in phi_exact.items()},
-        samples={i: 1 << (n - 1) for i in range(n)},
-        method="exact",
-        phi_exact=phi_exact,
-    )
+    return _exact_estimate(numerators)
 
 
 def mc_permutation_shapley(

@@ -1,15 +1,22 @@
 """Seeded generators shared by the test modules: random process trees,
 random boolean games, and the tree corpus used by the exhaustive
-oracle/encoder comparisons."""
+oracle/encoder comparisons; plus the commitment enumeration that the
+oracle tests use as an independent reference for its verdicts."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from dataclasses import dataclass
+from typing import Iterator
 
 from procshap.process_tree import (
+    Op,
     ProcessTree,
+    TauMode,
     activity,
     assign_node_ids,
+    iter_nodes,
     loop,
     par,
     seq,
@@ -109,3 +116,83 @@ def threshold_game_table(rng: random.Random, n: int) -> dict[int, int]:
     return {
         mask: int(bin(mask & t_mask).count("1") >= t) for mask in range(1 << n)
     }
+
+
+@dataclass(frozen=True)
+class Commitment:
+    """Static resolution of all choices: one child ordinal per Xor node,
+    one redo count per Loop node (by node index)."""
+
+    xor_choice: tuple[tuple[int, int], ...] = ()
+    loop_redo: tuple[tuple[int, int], ...] = ()
+
+    def choice_for(self, index: int) -> int:
+        return dict(self.xor_choice)[index]
+
+    def redos_for(self, index: int) -> int:
+        return dict(self.loop_redo)[index]
+
+
+def iter_commitments(tree_c: ProcessTree, bound: int) -> Iterator[Commitment]:
+    """Enumerate every commitment of a (substituted, id-assigned) tree.
+    Exponential; intended for small trees and testing."""
+
+    xors = [n for n in iter_nodes(tree_c) if n.op is Op.XOR]
+    loops = [n for n in iter_nodes(tree_c) if n.op is Op.LOOP]
+    choice_spaces = [range(len(n.children)) for n in xors]
+    redo_spaces = [range(bound + 1) for _ in loops]
+    for combo in itertools.product(*choice_spaces, *redo_spaces):
+        choices = combo[: len(xors)]
+        redos = combo[len(xors) :]
+        yield Commitment(
+            xor_choice=tuple(
+                (n.node_id.index, c) for n, c in zip(xors, choices)  # type: ignore[union-attr]
+            ),
+            loop_redo=tuple(
+                (n.node_id.index, r) for n, r in zip(loops, redos)  # type: ignore[union-attr]
+            ),
+        )
+
+
+def commitment_run(
+    tree_c: ProcessTree, commitment: Commitment, mode: TauMode
+) -> tuple[str, ...] | None:
+    """The trace produced by executing the tree under *commitment*, or
+    None when the run deadlocks on a blocked removed-tau.  And-children
+    are concatenated in order; occurrence judgements are order-insensitive
+    so this canonical interleaving is sufficient."""
+
+    xor_choice = dict(commitment.xor_choice)
+    loop_redo = dict(commitment.loop_redo)
+
+    def run(node: ProcessTree) -> tuple[str, ...] | None:
+        if node.is_leaf:
+            if node.removed and mode is TauMode.BLOCKED:
+                return None
+            if node.is_activity:
+                return (node.label,)
+            return ()
+        if node.op is Op.XOR:
+            chosen = node.children[xor_choice[node.node_id.index]]  # type: ignore[union-attr]
+            return run(chosen)
+        if node.op is Op.LOOP:
+            do, redo = node.children
+            do_trace = run(do)
+            if do_trace is None:
+                return None
+            redos = loop_redo[node.node_id.index]  # type: ignore[union-attr]
+            if redos == 0:
+                return do_trace
+            redo_trace = run(redo)
+            if redo_trace is None:
+                return None
+            return do_trace + (redo_trace + do_trace) * redos
+        parts: tuple[str, ...] = ()
+        for child in node.children:
+            sub = run(child)
+            if sub is None:
+                return None
+            parts += sub
+        return parts
+
+    return run(tree_c)

@@ -11,9 +11,7 @@ from procshap.oracle import (
     PropertySpec,
     TauMode,
     ValueCache,
-    commitment_run,
     evaluate,
-    iter_commitments,
     v_liv,
     v_saf,
     v_sat,
@@ -32,7 +30,7 @@ from procshap.process_tree import (
     xor,
 )
 
-from _corpus import corpus
+from _corpus import commitment_run, corpus, iter_commitments
 
 SAT = PropertySpec(Property.SAT)
 LIV = PropertySpec(Property.LIV)

@@ -21,7 +21,7 @@ from procshap.reports import (
     run_matrix,
     run_single,
 )
-from procshap.shapley import exact_shapley
+from procshap.shapley import tree_shapley
 
 SAF_PAIR = ("pay compensation", "reject request")
 
@@ -147,9 +147,9 @@ def test_error_isolation(monkeypatch, running_example_file):
     def failing_on_14_nodes(game):
         if game.n == 14:  # the noise-0 tree; noise 1 mines 13 nodes
             raise ValueError("refused")
-        return exact_shapley(game)
+        return tree_shapley(game)
 
-    monkeypatch.setattr(reports, "exact_shapley", failing_on_14_nodes)
+    monkeypatch.setattr(reports, "tree_shapley", failing_on_14_nodes)
     config = RunConfig(
         log_path=str(running_example_file),
         noise_levels=(0.0, 1.0),
@@ -389,6 +389,32 @@ def test_cli_config_given_with_equals(tmp_path):
     argv = [f"--config={config_file}", "matrix", "--log", "x.xes", "--out", "out"]
     args = parser.parse_args(_apply_config_file(parser, argv))
     assert args.seed == 3
+
+
+@pytest.mark.parametrize("equals", [False, True])
+@pytest.mark.parametrize("after_subcommand", [False, True])
+def test_cli_config_before_or_after_subcommand(tmp_path, equals, after_subcommand):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("seed = 3\n")
+    flag = [f"--config={config_file}"] if equals else ["--config", str(config_file)]
+    command = ["matrix", "--log", "x.xes", "--out", "out"]
+    argv = command + flag if after_subcommand else flag + command
+    parser = build_parser()
+    args = parser.parse_args(_apply_config_file(parser, argv))
+    assert args.seed == 3
+    assert args.log == "x.xes" and args.out == "out"
+
+
+def test_cli_config_after_subcommand_runs(tmp_path, running_example_file, capsys):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("noise = 1.0\nproperty = sat\nmethod = exact\n")
+    out_dir = tmp_path / "out"
+    rc = main(["matrix", "--log", str(running_example_file), "--out", str(out_dir),
+               "--config", str(config_file)])
+    assert rc == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["meta"]["method"] == "exact"
+    assert report["meta"]["configuration_count"] == 1
 
 
 @pytest.mark.parametrize(
