@@ -16,13 +16,11 @@ from procshap import (
     discover,
     emit_tptp,
     encode,
+    evaluate,
     node_count,
     substitute,
     trace_language,
     tree_to_text,
-    v_liv,
-    v_saf,
-    v_sat,
 )
 from procshap.datasets import load_running_example
 
@@ -37,32 +35,35 @@ reduced = substitute(tree, coalition)
 print("after removing nodes 10, 12, 13:")
 print(tree_to_text(reduced))
 
+# The oracle judges a coalition on the tree itself; the substituted tree
+# above is for display.
+
 sat = PropertySpec(Property.SAT)
 liv = PropertySpec(Property.LIV)
 saf = PropertySpec(Property.SAF, safety_pair=("pay compensation", "reject request"))
 
 print("verdicts for the reduced model (blocked tau semantics):")
-print(f"  sat = {v_sat(reduced, sat)}   (both outcome arms are gone, no run completes)")
-print(f"  liv = {v_liv(reduced, liv)}")
-print(f"  saf = {v_saf(reduced, saf)}   (vacuously safe when nothing completes)")
+print(f"  sat = {evaluate(tree, coalition, sat)}   "
+      f"(both outcome arms are gone, no run completes)")
+print(f"  liv = {evaluate(tree, coalition, liv)}")
+print(f"  saf = {evaluate(tree, coalition, saf)}   (vacuously safe when nothing completes)")
 
 # Removing one Xor arm keeps satisfiability but breaks liveness: a blind
 # commitment can still walk into the dead branch.
 coalition = Coalition.of(n, set(range(n)) - {12})
-reduced = substitute(tree, coalition)
 print("after removing only 'pay compensation':")
-print(f"  sat = {v_sat(reduced, sat)}   liv = {v_liv(reduced, liv)}")
+print(f"  sat = {evaluate(tree, coalition, sat)}   liv = {evaluate(tree, coalition, liv)}")
 
 # In skip mode removed taus complete silently, so sat/liv degenerate to 1.
 skip = PropertySpec(Property.SAT, mode=TauMode.SKIP)
-print(f"  sat in skip mode = {v_sat(substitute(tree, Coalition.empty(n)), skip)} "
+print(f"  sat in skip mode = {evaluate(tree, Coalition.empty(n), skip)} "
       f"(degenerate by design)")
 
 # The bounded trace language grounds these verdicts.
 small = Coalition.of(n, {0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12})
 lang = trace_language(substitute(tree, small), bound=1)
 print(f"\n{len(lang)} traces for one coalition at loop bound 1; shortest:")
-print(" ", min(lang, key=len))
+print(" ", min(sorted(lang), key=len))
 
 # Every coalition also has a propositional encoding in TPTP syntax for
 # external provers.

@@ -44,9 +44,6 @@ from .oracle import (
     ValueCache,
     evaluate,
     tree_game,
-    v_liv,
-    v_saf,
-    v_sat,
 )
 from .process_tree import (
     Coalition,

@@ -177,11 +177,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommand_flags(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
+    """The option strings of the subcommand named in *argv* (none when
+    no subcommand is named)."""
+
+    (commands,) = (
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    name = next((arg for arg in argv if not arg.startswith("-")), None)
+    subparser = commands.choices.get(name)
+    return set(subparser._option_string_actions) if subparser else set()
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Take ``--config FILE`` (or ``--config=FILE``) out of *argv*, before
     or after the subcommand, and append the file's value for every flag
-    not given on the command line, whether written ``--key value`` or
-    ``--key=value``."""
+    the subcommand defines and the command line does not give, whether
+    written ``--key value`` or ``--key=value``.  Unknown keys are an
+    error; known keys that the subcommand lacks are skipped, so one file
+    can serve several subcommands."""
 
     given = [arg.split("=", 1)[0] for arg in argv]
     if "--config" not in given:
@@ -210,9 +225,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         if key not in CONFIG_KEYS:
             raise SystemExit(f"{path}:{lineno}: unknown config key {key!r}")
         defaults[key] = value
+    flags = _subcommand_flags(parser, out)
     for key, value in defaults.items():
         flag = f"--{key}"
-        if flag not in given:
+        if flag in flags and flag not in given:
             out += [flag, value]
     return out
 

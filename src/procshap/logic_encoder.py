@@ -42,12 +42,10 @@ from .propositional import (
     Formula,
     conj,
     disj,
-    dpll_satisfiable,
     iff,
     implies,
     neg,
     to_tptp,
-    truth_table_satisfiable,
     var,
 )
 
@@ -188,30 +186,6 @@ def encode(
         occ_vars=tuple(
             (label, tuple(vs)) for label, vs in sorted(occ_vars.items())
         ),
-    )
-
-
-def spec_value(pspec: PropositionalSpec) -> int:
-    """Truth-semantics value of an encoded problem, via DPLL.
-
-    Without a conjecture the value is satisfiability of the axioms; with
-    one it is entailment of the conjecture by the axioms."""
-
-    if pspec.conjecture is None:
-        return int(dpll_satisfiable(list(pspec.axioms)))
-    return int(not dpll_satisfiable(list(pspec.axioms) + [neg(pspec.conjecture)]))
-
-
-def truth_table_value(pspec: PropositionalSpec, max_vars: int = 20) -> int:
-    """Like :func:`spec_value` but by exhaustive assignment enumeration.
-    Test-only reference; refuses problems over *max_vars* variables."""
-
-    if pspec.conjecture is None:
-        return int(truth_table_satisfiable(list(pspec.axioms), max_vars))
-    return int(
-        not truth_table_satisfiable(
-            list(pspec.axioms) + [neg(pspec.conjecture)], max_vars
-        )
     )
 
 

@@ -1,12 +1,11 @@
-"""Boolean value functions for coalitions: satisfiability, liveness and
-safety of the tau-substituted tree, the memoizing evaluation front-end,
-and the same verdicts as a bottom-up tree summary (``tree_game``) from
-which ``shapley.tree_shapley`` computes exact Shapley values without
-evaluating coalitions one by one.
+"""The oracle: satisfiability, liveness and safety verdicts on the
+coalition-reduced tree, stated once as a bottom-up tree summary
+(``tree_game``), and the memoizing evaluation front-end.
 
-Semantics are commitment-based.  A commitment resolves every choice in the
-tree up front: one child per Xor node and one redo count (0..K) per Loop
-node.  A committed run *completes* when no blocked removed-tau lies on its
+Removing a node collapses its subtree to one removed tau.  Semantics are
+commitment-based.  A commitment resolves every choice in the tree up
+front: one child per Xor node and one redo count (0..K) per Loop node.  A
+committed run *completes* when no blocked removed-tau lies on its
 execution path.  Then
 
 * sat  = some commitment completes,
@@ -14,6 +13,10 @@ execution path.  Then
   deadlock-able branch violates liveness even if other runs complete),
 * saf  = no completed run's trace contains both activities of the
   forbidden pair (vacuously safe when nothing completes).
+
+``evaluate`` folds the summary over one coalition (``TreeGame.value``)
+and ``shapley.tree_shapley`` counts it over all of them; the prover
+backend decides the same verdicts from the substituted tree's encoding.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ __all__ = [
     "Property",
     "PropertySpec",
     "ValueCache",
-    "v_sat",
-    "v_liv",
-    "v_saf",
     "evaluate",
     "tree_game",
 ]
@@ -68,105 +68,24 @@ class PropertySpec:
         return (self.prop.value, self.mode.value, self.loop_bound, self.safety_pair)
 
 
-def _leaf_completes(node: ProcessTree, mode: TauMode) -> bool:
-    if node.removed:
-        return mode is TauMode.SKIP
-    return True
-
-
-def _can_complete(node: ProcessTree, mode: TauMode) -> bool:
-    if node.is_leaf:
-        return _leaf_completes(node, mode)
-    if node.op is Op.XOR:
-        return any(_can_complete(c, mode) for c in node.children)
-    if node.op is Op.LOOP:
-        return _can_complete(node.children[0], mode)  # commit to zero redos
-    return all(_can_complete(c, mode) for c in node.children)
-
-
-def _always_completes(node: ProcessTree, mode: TauMode, bound: int) -> bool:
-    if node.is_leaf:
-        return _leaf_completes(node, mode)
-    if node.op is Op.LOOP:
-        do, redo = node.children
-        if not _always_completes(do, mode, bound):
-            return False
-        return bound == 0 or _always_completes(redo, mode, bound)
-    # Seq and And need all children; Xor too, since any child may be chosen.
-    return all(_always_completes(c, mode, bound) for c in node.children)
-
-
-def v_sat(tree_c: ProcessTree, spec: PropertySpec) -> int:
-    """1 iff at least one commitment yields a complete run."""
-    return int(_can_complete(tree_c, spec.mode))
-
-
-def v_liv(tree_c: ProcessTree, spec: PropertySpec) -> int:
-    """1 iff the model is satisfiable and every commitment completes."""
-    if not _can_complete(tree_c, spec.mode):
-        return 0
-    return int(_always_completes(tree_c, spec.mode, spec.loop_bound))
-
-
-def _profiles(
-    node: ProcessTree, mode: TauMode, bound: int, pair: frozenset[str]
-) -> frozenset[frozenset[str]]:
-    """Achievable occurrence profiles over the safety pair: for every
-    commitment with a complete run, which of {A, B} occur in its trace."""
-
-    if node.is_leaf:
-        if node.removed and mode is TauMode.BLOCKED:
-            return frozenset()
-        if node.is_activity:
-            return frozenset({frozenset({node.label} & pair)})
-        return frozenset({frozenset()})
-    if node.op is Op.XOR:
-        out: set[frozenset[str]] = set()
-        for child in node.children:
-            out |= _profiles(child, mode, bound, pair)
-        return frozenset(out)
-    if node.op is Op.LOOP:
-        do, redo = node.children
-        dp = _profiles(do, mode, bound, pair)
-        if bound == 0:
-            return dp
-        rp = _profiles(redo, mode, bound, pair)
-        return dp | frozenset(p | q for p in dp for q in rp)
-    # Seq / And: children commit independently, occurrences accumulate.
-    acc: frozenset[frozenset[str]] = frozenset({frozenset()})
-    for child in node.children:
-        cp = _profiles(child, mode, bound, pair)
-        acc = frozenset(p | q for p in acc for q in cp)
-        if not acc:
-            return acc
-    return acc
-
-
-def v_saf(tree_c: ProcessTree, spec: PropertySpec) -> int:
-    """1 iff no complete run's trace contains both forbidden activities;
-    vacuously 1 when no run completes."""
-    if spec.safety_pair is None:
-        raise ValueError("safety evaluation requires a safety_pair (A, B)")
-    pair = frozenset(spec.safety_pair)
-    profiles = _profiles(tree_c, spec.mode, spec.loop_bound, pair)
-    return int(pair not in profiles)
-
-
-_ORACLE = {
-    Property.SAT: v_sat,
-    Property.LIV: v_liv,
-    Property.SAF: v_saf,
-}
-
-
 def tree_game(tree: ProcessTree, spec: PropertySpec) -> TreeGame:
     """The oracle's verdict on every coalition of *tree*'s nodes as a
-    bottom-up summary, for exact Shapley values by ``tree_shapley``.
+    bottom-up summary: the only statement of the oracle's semantics.
 
-    The state of a subtree is ``(can_complete, always_completes)`` for sat
-    and liv and its set of occurrence profiles for saf; ``join`` applies
-    the rules of ``_can_complete``, ``_always_completes`` and ``_profiles``
-    to two children's states."""
+    For sat and liv the state of a subtree is ``(can, always)``: some of
+    its commitments completes, every one does.  A present leaf completes,
+    a removed tau completes only in skip mode.  Seq and And need all
+    children; Xor can complete through any child but always completes
+    only if every child does, since any child may be chosen; Loop(do,
+    redo) can complete by committing to zero redos, and always completes
+    if do does and, when the bound allows a redo, redo does too.  sat
+    wins on ``can``, liv on ``can and always``.
+
+    For saf the state is the set of occurrence profiles: for every
+    completing commitment, which of the pair {A, B} its trace contains.
+    Xor unites its children's sets, Seq and And combine them pairwise,
+    and Loop adds the do-redo combinations when the bound allows a redo.
+    saf wins when {A, B} is not a profile."""
 
     bound = spec.loop_bound
     skip = spec.mode is TauMode.SKIP
@@ -265,20 +184,21 @@ def evaluate(
     backend: str = "oracle",
     prover_config=None,
 ) -> int:
-    """Substitute the coalition into *tree* and evaluate the property,
-    via the internal oracle or an external prover, memoizing per
-    (coalition, property, mode, bound, pair)."""
+    """The property's verdict on *coalition* of *tree*'s nodes, memoized
+    per (coalition, property, mode, bound, pair): the oracle folds
+    ``tree_game`` over the coalition, the prover backend decides the
+    encoding of the substituted tree."""
 
     def compute() -> int:
-        tree_c = substitute(tree, coalition)
         if backend == "oracle":
-            return _ORACLE[spec.prop](tree_c, spec)
+            return tree_game(tree, spec).value(coalition.mask)
         if backend == "prover":
             from .logic_encoder import value_via_prover
 
             if prover_config is None:
                 raise ValueError("prover backend requires a prover_config")
             warn = cache.add_warning if cache is not None else None
+            tree_c = substitute(tree, coalition)
             return value_via_prover(tree_c, spec, prover_config, warn=warn)
         raise ValueError(f"unknown backend {backend!r}")
 

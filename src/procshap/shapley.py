@@ -70,6 +70,28 @@ class TreeGame:
     def n(self) -> int:
         return node_count(self.tree)
 
+    def value(self, mask: int) -> int:
+        """The value of the coalition *mask* over node ids: the fold above,
+        visiting present nodes only."""
+
+        if self.tree.node_id is None:
+            raise ValueError(
+                "TreeGame.value requires an id-assigned tree (assign_node_ids)"
+            )
+
+        def state(node: ProcessTree) -> Hashable:
+            if not mask >> node.node_id.index & 1:
+                return self.removed
+            if node.is_leaf:
+                return self.leaf(node)
+            first, *rest = node.children
+            acc = state(first)
+            for child in rest:
+                acc = self.join(node.op, acc, state(child))
+            return acc
+
+        return int(self.wins(state(self.tree)))
+
 
 @dataclass(frozen=True)
 class ShapleyEstimate:

@@ -19,16 +19,13 @@ from fractions import Fraction
 import pytest
 
 from procshap.diagnostics import jaccard, top_k
-from procshap.logic_encoder import ProverConfig, encode, spec_value, value_via_prover
+from procshap.logic_encoder import ProverConfig, encode, value_via_prover
 from procshap.miner import MinerConfig, discover
 from procshap.oracle import (
     Property,
     PropertySpec,
     ValueCache,
     evaluate,
-    v_liv,
-    v_saf,
-    v_sat,
 )
 from procshap.process_tree import Coalition, node_count, substitute
 from procshap.reports import AttributionReport, RunConfig, emit_report, run_matrix
@@ -41,6 +38,7 @@ from procshap.shapley import (
 )
 
 from _corpus import corpus, random_boolean_game_table, threshold_game_table
+from _sat import spec_value
 
 SAT = PropertySpec(Property.SAT)
 LIV = PropertySpec(Property.LIV)
@@ -175,9 +173,10 @@ def test_criterion_oracle_encoder_equivalence():
         n = node_count(tree)
         assert n <= 10
         for mask in range(1 << n):
-            cut = substitute(tree, Coalition(n, mask))
-            for spec, fast in ((SAT, v_sat), (LIV, v_liv), (SAF, v_saf)):
-                expected = fast(cut, spec)
+            coalition = Coalition(n, mask)
+            cut = substitute(tree, coalition)
+            for spec in (SAT, LIV, SAF):
+                expected = evaluate(tree, coalition, spec)
                 got = spec_value(encode(cut, spec))
                 assert got == expected, (
                     f"tree {tree.node_id.text}, coalition {mask:#x}, "
@@ -201,9 +200,9 @@ def test_criterion_monotonicity_and_signs():
         sat_of = {}
         saf_of = {}
         for mask in range(1 << n):
-            cut = substitute(tree, Coalition(n, mask))
-            sat_of[mask] = v_sat(cut, SAT)
-            saf_of[mask] = v_saf(cut, SAF)
+            coalition = Coalition(n, mask)
+            sat_of[mask] = evaluate(tree, coalition, SAT)
+            saf_of[mask] = evaluate(tree, coalition, SAF)
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i
@@ -346,9 +345,12 @@ def test_criterion_prover_integration():
         n = node_count(tree)
         masks = {rng.getrandbits(n) for _ in range(50)}
         for mask in masks:
-            cut = substitute(tree, Coalition(n, mask))
-            for spec, fast in ((SAT, v_sat), (LIV, v_liv), (SAF, v_saf)):
-                assert value_via_prover(cut, spec, config) == fast(cut, spec)
+            coalition = Coalition(n, mask)
+            cut = substitute(tree, coalition)
+            for spec in (SAT, LIV, SAF):
+                assert value_via_prover(cut, spec, config) == evaluate(
+                    tree, coalition, spec
+                )
                 checks += 1
     assert outcome(
         "prover-integration",

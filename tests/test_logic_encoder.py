@@ -16,11 +16,9 @@ from procshap.logic_encoder import (
     encode,
     parse_szs,
     run_prover,
-    spec_value,
-    truth_table_value,
     value_via_prover,
 )
-from procshap.oracle import Property, PropertySpec, v_liv, v_saf, v_sat
+from procshap.oracle import Property, PropertySpec, evaluate
 from procshap.process_tree import (
     Coalition,
     activity,
@@ -32,13 +30,15 @@ from procshap.process_tree import (
     tau,
     xor,
 )
-from procshap.propositional import (
-    collect_vars,
-    dpll_satisfiable,
-    truth_table_satisfiable,
-)
 
 from _corpus import corpus, random_tree
+from _sat import (
+    collect_vars,
+    dpll_satisfiable,
+    spec_value,
+    truth_table_satisfiable,
+    truth_table_value,
+)
 
 SAT = PropertySpec(Property.SAT)
 LIV = PropertySpec(Property.LIV)
@@ -51,10 +51,6 @@ def fake_prover_config(**kw) -> ProverConfig:
     return ProverConfig(
         executable=sys.executable, extra_args=(FAKE_PROVER,), timeout_s=30, **kw
     )
-
-
-def oracle_value(tree_c, spec: PropertySpec) -> int:
-    return {"sat": v_sat, "liv": v_liv, "saf": v_saf}[spec.prop.value](tree_c, spec)
 
 
 def test_single_leaf_encoding_is_minimal():
@@ -77,9 +73,10 @@ def test_encoder_oracle_equivalence_all_coalitions():
     for tree in corpus(20, max_nodes=8, seed=77):
         n = node_count(tree)
         for mask in range(1 << n):
-            cut = substitute(tree, Coalition(n, mask))
+            coalition = Coalition(n, mask)
+            cut = substitute(tree, coalition)
             for spec in (SAT, LIV, SAF):
-                assert spec_value(encode(cut, spec)) == oracle_value(cut, spec), (
+                assert spec_value(encode(cut, spec)) == evaluate(tree, coalition, spec), (
                     tree,
                     mask,
                     spec.prop,
@@ -129,7 +126,7 @@ def test_loop_bound_zero_and_two():
     tree = assign_node_ids(loop(activity("a"), activity("b")))
     for bound in (0, 1, 2):
         spec = PropertySpec(Property.SAF, safety_pair=("a", "b"), loop_bound=bound)
-        assert spec_value(encode(tree, spec)) == v_saf(tree, spec)
+        assert spec_value(encode(tree, spec)) == evaluate(tree, Coalition.full(3), spec)
 
 
 def test_all_referenced_variables_declared():
@@ -251,9 +248,12 @@ def test_value_via_prover_agrees_with_oracle():
         n = node_count(tree)
         masks = {rng.getrandbits(n) for _ in range(4)} | {0, (1 << n) - 1}
         for mask in masks:
-            cut = substitute(tree, Coalition(n, mask))
+            coalition = Coalition(n, mask)
+            cut = substitute(tree, coalition)
             for spec in (SAT, LIV, SAF):
-                assert value_via_prover(cut, spec, config) == oracle_value(cut, spec)
+                assert value_via_prover(cut, spec, config) == evaluate(
+                    tree, coalition, spec
+                )
 
 
 def test_value_via_prover_dumps_problems(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -12,9 +13,6 @@ from procshap.oracle import (
     TauMode,
     ValueCache,
     evaluate,
-    v_liv,
-    v_saf,
-    v_sat,
 )
 from procshap.process_tree import (
     Coalition,
@@ -40,7 +38,7 @@ def saf(a="a", b="b", **kw) -> PropertySpec:
     return PropertySpec(Property.SAF, safety_pair=(a, b), **kw)
 
 
-def reduced(tree, keep=None, drop=None):
+def verdict(spec, tree, keep=None, drop=None) -> int:
     tree = assign_node_ids(tree) if tree.node_id is None else tree
     n = node_count(tree)
     if drop is not None:
@@ -49,7 +47,7 @@ def reduced(tree, keep=None, drop=None):
         coalition = Coalition.of(n, keep)
     else:
         coalition = Coalition.full(n)
-    return substitute(tree, coalition)
+    return evaluate(tree, coalition, spec)
 
 
 def brute_force(tree_c, spec: PropertySpec) -> int:
@@ -69,29 +67,28 @@ def brute_force(tree_c, spec: PropertySpec) -> int:
 
 def test_sat_examples():
     tree = seq(activity("a"), activity("b"))
-    assert v_sat(reduced(tree), SAT) == 1
-    assert v_sat(reduced(tree, drop=[2]), SAT) == 0  # Seq needs all children
+    assert verdict(SAT, tree) == 1
+    assert verdict(SAT, tree, drop=[2]) == 0  # Seq needs all children
     tree = xor(activity("a"), activity("b"))
-    assert v_sat(reduced(tree, drop=[1]), SAT) == 1  # commit to b
+    assert verdict(SAT, tree, drop=[1]) == 1  # commit to b
 
 
 def test_liv_examples():
     tree = xor(activity("a"), activity("b"))
-    cut = reduced(tree, drop=[1])
-    assert v_sat(cut, SAT) == 1
-    assert v_liv(cut, LIV) == 0  # the commitment choosing a deadlocks
+    assert verdict(SAT, tree, drop=[1]) == 1
+    assert verdict(LIV, tree, drop=[1]) == 0  # the commitment choosing a deadlocks
     tree = seq(activity("a"), activity("b"))
-    assert v_liv(reduced(tree), LIV) == 1
-    assert v_liv(reduced(tree, drop=[2]), LIV) == 0  # liv <= sat
+    assert verdict(LIV, tree) == 1
+    assert verdict(LIV, tree, drop=[2]) == 0  # liv <= sat
 
 
 def test_saf_examples():
     tree = seq(activity("a"), activity("b"))
-    assert v_saf(reduced(tree), saf()) == 0  # <a,b> co-occurs
+    assert verdict(saf(), tree) == 0  # <a,b> co-occurs
     tree = xor(activity("a"), activity("b"))
-    assert v_saf(reduced(tree), saf()) == 1  # each run has one of them
+    assert verdict(saf(), tree) == 1  # each run has one of them
     tree = seq(activity("a"), activity("b"))
-    assert v_saf(reduced(tree, drop=[2]), saf()) == 1  # vacuous: nothing completes
+    assert verdict(saf(), tree, drop=[2]) == 1  # vacuous: nothing completes
 
 
 def test_saf_requires_pair():
@@ -104,54 +101,57 @@ def test_saf_requires_pair():
 def test_loop_redo_affects_safety():
     # redo activities can occur once the bound allows an iteration
     tree = loop(activity("a"), activity("b"))
-    assert v_saf(reduced(tree), saf(loop_bound=0)) == 1
-    assert v_saf(reduced(tree), saf(loop_bound=1)) == 0
+    assert verdict(saf(loop_bound=0), tree) == 1
+    assert verdict(saf(loop_bound=1), tree) == 0
 
 
 def test_static_commitments_pin_choices_across_iterations():
     # one Xor choice is shared by all loop iterations, so the two arms
     # never co-occur in a single committed run
     tree = loop(xor(activity("a"), activity("b")), tau())
-    assert v_saf(reduced(tree), saf(loop_bound=2)) == 1
+    assert verdict(saf(loop_bound=2), tree) == 1
 
 
 def test_empty_coalition_modes():
     tree = seq(activity("a"), activity("b"))
-    cut = reduced(tree, keep=[])
-    assert v_sat(cut, SAT) == 0
-    assert v_sat(cut, PropertySpec(Property.SAT, mode=TauMode.SKIP)) == 1
+    assert verdict(SAT, tree, keep=[]) == 0
+    assert verdict(PropertySpec(Property.SAT, mode=TauMode.SKIP), tree, keep=[]) == 1
 
 
 def test_skip_mode_degeneracy():
     for tree in corpus(15, seed=31):
         n = node_count(tree)
         for mask in range(1 << n):
-            cut = substitute(tree, Coalition(n, mask))
-            assert v_sat(cut, PropertySpec(Property.SAT, mode=TauMode.SKIP)) == 1
-            assert v_liv(cut, PropertySpec(Property.LIV, mode=TauMode.SKIP)) == 1
+            c = Coalition(n, mask)
+            assert evaluate(tree, c, PropertySpec(Property.SAT, mode=TauMode.SKIP)) == 1
+            assert evaluate(tree, c, PropertySpec(Property.LIV, mode=TauMode.SKIP)) == 1
 
 
 def test_liv_at_most_sat_everywhere():
     for tree in corpus(15, seed=32):
         n = node_count(tree)
         for mask in range(1 << n):
-            cut = substitute(tree, Coalition(n, mask))
+            c = Coalition(n, mask)
             for mode in TauMode:
-                s = v_sat(cut, PropertySpec(Property.SAT, mode=mode))
-                l = v_liv(cut, PropertySpec(Property.LIV, mode=mode))
+                s = evaluate(tree, c, PropertySpec(Property.SAT, mode=mode))
+                l = evaluate(tree, c, PropertySpec(Property.LIV, mode=mode))
                 assert l <= s
 
 
 def test_values_match_commitment_enumeration():
-    rng = random.Random(99)
+    # every coalition x {sat, liv, saf} x {blocked, skip} x loop bound {0, 1, 2}
+    specs = [
+        PropertySpec(prop, safety_pair=("a", "b") if prop is Property.SAF else None,
+                     mode=mode, loop_bound=bound)
+        for prop, mode, bound in itertools.product(Property, TauMode, (0, 1, 2))
+    ] + [saf("a", "c")]
     for tree in corpus(25, max_nodes=8, seed=33):
         n = node_count(tree)
-        masks = [rng.getrandbits(n) for _ in range(12)] + [0, (1 << n) - 1]
-        for mask in masks:
-            cut = substitute(tree, Coalition(n, mask))
-            for spec in (SAT, LIV, saf(), saf(loop_bound=0), saf("a", "c")):
-                fast = {"sat": v_sat, "liv": v_liv, "saf": v_saf}[spec.prop.value]
-                assert fast(cut, spec) == brute_force(cut, spec), (
+        for mask in range(1 << n):
+            coalition = Coalition(n, mask)
+            cut = substitute(tree, coalition)
+            for spec in specs:
+                assert evaluate(tree, coalition, spec) == brute_force(cut, spec), (
                     tree,
                     mask,
                     spec,
@@ -163,12 +163,12 @@ def test_sat_equals_language_nonemptiness():
         n = node_count(tree)
         rng = random.Random(n)
         for mask in [rng.getrandbits(n) for _ in range(8)]:
-            cut = substitute(tree, Coalition(n, mask))
+            coalition = Coalition(n, mask)
+            cut = substitute(tree, coalition)
             for mode in TauMode:
                 lang = trace_language(cut, bound=1, mode=mode)
-                assert v_sat(cut, PropertySpec(Property.SAT, mode=mode)) == int(
-                    bool(lang)
-                )
+                spec = PropertySpec(Property.SAT, mode=mode)
+                assert evaluate(tree, coalition, spec) == int(bool(lang))
 
 
 def test_blocked_monotonicity_exhaustive():
@@ -177,9 +177,9 @@ def test_blocked_monotonicity_exhaustive():
         sat_of = {}
         saf_of = {}
         for mask in range(1 << n):
-            cut = substitute(tree, Coalition(n, mask))
-            sat_of[mask] = v_sat(cut, SAT)
-            saf_of[mask] = v_saf(cut, saf())
+            coalition = Coalition(n, mask)
+            sat_of[mask] = evaluate(tree, coalition, SAT)
+            saf_of[mask] = evaluate(tree, coalition, saf())
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i
@@ -187,6 +187,31 @@ def test_blocked_monotonicity_exhaustive():
                     continue
                 assert sat_of[mask] <= sat_of[mask | bit]
                 assert saf_of[mask] >= saf_of[mask | bit]
+
+
+def test_oracle_builds_no_substituted_tree(monkeypatch, running_example_tree):
+    from procshap import oracle
+    from procshap.reports import RunConfig, run_single
+
+    def refuse(tree, coalition):
+        raise AssertionError("substitute called on the oracle path")
+
+    monkeypatch.setattr(oracle, "substitute", refuse)
+    tree = running_example_tree
+    n = node_count(tree)
+    assert evaluate(tree, Coalition.full(n), SAT) == 1
+    config = RunConfig(log_path="log.xes", method="mc", permutations=100,
+                       min_permutations=100, seed=1)
+    record = run_single(config, tree, 0.0, SAT, 1)
+    assert record["error"] is None
+    assert record["cache"]["distinct_queries"] > 0
+    assert sum(record["phi"].values()) == pytest.approx(1.0)
+
+
+def test_evaluate_requires_node_ids():
+    tree = seq(activity("a"), activity("b"))
+    with pytest.raises(ValueError, match="id-assigned"):
+        evaluate(tree, Coalition.full(3), SAT)
 
 
 def test_evaluate_memoizes():
@@ -247,7 +272,7 @@ def test_cache_concurrent_compute_once():
         def compute() -> int:
             with lock:
                 calls.append(coalition.mask)
-            return v_sat(substitute(tree, coalition), SAT)
+            return evaluate(tree, coalition, SAT)
 
         return cache.get_or_compute(coalition.mask, compute)
 
@@ -258,4 +283,4 @@ def test_cache_concurrent_compute_once():
     assert cache.total_queries == len(masks)
     assert cache.distinct_queries == 1 << n
     for mask, result in zip(masks, results):
-        assert result == v_sat(substitute(tree, Coalition(n, mask)), SAT)
+        assert result == evaluate(tree, Coalition(n, mask), SAT)

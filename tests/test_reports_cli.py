@@ -417,6 +417,28 @@ def test_cli_config_after_subcommand_runs(tmp_path, running_example_file, capsys
     assert report["meta"]["configuration_count"] == 1
 
 
+def test_cli_config_serves_several_subcommands(tmp_path, running_example_file, capsys):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("permutations = 50\nseed = 3\nproperty = sat\n")
+    rc = main(["mine", "--log", str(running_example_file),
+               "--config", str(config_file)])
+    assert rc == 0
+    out_dir = tmp_path / "out"
+    rc = main(["--config", str(config_file), "matrix", "--log",
+               str(running_example_file), "--noise", "1.0", "--out", str(out_dir)])
+    assert rc == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["meta"]["seed"] == 3
+    assert report["meta"]["configuration_count"] == 1  # property = sat applies
+
+
+def test_cli_config_rejects_unknown_key(tmp_path):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("seed = 3\npermutation = 50\n")
+    with pytest.raises(SystemExit, match="unknown config key 'permutation'"):
+        main(["mine", "--log", "x.xes", "--config", str(config_file)])
+
+
 @pytest.mark.parametrize(
     "argv", [["matrix", "--config"], ["--config", "missing.conf", "matrix"]]
 )

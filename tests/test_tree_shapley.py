@@ -16,10 +16,8 @@ from procshap.oracle import (
     Property,
     PropertySpec,
     TauMode,
+    evaluate,
     tree_game,
-    v_liv,
-    v_saf,
-    v_sat,
 )
 from procshap.process_tree import (
     Coalition,
@@ -29,7 +27,6 @@ from procshap.process_tree import (
     node_count,
     par,
     seq,
-    substitute,
     tau,
     xor,
 )
@@ -38,7 +35,6 @@ from procshap.shapley import Game, exact_shapley, tree_shapley
 
 from _corpus import corpus, random_tree
 
-ORACLE = {Property.SAT: v_sat, Property.LIV: v_liv, Property.SAF: v_saf}
 BUNDLED_PAIR = ("pay compensation", "reject request")
 
 
@@ -51,14 +47,14 @@ def specs(modes=tuple(TauMode), bounds=(0, 1, 2), pair=("a", "b")):
 
 
 def enumerated(tree, spec_list):
-    """exact_shapley's estimate for every spec, substituting each of the
-    2^n coalitions once for all of them."""
+    """exact_shapley's estimate for every spec, evaluating each of the
+    2^n coalitions once per spec."""
     n = node_count(tree)
     tables = {spec: [] for spec in spec_list}
     for mask in range(1 << n):
-        cut = substitute(tree, Coalition(n, mask))
+        coalition = Coalition(n, mask)
         for spec, table in tables.items():
-            table.append(ORACLE[spec.prop](cut, spec))
+            table.append(evaluate(tree, coalition, spec))
     return {
         spec: exact_shapley(Game(n, lambda c, table=table: table[c.mask]))
         for spec, table in tables.items()
@@ -128,8 +124,7 @@ def test_dp_efficiency_beyond_enumeration():
     full, empty = Coalition.full(n), Coalition.empty(n)
     for spec in specs(bounds=(1,)):
         estimate = tree_shapley(tree_game(tree, spec))
-        value = ORACLE[spec.prop]
-        grand = value(substitute(tree, full), spec) - value(substitute(tree, empty), spec)
+        grand = evaluate(tree, full, spec) - evaluate(tree, empty, spec)
         assert sum(estimate.phi_exact.values()) == Fraction(grand), spec
         assert estimate.samples == {i: 1 << (n - 1) for i in range(n)}
 
