@@ -43,6 +43,7 @@ from .oracle import (
     TauMode,
     ValueCache,
     evaluate,
+    evaluate_masks,
     tree_game,
 )
 from .process_tree import (
@@ -53,6 +54,7 @@ from .process_tree import (
     ProcessTree,
     activity,
     assign_node_ids,
+    canonical_mask,
     export_dot,
     iter_nodes,
     loop,
@@ -75,6 +77,7 @@ from .shapley import (
     convergence_delta_max,
     exact_shapley,
     mc_permutation_shapley,
+    rooted_shapley,
     rs_subset_shapley,
     tree_shapley,
 )

@@ -21,6 +21,11 @@ three problem flavors line up with the oracle module:
   commitment completes,
 * saf: premises include the root's done variable, conjecture that the
   forbidden pair does not co-occur.
+
+``value_via_prover`` decides one substituted tree; ``values_via_prover``
+decides a batch of them, overlapping the prover calls on one pool of
+threads (each call waits on a subprocess), which is the package's only
+parallelism.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import os
 import re
 import subprocess
 import tempfile
+from concurrent import futures
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
@@ -352,3 +358,28 @@ def value_via_prover(
         spec.prop.value,
     )
 
+
+def values_via_prover(
+    trees_c: list[ProcessTree], spec: PropertySpec, config: ProverConfig
+) -> list[tuple[int, list[str]]]:
+    """``value_via_prover`` on every tree of a batch: each tree's value with
+    the warnings its prover calls raised, in the order of *trees_c*.
+
+    The calls overlap on one pool of min(len(trees_c), cpu count)
+    threads, shut down before this returns; with one worker they run on
+    the calling thread.  An error, such as ``ProverUnknownError`` under
+    the abort policy, propagates once the running calls finish, and the
+    calls not yet started are cancelled."""
+
+    def decide(tree_c: ProcessTree) -> tuple[int, list[str]]:
+        warnings: list[str] = []
+        return value_via_prover(tree_c, spec, config, warn=warnings.append), warnings
+
+    workers = min(len(trees_c), os.cpu_count() or 1)
+    if workers <= 1:
+        return [decide(tree_c) for tree_c in trees_c]
+    pool = futures.ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(decide, trees_c))
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -16,17 +16,25 @@ execution path.  Then
 
 ``evaluate`` folds the summary over one coalition (``TreeGame.value``)
 and ``shapley.tree_shapley`` counts it over all of them; the prover
-backend decides the same verdicts from the substituted tree's encoding.
+backend decides the same verdicts from the substituted tree's encoding,
+one coalition at a time (``evaluate``) or as a batch (``evaluate_masks``).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable
 
-from .process_tree import Coalition, Op, ProcessTree, TauMode, substitute
+from .process_tree import (
+    Coalition,
+    Op,
+    ProcessTree,
+    TauMode,
+    canonical_mask,
+    node_count,
+    substitute,
+)
 from .shapley import TreeGame
 
 __all__ = [
@@ -35,6 +43,7 @@ __all__ = [
     "PropertySpec",
     "ValueCache",
     "evaluate",
+    "evaluate_masks",
     "tree_game",
 ]
 
@@ -127,50 +136,29 @@ def tree_game(tree: ProcessTree, spec: PropertySpec) -> TreeGame:
 
 
 class ValueCache:
-    """Concurrent memo table for coalition values.  Each distinct key is
-    computed exactly once; counters track total and distinct queries."""
+    """One configuration's memo table for coalition values, used from one
+    thread.  Each distinct key is computed once; counters track total and
+    distinct queries, and warnings collect what the computations
+    reported, in query order."""
 
     def __init__(self) -> None:
         self._entries: dict[Hashable, int] = {}
-        self._pending: dict[Hashable, threading.Event] = {}
-        self._lock = threading.Lock()
         self.total_queries = 0
         self.distinct_queries = 0
         self.warnings: list[str] = []
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], int]) -> int:
-        with self._lock:
-            self.total_queries += 1
-            if key in self._entries:
-                return self._entries[key]
-            event = self._pending.get(key)
-            if event is None:
-                event = threading.Event()
-                self._pending[key] = event
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            event.wait()
-            with self._lock:
-                return self._entries[key]
-        try:
-            value = compute()
-        except BaseException:
-            with self._lock:
-                del self._pending[key]
-            event.set()
-            raise
-        with self._lock:
-            self._entries[key] = value
+        self.total_queries += 1
+        if key not in self._entries:
+            self._entries[key] = compute()
             self.distinct_queries += 1
-            del self._pending[key]
-        event.set()
-        return value
+        return self._entries[key]
 
     def add_warning(self, message: str) -> None:
-        with self._lock:
-            self.warnings.append(message)
+        self.warnings.append(message)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -187,22 +175,64 @@ def evaluate(
     """The property's verdict on *coalition* of *tree*'s nodes, memoized
     per (coalition, property, mode, bound, pair): the oracle folds
     ``tree_game`` over the coalition, the prover backend decides the
-    encoding of the substituted tree."""
+    encoding of the substituted tree (see ``evaluate_masks``)."""
+
+    if backend == "prover":
+        return evaluate_masks(
+            tree, [coalition.mask], spec, cache, backend, prover_config
+        )[0]
+    if backend != "oracle":
+        raise ValueError(f"unknown backend {backend!r}")
 
     def compute() -> int:
-        if backend == "oracle":
-            return tree_game(tree, spec).value(coalition.mask)
-        if backend == "prover":
-            from .logic_encoder import value_via_prover
-
-            if prover_config is None:
-                raise ValueError("prover backend requires a prover_config")
-            warn = cache.add_warning if cache is not None else None
-            tree_c = substitute(tree, coalition)
-            return value_via_prover(tree_c, spec, prover_config, warn=warn)
-        raise ValueError(f"unknown backend {backend!r}")
+        return tree_game(tree, spec).value(coalition.mask)
 
     if cache is None:
         return compute()
-    key = (coalition.mask, backend) + spec.cache_key()
-    return cache.get_or_compute(key, compute)
+    return cache.get_or_compute((coalition.mask, backend) + spec.cache_key(), compute)
+
+
+def evaluate_masks(
+    tree: ProcessTree,
+    masks: list[int],
+    spec: PropertySpec,
+    cache: ValueCache | None = None,
+    backend: str = "oracle",
+    prover_config=None,
+) -> list[int]:
+    """The verdicts on many coalitions, given as masks over node ids, in
+    order.
+
+    The prover backend keys the cache by canonical mask, since coalitions
+    with one canonical form substitute to one tree.  It decides the
+    distinct canonical forms the cache lacks as one batch
+    (``logic_encoder.values_via_prover``), then records their warnings
+    and values in the cache on the calling thread, in the order of
+    *masks*, so the cache's contents and warnings do not depend on which
+    prover call finished first."""
+
+    if backend != "prover":
+        n = node_count(tree)
+        return [
+            evaluate(tree, Coalition(n, mask), spec, cache, backend, prover_config)
+            for mask in masks
+        ]
+    from .logic_encoder import values_via_prover
+
+    if prover_config is None:
+        raise ValueError("prover backend requires a prover_config")
+    if cache is None:
+        cache = ValueCache()
+    n = node_count(tree)
+    suffix = (backend,) + spec.cache_key()
+    keys = [(canonical_mask(tree, mask),) + suffix for mask in masks]
+    batch = list(dict.fromkeys(key[0] for key in keys if key not in cache))
+    trees_c = [substitute(tree, Coalition(n, mask)) for mask in batch]
+    decided = {}
+    for mask, (value, warnings) in zip(
+        batch, values_via_prover(trees_c, spec, prover_config), strict=True
+    ):
+        for message in warnings:
+            cache.add_warning(message)
+        decided[mask] = value
+    return [cache.get_or_compute(key, lambda: decided[key[0]]) for key in keys]

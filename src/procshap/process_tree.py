@@ -204,6 +204,22 @@ def substitute(tree: ProcessTree, coalition: Coalition) -> ProcessTree:
     return walk(tree)
 
 
+def canonical_mask(tree: ProcessTree, mask: int) -> int:
+    """*mask* with every node that has an absent ancestor cleared: a rooted
+    subtree of the id-assigned *tree*, or 0.  Two coalitions substitute to
+    the same tree exactly when their canonical masks are equal."""
+
+    def walk(node: ProcessTree) -> int:
+        bit = 1 << node.node_id.index  # type: ignore[union-attr]
+        if not mask & bit:
+            return 0
+        for child in node.children:
+            bit |= walk(child)
+        return bit
+
+    return walk(tree)
+
+
 class LanguageSizeError(RuntimeError):
     """Raised when a bounded trace language exceeds the explosion guard."""
 

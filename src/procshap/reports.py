@@ -18,8 +18,6 @@ import hashlib
 import io
 import json
 import math
-import os
-from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +34,15 @@ from .diagnostics import (
 from .event_log import parse_xes
 from .logic_encoder import ProverConfig
 from .miner import MinerConfig, discover
-from .oracle import Property, PropertySpec, TauMode, ValueCache, evaluate, tree_game
+from .oracle import (
+    Property,
+    PropertySpec,
+    TauMode,
+    ValueCache,
+    evaluate,
+    evaluate_masks,
+    tree_game,
+)
 from .process_tree import (
     ProcessTree,
     export_dot,
@@ -46,8 +52,8 @@ from .process_tree import (
 )
 from .shapley import (
     Game,
-    exact_shapley,
     mc_permutation_shapley,
+    rooted_shapley,
     rs_subset_shapley,
     tree_shapley,
 )
@@ -159,8 +165,12 @@ def run_single(
     """Attribution and diagnostics for one mined tree and one property.
 
     Exact values on the oracle backend come from ``tree_shapley``, which
-    evaluates no coalition, so the cache counters read 0 there; every
-    other method and backend queries the game through the cache."""
+    evaluates no coalition, so the cache counters read 0 there.  Exact
+    values on the prover backend come from ``rooted_shapley``, which asks
+    for one verdict per canonical form (rooted subtree or empty set) in
+    one batch, so the counters count canonical forms.  Sampling queries
+    the game through the cache; for sat and liv, which are monotone, the
+    permutation sampler ties the veto players."""
 
     nodes = list(iter_nodes(tree))
     n = len(nodes)
@@ -179,7 +189,12 @@ def run_single(
     if config.method == "exact" and config.backend == "oracle":
         estimate = tree_shapley(tree_game(tree, spec))
     elif config.method == "exact":
-        estimate = exact_shapley(game)
+        estimate = rooted_shapley(
+            tree,
+            lambda masks: evaluate_masks(
+                tree, masks, spec, cache, config.backend, config.prover
+            ),
+        )
     elif config.method == "mc":
         estimate, report = mc_permutation_shapley(
             game,
@@ -188,6 +203,7 @@ def run_single(
             checkpoint_every=config.checkpoint_every,
             epsilon=config.epsilon,
             min_permutations=config.min_permutations,
+            monotone=spec.prop in (Property.SAT, Property.LIV),
         )
         convergence = {
             "delta_max": _finite(report.delta_max),
@@ -243,9 +259,10 @@ def run_matrix(config: RunConfig) -> AttributionReport:
     Configuration failures are recorded in the report without aborting
     sibling configurations.  Deterministic for a fixed seed.
 
-    Oracle configurations run in order on the calling thread: the oracle
-    is pure Python under the GIL.  Prover configurations overlap on up to
-    cpu-count threads: prover calls wait on subprocesses."""
+    Configurations run in order on the calling thread, whatever the
+    backend: the oracle is pure Python under the GIL, and the prover
+    backend overlaps its calls within one configuration
+    (``logic_encoder.values_via_prover``)."""
 
     log = parse_xes(config.log_path)
     trees: dict[float, ProcessTree] = {}
@@ -258,15 +275,7 @@ def run_matrix(config: RunConfig) -> AttributionReport:
         except Exception as exc:  # recorded per configuration below
             mining_errors[noise] = f"{type(exc).__name__}: {exc}"
 
-    jobs = [
-        (index, noise, spec)
-        for index, (noise, spec) in enumerate(
-            (n, s) for n in config.noise_levels for s in config.properties
-        )
-    ]
-
-    def run_job(job: tuple[int, float, PropertySpec]) -> dict:
-        index, noise, spec = job
+    def run_job(index: int, noise: float, spec: PropertySpec) -> dict:
         base = {
             "id": config_id(noise, spec),
             "noise": noise,
@@ -283,12 +292,12 @@ def run_matrix(config: RunConfig) -> AttributionReport:
         except Exception as exc:
             return {**base, "error": f"{type(exc).__name__}: {exc}", "phi": {}}
 
-    if config.backend == "prover":
-        workers = min(len(jobs), os.cpu_count() or 1)
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_job, jobs))
-    else:
-        records = [run_job(job) for job in jobs]
+    records = [
+        run_job(index, noise, spec)
+        for index, (noise, spec) in enumerate(
+            (n, s) for n in config.noise_levels for s in config.properties
+        )
+    ]
 
     cross = _cross_analyses(config, records)
     meta = {

@@ -1,14 +1,19 @@
 """Shapley values of boolean coalition games: exact values over the tree,
-exact enumeration, Monte Carlo permutation sampling, and random subset
-sampling.
+exact values over rooted subtrees, exact enumeration, Monte Carlo
+permutation sampling, and random subset sampling.
 
-There are two exact paths, and both build the classical subset-weighted
-sum with rational weights, so efficiency, symmetry and dummy hold
-exactly.  ``tree_shapley`` takes a ``TreeGame``, whose value is a
-bottom-up summary of the coalition-reduced tree (the oracle's verdicts
-are), and counts winning coalitions per size over the tree in polynomial
-time.  ``exact_shapley`` takes a black-box ``Game`` (the prover's
-verdicts) and enumerates all 2^n coalitions, so it refuses large n.
+There are three exact paths, and all build the classical subset-weighted
+sum with the same integer numerators over n!, so efficiency, symmetry
+and dummy hold exactly and their ``Fraction``s agree.  ``tree_shapley``
+takes a ``TreeGame``, whose value is a bottom-up summary of the
+coalition-reduced tree (the oracle's verdicts are), and counts winning
+coalitions per size over the tree in polynomial time.  ``rooted_shapley``
+takes a tree and a batch verdict function (the prover's verdicts): a
+coalition's verdict depends only on its canonical form, the rooted
+subtree of nodes whose ancestors are all present, so it asks for one
+verdict per rooted subtree, plus one for the empty set, and counts the
+raw coalitions behind each.  ``exact_shapley`` takes a black-box
+``Game`` and enumerates all 2^n coalitions, so it refuses large n.
 
 Both samplers draw from a seeded numpy generator and are bit-reproducible
 for a fixed seed; contributions are reduced in sample order.
@@ -18,15 +23,20 @@ permutation per block and evaluates all n of its cyclic rotations, so
 every player takes every position exactly once per block (position
 stratification, Maleki et al. 2013, arXiv:1306.4265).  Every sample is
 still a full permutation, so efficiency holds for every estimate, and
-exactly tied players of a unanimity game stay exactly tied.
+exactly tied players of a unanimity game stay exactly tied.  On a game
+declared monotone it also ties the veto players (v(N) = 1 and
+v(N - i) = 0), which are symmetric there: each gets the mean of their
+sampled estimates, which keeps the estimator unbiased and the sum of phi
+unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,6 +146,27 @@ def _exact_estimate(numerators: list[int]) -> ShapleyEstimate:
     )
 
 
+def _preorder(
+    tree: ProcessTree,
+) -> tuple[list[ProcessTree], list[list[int]], list[int]]:
+    """The nodes in preorder, each node's children and parent (-1 at the
+    root) as preorder positions, children in order."""
+
+    nodes: list[ProcessTree] = []
+    children: list[list[int]] = []
+    parent: list[int] = []
+    stack = [(tree, -1)]
+    while stack:
+        node, up = stack.pop()
+        if up >= 0:
+            children[up].append(len(nodes))
+        parent.append(up)
+        children.append([])
+        nodes.append(node)
+        stack.extend((child, len(nodes) - 1) for child in reversed(node.children))
+    return nodes, children, parent
+
+
 def tree_shapley(game: TreeGame) -> ShapleyEstimate:
     """Exact Shapley values of a tree game in polynomial time, by counting
     winning coalitions per size over the tree (size-stratified model
@@ -160,18 +191,7 @@ def tree_shapley(game: TreeGame) -> ShapleyEstimate:
     substitution): no coefficient exceeds 2^n, so a convolution is one
     integer product and the coefficients read back exactly."""
 
-    nodes: list[ProcessTree] = []
-    children: list[list[int]] = []
-    parent: list[int] = []
-    stack = [(game.tree, -1)]
-    while stack:  # preorder positions, children in order
-        node, up = stack.pop()
-        if up >= 0:
-            children[up].append(len(nodes))
-        parent.append(up)
-        children.append([])
-        nodes.append(node)
-        stack.extend((child, len(nodes) - 1) for child in reversed(node.children))
+    nodes, children, parent = _preorder(game.tree)
     n = len(nodes)
     width = n + 1
     x = 1 << width
@@ -231,6 +251,89 @@ def tree_shapley(game: TreeGame) -> ShapleyEstimate:
     return _exact_estimate(numerators)
 
 
+ROOTED_LIMIT = 1 << 20  # the most canonical forms rooted_shapley asks verdicts for
+
+
+def canonical_form_count(tree: ProcessTree) -> int:
+    """The number of canonical forms of coalitions over *tree*'s nodes:
+    its rooted subtrees plus the empty set, where a node roots
+    r = prod(1 + r(child)) of them."""
+
+    _, children, _ = _preorder(tree)
+    rooted = [1] * len(children)
+    for pos in reversed(range(len(children))):
+        for child in children[pos]:
+            rooted[pos] *= 1 + rooted[child]
+    return rooted[0] + 1
+
+
+def rooted_shapley(
+    tree: ProcessTree, verdicts: Callable[[list[int]], Sequence[int]]
+) -> ShapleyEstimate:
+    """Exact Shapley values of a boolean game over *tree*'s nodes (players
+    are the preorder node indices) whose value depends only on the
+    coalition's canonical form: the rooted subtree T of nodes whose
+    ancestors are all present, or the empty set.
+
+    ``verdicts`` receives every canonical mask at once, 0 first and then
+    the rooted subtrees in ascending order, and returns their values in
+    the same order; it is called exactly once, after the size check, so
+    a batch evaluator can overlap the calls.  Trees with more than
+    ``ROOTED_LIMIT`` canonical forms are refused before any verdict.
+
+    The raw coalitions with canonical form T are T plus any part of R(T),
+    the descendants of T's frontier F(T) (the absent children of T's
+    nodes; F(empty) is the root).  Summing the Shapley weights
+    w(k) = k! (n-1-k)! over those coalitions, with r = |R(T)|, a winning T
+    adds sum_j C(r, j) w(|T| + j - 1) to each member's numerator and takes
+    sum_j C(r, j) w(|T| + j) from each frontier node's; a node of R(T)
+    joins half of them and its terms cancel.  The numerators over n! are
+    those of ``exact_shapley``, so the ``Fraction``s are equal."""
+
+    count = canonical_form_count(tree)
+    if count > ROOTED_LIMIT:
+        raise ValueError(
+            f"exact computation refused: {count} canonical forms exceed "
+            f"{ROOTED_LIMIT}; use mc_permutation_shapley or rs_subset_shapley"
+        )
+    _, children, _ = _preorder(tree)
+    n = len(children)
+    subtrees: list[list[int]] = [[] for _ in range(n)]
+    for pos in reversed(range(n)):  # rooted subtrees that contain pos
+        grown = [1 << pos]
+        for child in children[pos]:
+            options = [0, *subtrees[child]]
+            grown = [mask | part for mask in grown for part in options]
+        subtrees[pos] = grown
+    masks = [0, *sorted(subtrees[0])]
+    values = verdicts(masks)
+
+    weights = _shapley_weights(n)
+
+    @functools.cache
+    def spread(k: int, r: int) -> int:  # sum_j C(r, j) w(k + j)
+        return sum(math.comb(r, j) * weights[k + j] for j in range(r + 1))
+
+    numerators = [0] * n
+    for mask, value in zip(masks, values, strict=True):
+        if not value:
+            continue
+        members = [i for i in range(n) if mask >> i & 1]
+        frontier = [
+            c for i in members for c in children[i] if not mask >> c & 1
+        ] if mask else [0]
+        r = n - len(members) - len(frontier)
+        if members:
+            gain = spread(len(members) - 1, r)
+            for i in members:
+                numerators[i] += gain
+        if frontier:
+            loss = spread(len(members), r)
+            for i in frontier:
+                numerators[i] -= loss
+    return _exact_estimate(numerators)
+
+
 def exact_shapley(game: Game, exact_limit: int = 20) -> ShapleyEstimate:
     """Exact Shapley values over all 2^n coalitions of a black-box game.
 
@@ -268,6 +371,7 @@ def mc_permutation_shapley(
     checkpoint_every: int = 100,
     epsilon: float = 0.01,
     min_permutations: int = 1000,
+    monotone: bool = False,
 ) -> tuple[ShapleyEstimate, ConvergenceReport]:
     """Monte Carlo estimate: sample random player orderings, add players
     one by one and record marginal contributions.
@@ -283,6 +387,13 @@ def mc_permutation_shapley(
     stops early at a checkpoint once the maximum per-player change since
     the previous checkpoint falls below *epsilon* (but not before
     *min_permutations*).
+
+    With *monotone* (the caller vouches that v(S) <= v(T) whenever S is a
+    subset of T) and v(N) = 1, the sampler then queries v(N - i) for
+    every i and gives every veto player (v(N - i) = 0) the mean of the
+    veto players' sampled estimates.  Veto players of a monotone game are
+    symmetric, so they tie exactly, as their exact values do, and the
+    sum of phi is unchanged.  Checkpoints keep the sampled estimates.
     """
 
     if permutations < 1:
@@ -316,6 +427,12 @@ def mc_permutation_shapley(
                 break
 
     phi = {i: float(sums[i] / done) for i in range(n)}
+    full = (1 << n) - 1
+    if monotone and game.value_of_mask(full) == 1:
+        veto = [i for i in range(n) if game.value_of_mask(full & ~(1 << i)) == 0]
+        if veto:
+            mean = sum(sums[i] for i in veto) / (len(veto) * done)
+            phi.update((i, mean) for i in veto)
     estimate = ShapleyEstimate(
         phi=phi,
         samples={i: done for i in range(n)},

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from procshap.datasets import load_running_example, running_example_path
+from procshap.event_log import Event, EventLog, Trace, dump_xes
 from procshap.miner import MinerConfig, discover
 
 
@@ -19,3 +20,17 @@ def running_example_file():
 @pytest.fixture(scope="session")
 def running_example_tree(running_example_log):
     return discover(running_example_log, MinerConfig(noise=0.0))
+
+
+@pytest.fixture
+def tiny_log_file(tmp_path):
+    # mines to seq(a, xor(b, c)): 5 nodes, small enough for the fake prover
+    log = EventLog(
+        traces=(
+            Trace("1", (Event("a"), Event("b"))),
+            Trace("2", (Event("a"), Event("c"))),
+        )
+    )
+    path = tmp_path / "tiny.xes"
+    path.write_bytes(dump_xes(log))
+    return path

@@ -1,10 +1,5 @@
 """Acceptance suite.  One test per criterion; each prints a PASS/FAIL
 line (run with ``pytest -s tests/test_acceptance.py -v`` to see them).
-
-The ranking-stability criterion is asserted exactly as stated even though
-the bundled teaching log cannot meet it for properties whose exact values
-tie above the top-5 boundary; see the test's failure message for the
-analysis.
 """
 
 from __future__ import annotations
@@ -235,13 +230,11 @@ def test_criterion_ranking_stability(running_example_file):
     Liveness on the bundled log is a unanimity game (all nodes at 1/n);
     the sampler's rotation blocks put every player in every position
     equally often, so its estimates tie exactly, as the exact values do.
-    Satisfiability at noise 0 and 0.25 cannot satisfy the bound: nine and
-    ten structurally mandatory nodes tie exactly at the top.  Their
-    marginal goes to whichever of them joins last, which depends on
-    their relative order, not on positions alone, so rotations do not
-    tie their estimates and top-5 membership among them is decided by
-    sampling noise.  The failure below is the faithful outcome on this
-    dataset.
+    Satisfiability at noise 0 and 0.25 has nine and ten structurally
+    mandatory (veto) nodes tied exactly at the top.  Their sampled
+    marginal goes to whichever of them joins last, so sampling alone
+    would rank them by noise; sat is monotone, so the sampler gives the
+    veto players the mean of their estimates and they tie exactly.
     """
 
     results = {}

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -13,6 +11,7 @@ from procshap.oracle import (
     TauMode,
     ValueCache,
     evaluate,
+    tree_game,
 )
 from procshap.process_tree import (
     Coalition,
@@ -189,6 +188,26 @@ def test_blocked_monotonicity_exhaustive():
                 assert saf_of[mask] >= saf_of[mask | bit]
 
 
+def test_sat_and_liv_monotone_on_corpus():
+    # the permutation sampler ties veto players only on monotone games
+    specs = [
+        PropertySpec(prop, mode=mode, loop_bound=bound)
+        for prop, mode, bound in itertools.product(
+            (Property.SAT, Property.LIV), TauMode, (0, 1, 2)
+        )
+    ]
+    for tree in corpus(60):
+        n = node_count(tree)
+        for spec in specs:
+            game = tree_game(tree, spec)
+            values = [game.value(mask) for mask in range(1 << n)]
+            for i in range(n):
+                bit = 1 << i
+                assert all(
+                    values[mask] <= values[mask | bit] for mask in range(1 << n)
+                ), (tree, spec, i)
+
+
 def test_oracle_builds_no_substituted_tree(monkeypatch, running_example_tree):
     from procshap import oracle
     from procshap.reports import RunConfig, run_single
@@ -259,28 +278,3 @@ def test_cache_recovers_after_compute_error():
         cache.get_or_compute("k", boom)
     assert cache.get_or_compute("k", lambda: 1) == 1
     assert cache.distinct_queries == 1
-
-
-def test_cache_concurrent_compute_once():
-    tree = assign_node_ids(par(activity("a"), activity("b"), activity("c")))
-    n = node_count(tree)
-    cache = ValueCache()
-    calls = []
-    lock = threading.Lock()
-
-    def value(coalition: Coalition) -> int:
-        def compute() -> int:
-            with lock:
-                calls.append(coalition.mask)
-            return evaluate(tree, coalition, SAT)
-
-        return cache.get_or_compute(coalition.mask, compute)
-
-    masks = [mask for mask in range(1 << n)] * 8
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda m: value(Coalition(n, m)), masks))
-    assert len(calls) == len(set(calls)) == 1 << n
-    assert cache.total_queries == len(masks)
-    assert cache.distinct_queries == 1 << n
-    for mask, result in zip(masks, results):
-        assert result == evaluate(tree, Coalition(n, mask), SAT)

@@ -1,0 +1,258 @@
+"""The prover backend's exact path (``rooted_shapley`` over one batch of
+canonical forms per configuration), its canonical cache keys for
+sampling, and prover faults inside a batch.  Provers are small Python
+scripts: ``fake_prover.py``, optionally behind a wrapper that logs each
+call, or scripts that stall, crash or print garbage."""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from procshap.logic_encoder import ProverConfig, emit_tptp, encode, value_via_prover
+from procshap.oracle import (
+    Property,
+    PropertySpec,
+    ValueCache,
+    evaluate,
+    evaluate_masks,
+)
+from procshap.process_tree import (
+    Coalition,
+    activity,
+    assign_node_ids,
+    canonical_mask,
+    iter_nodes,
+    node_count,
+    seq,
+    substitute,
+    xor,
+)
+from procshap.reports import RunConfig, run_matrix, run_single
+from procshap.shapley import (
+    Game,
+    canonical_form_count,
+    exact_shapley,
+    mc_permutation_shapley,
+    rooted_shapley,
+    rs_subset_shapley,
+)
+
+from _corpus import corpus
+from test_logic_encoder import FAKE_PROVER, fake_prover_config
+
+SAT = PropertySpec(Property.SAT)
+LIV = PropertySpec(Property.LIV)
+SAF = PropertySpec(Property.SAF, safety_pair=("a", "b"))
+
+
+def tiny_tree():
+    return assign_node_ids(seq(activity("a"), xor(activity("b"), activity("c"))))
+
+
+def script(tmp_path: Path, name: str, body: str, **kw) -> ProverConfig:
+    path = tmp_path / name
+    path.write_text(body)
+    kw.setdefault("timeout_s", 30)
+    return ProverConfig(executable=sys.executable, extra_args=(str(path),), **kw)
+
+
+def counting_prover(tmp_path: Path, **kw) -> tuple[ProverConfig, Path]:
+    """``fake_prover.py`` behind a wrapper that appends one line per call."""
+    calls = tmp_path / "calls.log"
+    config = script(tmp_path, "counting_prover.py", (
+        "import runpy, sys\n"
+        f"with open({str(calls)!r}, 'a') as fh:\n"
+        "    fh.write('call\\n')\n"
+        f"sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]\n"
+        f"runpy.run_path({FAKE_PROVER!r}, run_name='__main__')\n"
+    ), **kw)
+    return config, calls
+
+
+def call_count(calls: Path) -> int:
+    return len(calls.read_text().splitlines()) if calls.exists() else 0
+
+
+def exact_config(prover: ProverConfig, **kw) -> RunConfig:
+    return RunConfig(log_path="log.xes", method="exact", backend="prover",
+                     prover=prover, **kw)
+
+
+def by_index(tree, record: dict) -> dict[int, float]:
+    ids = {node.node_id.text: node.node_id.index for node in iter_nodes(tree)}
+    return {ids[text]: value for text, value in record["phi"].items()}
+
+
+# --- the exact path --------------------------------------------------------
+
+
+def test_rooted_equals_enumeration_through_fake_prover():
+    trees = [t for t in corpus(12, max_nodes=6, seed=88) if node_count(t) >= 3][:3]
+    assert len(trees) == 3
+    config = fake_prover_config()
+    for tree in trees:
+        n = node_count(tree)
+        for spec in (SAT, LIV, SAF):
+            cache = ValueCache()
+            via_prover = rooted_shapley(
+                tree,
+                lambda masks: evaluate_masks(tree, masks, spec, cache, "prover", config),
+            )
+            reference = exact_shapley(Game(n, lambda c: evaluate(tree, c, spec)))
+            assert via_prover.phi_exact == reference.phi_exact, (tree, spec)
+            assert cache.warnings == []
+
+
+def test_exact_prover_calls_equal_canonical_forms(tmp_path):
+    tree = tiny_tree()
+    prover, calls = counting_prover(tmp_path)
+    record = run_single(exact_config(prover), tree, 0.0, SAT, None)
+    forms = canonical_form_count(tree)  # rooted subtrees + 1
+    assert forms == 11
+    assert call_count(calls) == forms
+    assert record["cache"]["total_queries"] == forms
+    assert record["cache"]["distinct_queries"] == forms
+    reference = exact_shapley(Game(5, lambda c: evaluate(tree, c, SAT)))
+    assert by_index(tree, record) == reference.phi
+
+
+def test_cap_refuses_before_any_prover_call(tmp_path):
+    tree = assign_node_ids(seq(*(activity(f"a{i}") for i in range(21))))
+    prover, calls = counting_prover(tmp_path)
+    with pytest.raises(ValueError, match="exact computation refused"):
+        run_single(exact_config(prover), tree, 0.0, SAT, None)
+    assert call_count(calls) == 0
+
+
+# --- sampling keyed by canonical mask -------------------------------------
+
+
+def raw_keyed_game(tree, spec, prover: ProverConfig) -> Game:
+    """The prover game as it was keyed before: one cache entry per raw mask."""
+    cache = ValueCache()
+    return Game(node_count(tree), lambda c: cache.get_or_compute(
+        c.mask, lambda: value_via_prover(substitute(tree, c), spec, prover)))
+
+
+@pytest.mark.parametrize("method", ["mc", "rs"])
+def test_sampling_on_prover_keys_cache_by_canonical_mask(tmp_path, method):
+    tree = tiny_tree()
+    prover, calls = counting_prover(tmp_path)
+    config = RunConfig(log_path="log.xes", method=method, backend="prover",
+                       prover=prover, seed=1, permutations=10,
+                       min_permutations=10, samples_per_player=6)
+    record = run_single(config, tree, 0.0, SAT, 11)
+    canonical_calls = call_count(calls)
+
+    calls.unlink()
+    game = raw_keyed_game(tree, SAT, prover)
+    if method == "mc":
+        raw, _ = mc_permutation_shapley(
+            game, permutations=10, seed=11, checkpoint_every=config.checkpoint_every,
+            epsilon=config.epsilon, min_permutations=10, monotone=True,
+        )
+    else:
+        raw = rs_subset_shapley(game, samples_per_player=6, seed=11)
+    raw_calls = call_count(calls)
+
+    assert by_index(tree, record) == raw.phi
+    assert record["cache"]["distinct_queries"] == canonical_calls
+    assert canonical_calls < raw_calls
+
+
+def test_prover_cache_key_is_canonical():
+    tree = tiny_tree()
+    config = fake_prover_config()
+    cache = ValueCache()
+    # {Seq, b, c} and {Seq} both substitute to seq(a removed, xor removed)
+    for mask in (0b11001, 0b00001):
+        evaluate(tree, Coalition(5, mask), SAT, cache, "prover", config)
+    assert canonical_mask(tree, 0b11001) == 0b00001
+    assert cache.total_queries == 2 and cache.distinct_queries == 1
+
+
+# --- faults inside a batch -------------------------------------------------
+
+SLEEPING = "import time\ntime.sleep(30)\n"
+CRASHING = "import sys\nsys.stderr.write('Traceback: boom\\n')\nsys.exit(3)\n"
+GARBAGE = "print('\\x00@@ SZS statu5 ~~ %%%')\n"
+
+# Decides nothing; its answer and its delay depend on the problem's bytes,
+# so calls finish out of order and answer Timeout or nothing at all.
+MIXED = """import hashlib, sys, time
+digest = hashlib.sha1(open(sys.argv[1], 'rb').read()).digest()
+time.sleep(digest[1] % 4 * 0.05)
+if digest[0] % 2:
+    print('% SZS status ResourceOut')
+else:
+    print('no verdict')
+"""
+
+
+def test_timing_out_prover_gives_timeout_warnings(tmp_path):
+    tree = assign_node_ids(seq(activity("a"), activity("b")))
+    prover = script(tmp_path, "sleeping.py", SLEEPING, timeout_s=0.3)
+    record = run_single(exact_config(prover), tree, 0.0, SAT, None)
+    forms = canonical_form_count(tree)
+    assert record["cache"]["warnings"] == [
+        "prover returned Timeout for sat; treating as 0"
+    ] * forms
+    assert set(record["phi"].values()) == {0.0}
+
+
+@pytest.mark.parametrize("body", [CRASHING, GARBAGE], ids=["crash", "garbage"])
+def test_crashing_or_garbage_prover_gives_unknown_warnings(tmp_path, body):
+    tree = tiny_tree()
+    prover = script(tmp_path, "faulty.py", body)
+    runs = [
+        run_single(exact_config(prover), tree, 0.0, SAT, None)["cache"]["warnings"]
+        for _ in range(2)
+    ]
+    expected = ["prover returned Unknown for sat; treating as 0"] * 11
+    assert runs == [expected, expected]
+
+
+def test_batch_warnings_follow_mask_order(tmp_path):
+    tree = tiny_tree()
+    prover = script(tmp_path, "mixed.py", MIXED)
+    n = node_count(tree)
+    expected = []
+    masks = sorted({canonical_mask(tree, mask) for mask in range(1 << n)})
+    for mask in masks:
+        problem = emit_tptp(encode(substitute(tree, Coalition(n, mask)), SAT), "sat")
+        status = "Timeout" if hashlib.sha1(problem.encode()).digest()[0] % 2 else "Unknown"
+        expected.append(f"prover returned {status} for sat; treating as 0")
+    assert len(set(expected)) == 2  # both answers occur
+    for _ in range(2):
+        record = run_single(exact_config(prover), tree, 0.0, SAT, None)
+        assert record["cache"]["warnings"] == expected
+
+
+def test_abort_policy_fails_one_configuration(tmp_path, tiny_log_file):
+    # garbage for liv problems (those with a conjecture), real verdicts otherwise
+    prover = script(tmp_path, "no_liv.py", (
+        "import runpy, sys\n"
+        "if 'fof(goal, conjecture' in open(sys.argv[1]).read():\n"
+        "    print('no verdict')\n"
+        "    sys.exit(0)\n"
+        f"sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]\n"
+        f"runpy.run_path({FAKE_PROVER!r}, run_name='__main__')\n"
+    ), unknown_policy="abort")
+    before = threading.active_count()
+    report = run_matrix(RunConfig(
+        log_path=str(tiny_log_file), noise_levels=(0.0,), properties=(SAT, LIV),
+        method="exact", backend="prover", prover=prover,
+    ))
+    assert threading.active_count() == before  # no pool thread outlives it
+    sat, liv = report.configurations
+    assert sat["error"] is None and sat["cache"]["warnings"] == []
+    assert sat["phi"] == run_matrix(RunConfig(
+        log_path=str(tiny_log_file), noise_levels=(0.0,), properties=(SAT,),
+        method="exact",
+    )).configurations[0]["phi"]
+    assert liv["error"].startswith("ProverUnknownError: prover returned Unknown for liv")

@@ -10,7 +10,6 @@ import pytest
 
 from procshap import reports
 from procshap.cli import _apply_config_file, build_parser, main
-from procshap.event_log import Event, EventLog, Trace, dump_xes
 from procshap.oracle import Property, PropertySpec
 from procshap.reports import (
     AttributionReport,
@@ -76,22 +75,9 @@ def test_matrix_deterministic_bytes(running_example_file):
     assert first == second
 
 
-@pytest.fixture
-def tiny_log_file(tmp_path):
-    # mines to seq(a, xor(b, c)): 5 nodes, small enough for the fake prover
-    log = EventLog(
-        traces=(
-            Trace("1", (Event("a"), Event("b"))),
-            Trace("2", (Event("a"), Event("c"))),
-        )
-    )
-    path = tmp_path / "tiny.xes"
-    path.write_bytes(dump_xes(log))
-    return path
-
-
-def test_matrix_prover_threads_equal_oracle(tiny_log_file):
-    # the prover backend is the one path that runs configurations on threads
+def test_matrix_prover_equals_oracle(tiny_log_file):
+    # exact values over rooted subtrees through the fake prover, against
+    # the tree DP over the oracle
     from test_logic_encoder import fake_prover_config
 
     def exact_report(**backend):
@@ -127,6 +113,68 @@ def test_matrix_oracle_runs_on_calling_thread(monkeypatch, running_example_file)
     report = run_matrix(small_config(running_example_file))
     assert len(threads) == len(report.configurations) == 4
     assert set(threads) == {threading.get_ident()}
+
+
+def test_matrix_prover_runs_on_calling_thread(monkeypatch, tiny_log_file):
+    # prover calls overlap within a configuration; configurations do not
+    from test_logic_encoder import fake_prover_config
+
+    threads = []
+
+    def recording_run_single(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return run_single(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "run_single", recording_run_single)
+    report = run_matrix(
+        RunConfig(
+            log_path=str(tiny_log_file),
+            noise_levels=(0.0, 1.0),
+            properties=(PropertySpec(Property.SAT),),
+            method="exact",
+            backend="prover",
+            prover=fake_prover_config(),
+        )
+    )
+    assert len(threads) == len(report.configurations) == 2
+    assert set(threads) == {threading.get_ident()}
+    assert all(record["error"] is None for record in report.configurations)
+
+
+def test_mc_ties_veto_players_for_sat_and_liv_only(running_example_tree):
+    from procshap.oracle import ValueCache, evaluate
+    from procshap.process_tree import iter_nodes
+    from procshap.shapley import Game, mc_permutation_shapley
+
+    tree = running_example_tree
+    ids = [node.node_id.text for node in iter_nodes(tree)]
+    config = RunConfig(log_path="log.xes", method="mc", permutations=300,
+                       min_permutations=300, seed=1)
+    specs = (
+        PropertySpec(Property.SAT),
+        PropertySpec(Property.LIV),
+        PropertySpec(Property.SAF, safety_pair=SAF_PAIR),
+    )
+    for spec in specs:
+        record = run_single(config, tree, 0.0, spec, 5)
+        cache = ValueCache()
+        game = Game(len(ids), lambda c: evaluate(tree, c, spec, cache))
+        sampled, _ = mc_permutation_shapley(
+            game, permutations=300, seed=5, checkpoint_every=config.checkpoint_every,
+            epsilon=config.epsilon, min_permutations=300,
+        )
+        full = (1 << len(ids)) - 1
+        veto = [i for i in range(len(ids))
+                if game.value_of_mask(full & ~(1 << i)) < game.value_of_mask(full)]
+        phi = [record["phi"][text] for text in ids]
+        if spec.prop is Property.SAF:  # not monotone: the sampled estimate
+            assert phi == [sampled.phi[i] for i in range(len(ids))]
+            continue
+        assert len(veto) >= 5  # nine veto nodes for sat, all 14 for liv
+        assert len({phi[i] for i in veto}) == 1
+        assert phi[veto[0]] == pytest.approx(
+            sum(sampled.phi[i] for i in veto) / len(veto), abs=1e-12)
+        assert sum(phi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matrix_counters_and_structure(running_example_file):

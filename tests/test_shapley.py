@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procshap.oracle import Property, PropertySpec, ValueCache, evaluate
+from procshap.oracle import Property, PropertySpec, ValueCache, evaluate, tree_game
 from procshap.process_tree import (
     activity,
     assign_node_ids,
@@ -23,7 +23,7 @@ from procshap.shapley import (
     rs_subset_shapley,
 )
 
-from _corpus import random_boolean_game_table, threshold_game_table
+from _corpus import corpus, random_boolean_game_table, threshold_game_table
 
 
 def table_game(table: dict[int, int], n: int) -> Game:
@@ -218,6 +218,52 @@ def test_mc_efficiency_on_random_games():
         )
         total = sum(est.phi.values())
         assert abs(total - (table[(1 << n) - 1] - table[0])) <= 1e-12
+
+
+def veto_players(game: Game) -> list[int]:
+    full = (1 << game.n) - 1
+    if game.value_of_mask(full) != 1:
+        return []
+    return [i for i in range(game.n) if game.value_of_mask(full & ~(1 << i)) == 0]
+
+
+def test_mc_monotone_ties_veto_players_exactly():
+    # sat and liv tree games are monotone; veto players are symmetric there
+    checked = 0
+    for tree in corpus(30, seed=51):
+        n = node_count(tree)
+        for prop, bound in itertools.product((Property.SAT, Property.LIV), (0, 1)):
+            game_of = tree_game(tree, PropertySpec(prop, loop_bound=bound))
+            game = Game(n, lambda c: game_of.value(c.mask))
+            veto = veto_players(game)
+            grand = game.value_of_mask((1 << n) - 1) - game.value_of_mask(0)
+            for seed, permutations in ((0, n), (1, 3 * n + 1), (20_001, 200)):
+                kw = dict(permutations=permutations, seed=seed,
+                          min_permutations=permutations)
+                sampled, _ = mc_permutation_shapley(game, **kw)
+                tied, report = mc_permutation_shapley(game, monotone=True, **kw)
+                assert tied.samples == sampled.samples
+                assert report.checkpoints[-1][1] == sampled.phi
+                assert len({tied.phi[i] for i in veto}) <= 1
+                for i in veto:
+                    mean = sum(sampled.phi[j] for j in veto) / len(veto)
+                    assert tied.phi[i] == pytest.approx(mean, abs=1e-12)
+                for i in set(range(n)) - set(veto):
+                    assert tied.phi[i] == sampled.phi[i]
+                assert abs(sum(tied.phi.values()) - grand) <= 1e-12
+                checked += len(veto) > 1
+    assert checked > 20  # games with at least two veto players
+
+
+def test_mc_monotone_flag_leaves_games_without_veto_players():
+    # v(N) = 0, or no veto player: the estimate is the sampled one
+    n = 5
+    never = Game(n, lambda c: 0)
+    either = or_game(n)
+    for game in (never, either):
+        kw = dict(permutations=50, seed=3, min_permutations=50)
+        assert (mc_permutation_shapley(game, monotone=True, **kw)[0].phi
+                == mc_permutation_shapley(game, **kw)[0].phi)
 
 
 def test_mc_samples_are_whole_rotation_blocks():

@@ -1,6 +1,9 @@
-"""The tree DP (``tree_shapley`` over ``oracle.tree_game``) against the
-2^n enumeration it replaces on the oracle path (``exact_shapley`` over
-the oracle's verdicts), compared as exact fractions."""
+"""The two polynomial exact paths against the 2^n enumeration
+(``exact_shapley`` over the oracle's verdicts), compared as exact
+fractions: the tree DP (``tree_shapley`` over ``oracle.tree_game``),
+which replaces it on the oracle path, and the sum over rooted subtrees
+(``rooted_shapley``), which replaces it on the prover path and is
+checked here through oracle-backed verdicts."""
 
 from __future__ import annotations
 
@@ -17,21 +20,30 @@ from procshap.oracle import (
     PropertySpec,
     TauMode,
     evaluate,
+    evaluate_masks,
     tree_game,
 )
 from procshap.process_tree import (
     Coalition,
     activity,
     assign_node_ids,
+    canonical_mask,
     loop,
     node_count,
     par,
     seq,
+    substitute,
     tau,
     xor,
 )
 from procshap.reports import RunConfig, run_single
-from procshap.shapley import Game, exact_shapley, tree_shapley
+from procshap.shapley import (
+    Game,
+    canonical_form_count,
+    exact_shapley,
+    rooted_shapley,
+    tree_shapley,
+)
 
 from _corpus import corpus, random_tree
 
@@ -63,16 +75,54 @@ def enumerated(tree, spec_list):
 
 def assert_dp_matches(tree, spec_list):
     for spec, reference in enumerated(tree, spec_list).items():
-        estimate = tree_shapley(tree_game(tree, spec))
-        assert estimate.phi_exact == reference.phi_exact, (tree, spec)
-        assert estimate.phi == reference.phi
-        assert estimate.samples == reference.samples
+        asked = []
+
+        def verdicts(masks, spec=spec):
+            asked.append(list(masks))
+            return evaluate_masks(tree, masks, spec)
+
+        for estimate in (
+            tree_shapley(tree_game(tree, spec)),
+            rooted_shapley(tree, verdicts),
+        ):
+            assert estimate.phi_exact == reference.phi_exact, (tree, spec)
+            assert estimate.phi == reference.phi
+            assert estimate.samples == reference.samples
+        # one batch: the empty set, then the rooted subtrees in mask order
+        [masks] = asked
+        assert masks[0] == 0 and masks == [0, *sorted(masks[1:])]
+        assert len(masks) == len(set(masks)) == canonical_form_count(tree)
 
 
 def test_dp_equals_enumeration_on_corpus():
     # 60 trees x {sat, liv, saf} x {blocked, skip} x loop bound {0, 1, 2}
     for tree in corpus(60):
         assert_dp_matches(tree, specs())
+
+
+def test_canonical_masks_are_the_rooted_subtrees():
+    for tree in corpus(40, seed=61):
+        n = node_count(tree)
+        canonical = {canonical_mask(tree, mask) for mask in range(1 << n)}
+        assert len(canonical) == canonical_form_count(tree)
+        for mask in range(1 << n):
+            form = canonical_mask(tree, mask)
+            assert form & mask == form and canonical_mask(tree, form) == form
+            assert substitute(tree, Coalition(n, mask)) == substitute(
+                tree, Coalition(n, form)
+            )
+
+
+def test_rooted_shapley_refuses_before_any_verdict():
+    # a Seq over 21 leaves roots 2^21 subtrees: 2^21 + 1 canonical forms
+    tree = assign_node_ids(seq(*(activity(f"a{i}") for i in range(21))))
+    assert canonical_form_count(tree) == (1 << 21) + 1
+
+    def no_verdicts(masks):
+        raise AssertionError("a verdict was asked for")
+
+    with pytest.raises(ValueError, match="exact computation refused"):
+        rooted_shapley(tree, no_verdicts)
 
 
 def _trees():
