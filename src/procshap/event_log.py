@@ -1,8 +1,24 @@
 """XES event log parsing and directly-follows statistics.
 
-Covers the plain XES 1.0/2.0 subset the benchmark logs use: one string
-classifier attribute per event (default ``concept:name``), optional
-gzip compression, lifecycle transitions ignored.
+``parse_xes`` reads the document in one ``xml.parsers.expat`` pass, keeping
+only what the pipeline uses; no element tree is built.  The XES subset it
+reads:
+
+- ``<trace>`` and ``<event>`` elements, at any depth and under any
+  namespace (default or prefixed); other elements are skipped.
+- An event's activity is the value of a ``<string>`` whose key is the
+  classifier key (default ``concept:name``), its timestamp a ``<date>``
+  keyed ``time:timestamp``.  Nested attributes count where they close, so
+  the last matching one to close wins.
+- A trace's case id is the first ``<string key="concept:name">`` closing
+  inside the trace but outside its events, whether before or after them;
+  without one the trace is ``case_<index>``.
+- ``<global>``, extension, classifier and log-level attributes are ignored,
+  and so are lifecycle transitions.
+- gzip compression is detected by its magic bytes.
+
+``dfg_from_sequences`` counts a sub-log given either as sequences or as a
+variant -> count mapping, so the miner can carry each distinct variant once.
 """
 
 from __future__ import annotations
@@ -10,10 +26,11 @@ from __future__ import annotations
 import gzip
 import io
 import os
-import xml.etree.ElementTree as ET
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Union
+from typing import BinaryIO, Iterable, Mapping, Union
+from xml.parsers import expat
 
 Source = Union[str, "os.PathLike[str]", bytes, BinaryIO]
 
@@ -79,11 +96,14 @@ class DirectlyFollowsGraph:
         return frozenset(acts)
 
 
-def _open_source(source: Source) -> BinaryIO:
+def _open_source(source: Source, stack: ExitStack) -> BinaryIO:
+    """Return a binary stream over *source*, gunzipped if it starts with the
+    gzip magic bytes.  Whatever is opened here is registered on *stack*; a
+    caller-supplied stream is left open."""
     if isinstance(source, bytes):
         stream: BinaryIO = io.BytesIO(source)
     elif isinstance(source, (str, os.PathLike)):
-        stream = open(source, "rb")
+        stream = stack.enter_context(open(source, "rb"))
     else:
         stream = source
         if not stream.seekable():
@@ -91,7 +111,9 @@ def _open_source(source: Source) -> BinaryIO:
     head = stream.read(2)
     stream.seek(-len(head), io.SEEK_CUR)
     if head == GZIP_MAGIC:
-        return gzip.open(stream, "rb")  # type: ignore[return-value]
+        # Closing a GzipFile built on fileobj leaves that fileobj open.
+        unzipped = gzip.GzipFile(fileobj=stream, mode="rb")
+        return stack.enter_context(unzipped)  # type: ignore[return-value]
     return stream
 
 
@@ -104,63 +126,69 @@ def parse_xes(source: Source, classifier_key: str = "concept:name") -> EventLog:
 
     One Trace per ``<trace>`` element in document order; one Event per
     ``<event>``, its activity taken from the string attribute named
-    *classifier_key*.  Events missing that attribute are rejected.
+    *classifier_key*.  Events missing that attribute are rejected.  A path
+    is opened and closed here; a stream passed in is left open.
     """
 
-    stream = _open_source(source)
     traces: list[Trace] = []
-    trace_index = 0
-    case_id: str | None = None
     events: list[Event] = []
-    in_trace = False
-    pending: dict[str, str | None] = {}
-    in_event = False
+    case_id: str | None = None
+    activity: str | None = None
+    timestamp: str | None = None
+    in_trace = in_event = False
+    # (key, value) of each open <string>/<date>: an attribute counts when
+    # it closes, with the event/trace state at that point.
+    attributes: list[tuple[str | None, str | None]] = []
+    localnames: dict[str, str] = {}
 
-    try:
-        for action, elem in ET.iterparse(stream, events=("start", "end")):
-            tag = _localname(elem.tag)
-            if action == "start":
-                if tag == "trace":
-                    in_trace = True
-                    case_id = None
-                    events = []
-                elif tag == "event":
-                    in_event = True
-                    pending = {"activity": None, "timestamp": None}
-                continue
-            # end events
-            if tag in ("string", "date") and (in_event or in_trace):
-                key = elem.get("key")
-                value = elem.get("value")
-                if in_event:
-                    if key == classifier_key and tag == "string":
-                        pending["activity"] = value
-                    elif key == "time:timestamp" and tag == "date":
-                        pending["timestamp"] = value
-                elif key == "concept:name" and tag == "string" and case_id is None:
-                    case_id = value
-            elif tag == "event":
-                in_event = False
-                if not pending.get("activity"):
-                    raise XesParseError(
-                        f"event without string attribute {classifier_key!r} "
-                        f"in trace {trace_index}"
-                    )
-                events.append(
-                    Event(activity=pending["activity"], timestamp=pending["timestamp"])
-                )
-                elem.clear()
-            elif tag == "trace":
-                in_trace = False
-                traces.append(
-                    Trace(case_id=case_id or f"case_{trace_index}", events=tuple(events))
-                )
-                trace_index += 1
-                elem.clear()
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise XesParseError(f"malformed XES XML: {exc.msg}", line, column) from exc
+    def start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal case_id, events, activity, timestamp, in_trace, in_event
+        tag = localnames.get(name) or localnames.setdefault(name, _localname(name))
+        if tag == "string" or tag == "date":
+            attributes.append((attrs.get("key"), attrs.get("value")))
+        elif tag == "event":
+            in_event = True
+            activity = timestamp = None
+        elif tag == "trace":
+            in_trace = True
+            case_id = None
+            events = []
 
+    def end(name: str) -> None:
+        nonlocal case_id, activity, timestamp, in_trace, in_event
+        tag = localnames[name]
+        if tag == "string" or tag == "date":
+            key, value = attributes.pop()
+            if in_event:
+                if tag == "string" and key == classifier_key:
+                    activity = value
+                elif tag == "date" and key == "time:timestamp":
+                    timestamp = value
+            elif in_trace and tag == "string" and key == "concept:name" and case_id is None:
+                case_id = value
+        elif tag == "event":
+            in_event = False
+            if not activity:
+                raise XesParseError(
+                    f"event without string attribute {classifier_key!r} "
+                    f"in trace {len(traces)}"
+                )
+            events.append(Event(activity, timestamp))
+        elif tag == "trace":
+            in_trace = False
+            traces.append(Trace(case_id or f"case_{len(traces)}", tuple(events)))
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    with ExitStack() as stack:
+        stream = _open_source(source, stack)
+        try:
+            parser.ParseFile(stream)
+        except expat.ExpatError as exc:
+            raise XesParseError(
+                f"malformed XES XML: {expat.ErrorString(exc.code)}", exc.lineno, exc.offset
+            ) from exc
     return EventLog(traces=tuple(traces))
 
 
@@ -202,19 +230,28 @@ def build_dfg(log: EventLog) -> DirectlyFollowsGraph:
     return dfg_from_sequences(log.activity_sequences())
 
 
-def dfg_from_sequences(sequences: Iterable[tuple[str, ...]]) -> DirectlyFollowsGraph:
+def dfg_from_sequences(
+    sequences: Iterable[tuple[str, ...]] | Mapping[tuple[str, ...], int],
+) -> DirectlyFollowsGraph:
+    """Directly-follows counts of a sub-log.  *sequences* is either an
+    iterable of activity sequences, each occurrence counting once, or a
+    mapping from variant to its number of occurrences."""
+    if isinstance(sequences, Mapping):
+        weighted = sequences.items()
+    else:
+        weighted = ((seq, 1) for seq in sequences)
     edges: Counter = Counter()
     starts: Counter = Counter()
     ends: Counter = Counter()
     acts: Counter = Counter()
-    for seq in sequences:
+    for seq, count in weighted:
         if seq:
-            starts[seq[0]] += 1
-            ends[seq[-1]] += 1
+            starts[seq[0]] += count
+            ends[seq[-1]] += count
         for a in seq:
-            acts[a] += 1
-        for a, b in zip(seq, seq[1:]):
-            edges[(a, b)] += 1
+            acts[a] += count
+        for pair in zip(seq, seq[1:]):
+            edges[pair] += count
     return DirectlyFollowsGraph(
         edge_freq=dict(edges),
         start_freq=dict(starts),

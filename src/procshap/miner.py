@@ -6,10 +6,18 @@ of each source (the noise threshold), and tries cuts in a fixed order:
 exclusive choice, sequence, parallel, loop.  When no cut applies it falls
 back to the flower model.  All tie-breaking is lexicographic, so discovery
 is deterministic across runs and platforms.
+
+A sub-log is a multiset of traces (Leemans, Fahland & van der Aalst,
+2013): a mapping from each distinct variant to its number of occurrences.
+Every split hands a piece the count of the variant it came from, and
+pieces that coincide merge, so each distinct sequence is handled once per
+sub-log while every frequency, and so the noise filter and the tree, is
+what the trace-by-trace log would give.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .event_log import DirectlyFollowsGraph, EventLog, dfg_from_sequences
@@ -24,7 +32,7 @@ from .process_tree import (
     xor,
 )
 
-Sequences = list[tuple[str, ...]]
+Variants = Counter[tuple[str, ...]]  # activity sequence -> occurrences
 
 
 @dataclass(frozen=True)
@@ -80,49 +88,46 @@ def filter_dfg(dfg: DirectlyFollowsGraph, noise: float) -> DirectlyFollowsGraph:
 
 def discover(log: EventLog, config: MinerConfig = MinerConfig()) -> ProcessTree:
     """Mine a process tree and assign preorder node ids."""
-    tree = _discover(log.activity_sequences(), config, depth=0)
+    tree = _discover(Counter(log.activity_sequences()), config, depth=0)
     return assign_node_ids(tree)
 
 
-def _discover(sequences: Sequences, config: MinerConfig, depth: int) -> ProcessTree:
-    if not sequences:
+def _discover(variants: Variants, config: MinerConfig, depth: int) -> ProcessTree:
+    if not variants:
         return tau()
-
-    nonempty = [s for s in sequences if s]
-    if not nonempty:
-        return tau()
-    if len(nonempty) < len(sequences):
+    if () in variants:
         # Empty traces present: the model may skip the rest entirely.
-        return xor(tau(), _discover(nonempty, config, depth + 1))
+        nonempty = Counter({s: c for s, c in variants.items() if s})
+        return xor(tau(), _discover(nonempty, config, depth + 1)) if nonempty else tau()
 
-    alphabet = sorted({a for s in nonempty for a in s})
-    if len(alphabet) == 1 and all(len(s) == 1 for s in nonempty):
+    alphabet = sorted({a for s in variants for a in s})
+    if len(alphabet) == 1 and all(len(s) == 1 for s in variants):
         return activity(alphabet[0])
 
     if depth >= config.max_depth:
         return _flower(alphabet)
 
-    dfg = filter_dfg(dfg_from_sequences(nonempty), config.noise)
+    dfg = filter_dfg(dfg_from_sequences(variants), config.noise)
 
     groups = _xor_cut(alphabet, dfg)
     if groups:
-        parts = _xor_split(nonempty, groups)
+        parts = _xor_split(variants, groups)
         return xor(*(_discover(p, config, depth + 1) for p in parts))
 
     groups = _sequence_cut(alphabet, dfg)
     if groups:
-        parts = [_project(nonempty, set(g)) for g in groups]
+        parts = [_project(variants, set(g)) for g in groups]
         return seq(*(_discover(p, config, depth + 1) for p in parts))
 
     groups = _parallel_cut(alphabet, dfg)
     if groups:
-        parts = [_project(nonempty, set(g)) for g in groups]
+        parts = [_project(variants, set(g)) for g in groups]
         return par(*(_discover(p, config, depth + 1) for p in parts))
 
     cut = _loop_cut(alphabet, dfg)
     if cut:
         do_group, redo_groups = cut
-        do_log, redo_logs = _loop_split(nonempty, do_group, redo_groups)
+        do_log, redo_logs = _loop_split(variants, do_group, redo_groups)
         do_tree = _discover(do_log, config, depth + 1)
         redo_trees = [_discover(r, config, depth + 1) for r in redo_logs]
         redo_tree = redo_trees[0] if len(redo_trees) == 1 else xor(*redo_trees)
@@ -172,13 +177,13 @@ def _xor_cut(alphabet: list[str], dfg: DirectlyFollowsGraph) -> list[list[str]] 
     return _sorted_groups(components)
 
 
-def _xor_split(sequences: Sequences, groups: list[list[str]]) -> list[Sequences]:
+def _xor_split(variants: Variants, groups: list[list[str]]) -> list[Variants]:
     group_sets = [set(g) for g in groups]
-    parts: list[Sequences] = [[] for _ in groups]
-    for s in sequences:
+    parts: list[Variants] = [Counter() for _ in groups]
+    for s, count in variants.items():
         overlaps = [sum(1 for a in s if a in g) for g in group_sets]
         best = max(range(len(groups)), key=lambda i: (overlaps[i], -i))
-        parts[best].append(tuple(a for a in s if a in group_sets[best]))
+        parts[best][tuple(a for a in s if a in group_sets[best])] += count
     return parts
 
 
@@ -366,43 +371,28 @@ def _loop_cut(
     return do_group, _sorted_groups(redo_groups)
 
 
-def _project(sequences: Sequences, keep: set[str]) -> Sequences:
-    return [tuple(a for a in s if a in keep) for s in sequences]
+def _project(variants: Variants, keep: set[str]) -> Variants:
+    projected: Variants = Counter()
+    for s, count in variants.items():
+        projected[tuple(a for a in s if a in keep)] += count
+    return projected
 
 
 def _loop_split(
-    sequences: Sequences, do_group: list[str], redo_groups: list[list[str]]
-) -> tuple[Sequences, list[Sequences]]:
-    do_set = set(do_group)
-    membership: dict[str, int] = {}
-    for i, group in enumerate(redo_groups):
-        for a in group:
-            membership[a] = i
-    do_log: Sequences = []
-    redo_logs: list[Sequences] = [[] for _ in redo_groups]
-
-    for s in sequences:
-        current: list[str] = []
-        current_part: int | None = None  # None = do, int = redo group
-        for a in s:
-            part = None if a in do_set else membership[a]
-            if part != current_part and current:
-                _emit_segment(current, current_part, do_log, redo_logs)
-                current = []
-            current_part = part
-            current.append(a)
-        if current:
-            _emit_segment(current, current_part, do_log, redo_logs)
-    return do_log, redo_logs
-
-
-def _emit_segment(
-    segment: list[str],
-    part: int | None,
-    do_log: Sequences,
-    redo_logs: list[Sequences],
-) -> None:
-    if part is None:
-        do_log.append(tuple(segment))
-    else:
-        redo_logs[part].append(tuple(segment))
+    variants: Variants, do_group: list[str], redo_groups: list[list[str]]
+) -> tuple[Variants, list[Variants]]:
+    """Cut each variant into maximal runs of do activities and of one redo
+    group's activities; each run goes, with the variant's count, to the do
+    log or to that redo group's log."""
+    part_of = dict.fromkeys(do_group, 0)
+    for i, group in enumerate(redo_groups, 1):
+        part_of.update(dict.fromkeys(group, i))
+    logs: list[Variants] = [Counter() for _ in range(len(redo_groups) + 1)]
+    for s, count in variants.items():
+        begin = 0
+        for i in range(1, len(s)):
+            if part_of[s[i]] != part_of[s[i - 1]]:
+                logs[part_of[s[begin]]][s[begin:i]] += count
+                begin = i
+        logs[part_of[s[begin]]][s[begin:]] += count
+    return logs[0], logs[1:]

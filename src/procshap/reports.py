@@ -265,6 +265,8 @@ def run_matrix(config: RunConfig) -> AttributionReport:
     (``logic_encoder.values_via_prover``)."""
 
     log = parse_xes(config.log_path)
+    if not log.traces:
+        raise ValueError(f"event log {config.log_path} has no traces")
     trees: dict[float, ProcessTree] = {}
     mining_errors: dict[float, str] = {}
     for noise in config.noise_levels:

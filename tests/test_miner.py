@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procshap.event_log import EventLog, Trace, Event, dfg_from_sequences
 from procshap.miner import MinerConfig, discover, filter_dfg
@@ -11,9 +12,13 @@ from procshap.process_tree import (
     iter_nodes,
     node_count,
     trace_language,
+    tree_to_text,
 )
 
-from _corpus import distinct_label_tree
+from _corpus import distinct_label_tree, random_tree
+from _miner_lists import discover_lists
+
+NOISE_LEVELS = (0.0, 0.1, 0.25, 0.5, 1.0)
 
 
 def log_of(*sequences: tuple[str, ...]) -> EventLog:
@@ -200,3 +205,39 @@ def test_miner_config_validation():
         MinerConfig(noise=1.5)
     with pytest.raises(ValueError):
         MinerConfig(noise=0.0, max_depth=0)
+
+
+# --- variant -> count discovery against the trace-list reference ----------
+
+
+def assert_mines_like_trace_lists(log: EventLog, max_depth: int = 64) -> None:
+    for noise in NOISE_LEVELS:
+        config = MinerConfig(noise=noise, max_depth=max_depth)
+        assert tree_to_text(discover(log, config)) == tree_to_text(
+            discover_lists(log, config)
+        ), (noise, max_depth)
+
+
+@given(
+    st.lists(st.lists(st.sampled_from("abcde"), max_size=7).map(tuple), max_size=25),
+    st.sampled_from([1, 2, 3, 64]),
+)
+@settings(max_examples=150, deadline=None)
+def test_variant_counts_mine_like_trace_lists(sequences, max_depth):
+    assert_mines_like_trace_lists(log_of(*sequences), max_depth)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_variant_counts_mine_like_trace_lists_on_tree_logs(seed, traces):
+    # Traces drawn with repetition from a random tree's bounded language,
+    # so sub-logs carry duplicates through every kind of cut.
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_nodes=12, allow_taus=False)
+    language = sorted(trace_language(tree, bound=1, guard=10**4))
+    log = log_of(*(rng.choice(language) for _ in range(traces)))
+    assert_mines_like_trace_lists(log)
+
+
+def test_variant_counts_mine_like_trace_lists_on_bundled_log(running_example_log):
+    assert_mines_like_trace_lists(running_example_log)

@@ -398,6 +398,17 @@ def test_cli_matrix_requires_seed_for_mc(tmp_path, running_example_file, capsys)
     assert "seed" in capsys.readouterr().err
 
 
+def test_cli_matrix_rejects_empty_log(tmp_path, capsys):
+    log = tmp_path / "empty.xes"
+    log.write_bytes(b"<log></log>")
+    rc = main(["matrix", "--log", str(log), "--property", "sat",
+               "--method", "exact", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(log) in err and "no traces" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_file(tmp_path, running_example_file, capsys):
     config_file = tmp_path / "run.conf"
     config_file.write_text(
