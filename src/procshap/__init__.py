@@ -24,7 +24,6 @@ from .event_log import (
     Trace,
     XesParseError,
     build_dfg,
-    dump_xes,
     parse_xes,
 )
 from .logic_encoder import (

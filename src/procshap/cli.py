@@ -267,9 +267,10 @@ def cmd_verify(args) -> int:
     for spec in specs:
         warn_if_degenerate(spec, cache)
     prover = _prover_config(args)
+    prover_memo: dict = {}  # liv's sat gate reuses sat's status
     results = {}
     for spec in specs:
-        value = evaluate(tree, coalition, spec, cache, args.backend, prover)
+        value = evaluate(tree, coalition, spec, cache, args.backend, prover, prover_memo)
         results[spec.prop.value] = value
         print(f"{spec.prop.value}: {value}")
     for message in cache.warnings:

@@ -192,39 +192,6 @@ def parse_xes(source: Source, classifier_key: str = "concept:name") -> EventLog:
     return EventLog(traces=tuple(traces))
 
 
-def dump_xes(log: EventLog) -> bytes:
-    """Serialize a log back to plain XES (the debug round-trip format)."""
-
-    out = io.StringIO()
-    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    out.write('<log xes.version="1.0" xes.features="">\n')
-    for trace in log.traces:
-        out.write("  <trace>\n")
-        out.write(f'    <string key="concept:name" value="{_escape(trace.case_id)}"/>\n')
-        for event in trace.events:
-            out.write("    <event>\n")
-            out.write(
-                f'      <string key="concept:name" value="{_escape(event.activity)}"/>\n'
-            )
-            if event.timestamp:
-                out.write(
-                    f'      <date key="time:timestamp" value="{_escape(event.timestamp)}"/>\n'
-                )
-            out.write("    </event>\n")
-        out.write("  </trace>\n")
-    out.write("</log>\n")
-    return out.getvalue().encode("utf-8")
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
 def build_dfg(log: EventLog) -> DirectlyFollowsGraph:
     """Count adjacent activity pairs, trace starts/ends and totals."""
     return dfg_from_sequences(log.activity_sequences())

@@ -22,9 +22,13 @@ three problem flavors line up with the oracle module:
 * saf: premises include the root's done variable, conjecture that the
   forbidden pair does not co-occur.
 
-``value_via_prover`` decides one substituted tree; ``values_via_prover``
-decides a batch of them, overlapping the prover calls on one pool of
-threads (each call waits on a subprocess), which is the package's only
+``values_via_prover`` decides a batch of substituted trees (and
+``value_via_prover`` a batch of one).  It is the one place where prover
+calls are deduplicated and run in parallel: a memo from problem text to
+SZS status, which a caller may share across batches (``run_matrix``
+shares one across its configurations, so liv's sat gate reuses the sat
+configuration's statuses), and one pool of threads for the calls the
+memo lacks (each call waits on a subprocess), the package's only
 parallelism.
 """
 
@@ -294,22 +298,137 @@ def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
 
 def _status_to_value(
     status: SZSStatus,
-    positive: SZSStatus,
-    negative: SZSStatus,
+    prop: Property,
     config: ProverConfig,
-    warn: Callable[[str], None] | None,
-    what: str,
+    warn: Callable[[str], None],
 ) -> int:
+    """The game value a *prop* problem's status stands for.
+
+    sat: Satisfiable -> 1, Unsatisfiable -> 0.
+    liv and saf: Theorem -> 1, CounterSatisfiable -> 0.
+    Anything else follows the unknown policy (default: 0 plus a warning).
+    """
+    if prop is Property.SAT:
+        positive, negative = SZSStatus.SATISFIABLE, SZSStatus.UNSATISFIABLE
+    else:
+        positive, negative = SZSStatus.THEOREM, SZSStatus.COUNTER_SATISFIABLE
     if status is positive:
         return 1
     if status is negative:
         return 0
-    message = f"prover returned {status.value} for {what}; treating as 0"
+    message = f"prover returned {status.value} for {prop.value}; treating as 0"
     if config.unknown_policy == "abort":
         raise ProverUnknownError(message)
-    if warn is not None:
-        warn(message)
+    warn(message)
     return 0
+
+
+def _problem(tree_c: ProcessTree, spec: PropertySpec) -> str:
+    return emit_tptp(encode(tree_c, spec), name=spec.prop.value)
+
+
+def _decide(
+    problems: list[str], prop: Property, config: ProverConfig, memo: dict
+) -> None:
+    """Put the status of every *prop* problem in *problems* into *memo*,
+    calling the prover once for each distinct problem the memo lacks.
+
+    The calls overlap on one pool of min(calls, cpu count) threads, shut
+    down before this returns; with one worker they run on the calling
+    thread.  The memo is written on the calling thread, in the order of
+    *problems*.  An error, such as ``ProverNotFoundError``, or
+    ``ProverUnknownError`` under the abort policy, which each call
+    raises on a status that is neither of *prop*'s verdicts, propagates
+    once the running calls finish: the calls not yet started are
+    cancelled, and the memo keeps the statuses decided before the
+    failing problem, so under abort it holds verdicts only."""
+
+    missing = [p for p in dict.fromkeys(problems) if p not in memo]
+
+    def call(problem: str) -> SZSStatus:
+        if config.dump_dir is not None:
+            digest = hashlib.sha1(problem.encode()).hexdigest()[:12]
+            os.makedirs(config.dump_dir, exist_ok=True)
+            dump_path = os.path.join(config.dump_dir, f"{prop.value}_{digest}.p")
+            if not os.path.exists(dump_path):
+                with open(dump_path, "w") as fh:
+                    fh.write(problem)
+        status = run_prover(problem, config)
+        if config.unknown_policy == "abort":  # raise on neither verdict
+            _status_to_value(status, prop, config, [].append)
+        return status
+
+    workers = min(len(missing), os.cpu_count() or 1)
+    if workers <= 1:
+        for problem in missing:
+            memo[problem] = call(problem)
+        return
+    pool = futures.ThreadPoolExecutor(max_workers=workers)
+    try:
+        for problem, status in zip(missing, pool.map(call, missing)):
+            memo[problem] = status
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def values_via_prover(
+    trees_c: list[ProcessTree],
+    spec: PropertySpec,
+    config: ProverConfig,
+    memo: dict[str, SZSStatus] | None = None,
+) -> list[tuple[int, list[str]]]:
+    """The verdict on every substituted tree of a batch: each tree's value
+    with the warnings its statuses raised, in the order of *trees_c*.
+
+    *memo* maps TPTP problem text to SZS status (a fresh one when None);
+    it is the one place where prover calls are deduplicated, so a
+    problem asked again, by this batch or a later one sharing the memo,
+    costs no call.  Use one memo per ``ProverConfig``.  sat and saf
+    decide each tree's problem in one round.  liv is gated by sat (an
+    inconsistent premise set would entail anything), so it takes two
+    rounds: the sat problems of every tree, then the liv problems of the
+    trees whose sat status is Satisfiable.
+
+    The memo holds statuses, not values: each use turns its status into
+    a value, so each caller records its own warnings, sat's before liv's
+    for each tree.  Under the abort policy the first tree, in order,
+    whose status is neither verdict raises ``ProverUnknownError``, and
+    the calls after it that have not started are not made."""
+
+    memo = {} if memo is None else memo
+    gate = replace(spec, prop=Property.SAT) if spec.prop is Property.LIV else spec
+    first = [_problem(tree_c, gate) for tree_c in trees_c]
+
+    def gated(upto: int) -> dict[int, str]:
+        """The liv problems of the trees before *upto* that pass the gate."""
+        if spec.prop is not Property.LIV:
+            return {}
+        return {
+            i: _problem(trees_c[i], spec)
+            for i in range(upto)
+            if memo[first[i]] is SZSStatus.SATISFIABLE
+        }
+
+    try:
+        _decide(first, gate.prop, config, memo)
+    except ProverUnknownError:
+        # A tree before the one whose sat call failed may fail its liv call.
+        failed = next(i for i, problem in enumerate(first) if problem not in memo)
+        _decide(list(gated(failed).values()), spec.prop, config, memo)
+        raise
+    second = gated(len(trees_c))
+    _decide(list(second.values()), spec.prop, config, memo)
+
+    results = []
+    for i, problem in enumerate(first):
+        warnings: list[str] = []
+        value = _status_to_value(memo[problem], gate.prop, config, warnings.append)
+        if i in second:
+            value = _status_to_value(
+                memo[second[i]], spec.prop, config, warnings.append
+            )
+        results.append((value, warnings))
+    return results
 
 
 def value_via_prover(
@@ -318,68 +437,11 @@ def value_via_prover(
     config: ProverConfig,
     warn: Callable[[str], None] | None = None,
 ) -> int:
-    """Coalition value through the external prover.
+    """``values_via_prover`` on a batch of one tree, passing its warnings
+    to *warn*."""
 
-    sat: Satisfiable -> 1, Unsatisfiable -> 0.
-    liv: gated by the sat value (an inconsistent premise set would entail
-    anything), then Theorem -> 1, CounterSatisfiable -> 0.
-    saf: Theorem -> 1, CounterSatisfiable -> 0.
-    Anything else follows the unknown policy (default: 0 plus a warning).
-    """
-
-    if spec.prop is Property.LIV:
-        sat_value = value_via_prover(
-            tree_c, replace(spec, prop=Property.SAT), config, warn
-        )
-        if sat_value == 0:
-            return 0
-
-    pspec = encode(tree_c, spec)
-    problem = emit_tptp(pspec, name=spec.prop.value)
-    if config.dump_dir is not None:
-        digest = hashlib.sha1(problem.encode()).hexdigest()[:12]
-        os.makedirs(config.dump_dir, exist_ok=True)
-        dump_path = os.path.join(config.dump_dir, f"{spec.prop.value}_{digest}.p")
-        if not os.path.exists(dump_path):
-            with open(dump_path, "w") as fh:
-                fh.write(problem)
-    status = run_prover(problem, config)
-
-    if spec.prop is Property.SAT:
-        return _status_to_value(
-            status, SZSStatus.SATISFIABLE, SZSStatus.UNSATISFIABLE, config, warn, "sat"
-        )
-    return _status_to_value(
-        status,
-        SZSStatus.THEOREM,
-        SZSStatus.COUNTER_SATISFIABLE,
-        config,
-        warn,
-        spec.prop.value,
-    )
-
-
-def values_via_prover(
-    trees_c: list[ProcessTree], spec: PropertySpec, config: ProverConfig
-) -> list[tuple[int, list[str]]]:
-    """``value_via_prover`` on every tree of a batch: each tree's value with
-    the warnings its prover calls raised, in the order of *trees_c*.
-
-    The calls overlap on one pool of min(len(trees_c), cpu count)
-    threads, shut down before this returns; with one worker they run on
-    the calling thread.  An error, such as ``ProverUnknownError`` under
-    the abort policy, propagates once the running calls finish, and the
-    calls not yet started are cancelled."""
-
-    def decide(tree_c: ProcessTree) -> tuple[int, list[str]]:
-        warnings: list[str] = []
-        return value_via_prover(tree_c, spec, config, warn=warnings.append), warnings
-
-    workers = min(len(trees_c), os.cpu_count() or 1)
-    if workers <= 1:
-        return [decide(tree_c) for tree_c in trees_c]
-    pool = futures.ThreadPoolExecutor(max_workers=workers)
-    try:
-        return list(pool.map(decide, trees_c))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    [(value, warnings)] = values_via_prover([tree_c], spec, config)
+    if warn is not None:
+        for message in warnings:
+            warn(message)
+    return value

@@ -171,6 +171,7 @@ def evaluate(
     cache: ValueCache | None = None,
     backend: str = "oracle",
     prover_config=None,
+    prover_memo: dict | None = None,
 ) -> int:
     """The property's verdict on *coalition* of *tree*'s nodes, memoized
     per (coalition, property, mode, bound, pair): the oracle folds
@@ -179,7 +180,7 @@ def evaluate(
 
     if backend == "prover":
         return evaluate_masks(
-            tree, [coalition.mask], spec, cache, backend, prover_config
+            tree, [coalition.mask], spec, cache, backend, prover_config, prover_memo
         )[0]
     if backend != "oracle":
         raise ValueError(f"unknown backend {backend!r}")
@@ -199,6 +200,7 @@ def evaluate_masks(
     cache: ValueCache | None = None,
     backend: str = "oracle",
     prover_config=None,
+    prover_memo: dict | None = None,
 ) -> list[int]:
     """The verdicts on many coalitions, given as masks over node ids, in
     order.
@@ -206,10 +208,12 @@ def evaluate_masks(
     The prover backend keys the cache by canonical mask, since coalitions
     with one canonical form substitute to one tree.  It decides the
     distinct canonical forms the cache lacks as one batch
-    (``logic_encoder.values_via_prover``), then records their warnings
-    and values in the cache on the calling thread, in the order of
-    *masks*, so the cache's contents and warnings do not depend on which
-    prover call finished first."""
+    (``logic_encoder.values_via_prover``), whose prover calls go through
+    *prover_memo*, a map from problem text to SZS status that callers may
+    share across configurations, so a problem already decided, such as
+    the sat problem behind liv's gate, costs no call.  It then records the forms' warnings and values in the cache on
+    the calling thread, in the order of *masks*, so the cache's contents
+    and warnings do not depend on which prover call finished first."""
 
     if backend != "prover":
         n = node_count(tree)
@@ -230,7 +234,9 @@ def evaluate_masks(
     trees_c = [substitute(tree, Coalition(n, mask)) for mask in batch]
     decided = {}
     for mask, (value, warnings) in zip(
-        batch, values_via_prover(trees_c, spec, prover_config), strict=True
+        batch,
+        values_via_prover(trees_c, spec, prover_config, prover_memo),
+        strict=True,
     ):
         for message in warnings:
             cache.add_warning(message)

@@ -161,6 +161,7 @@ def run_single(
     noise: float,
     spec: PropertySpec,
     seed: int | None,
+    prover_memo: dict | None = None,
 ) -> dict:
     """Attribution and diagnostics for one mined tree and one property.
 
@@ -170,7 +171,9 @@ def run_single(
     for one verdict per canonical form (rooted subtree or empty set) in
     one batch, so the counters count canonical forms.  Sampling queries
     the game through the cache; for sat and liv, which are monotone, the
-    permutation sampler ties the veto players."""
+    permutation sampler ties the veto players.  Prover calls go through
+    *prover_memo* (problem text to SZS status), which ``run_matrix``
+    shares across its configurations."""
 
     nodes = list(iter_nodes(tree))
     n = len(nodes)
@@ -181,7 +184,7 @@ def run_single(
     game = Game(
         n=n,
         value=lambda coalition: evaluate(
-            tree, coalition, spec, cache, config.backend, config.prover
+            tree, coalition, spec, cache, config.backend, config.prover, prover_memo
         ),
     )
 
@@ -192,7 +195,7 @@ def run_single(
         estimate = rooted_shapley(
             tree,
             lambda masks: evaluate_masks(
-                tree, masks, spec, cache, config.backend, config.prover
+                tree, masks, spec, cache, config.backend, config.prover, prover_memo
             ),
         )
     elif config.method == "mc":
@@ -262,7 +265,10 @@ def run_matrix(config: RunConfig) -> AttributionReport:
     Configurations run in order on the calling thread, whatever the
     backend: the oracle is pure Python under the GIL, and the prover
     backend overlaps its calls within one configuration
-    (``logic_encoder.values_via_prover``)."""
+    (``logic_encoder.values_via_prover``).  The configurations share one
+    prover memo from problem text to SZS status, made afresh for each
+    call: equal problems cost one prover call, whichever configuration
+    or liv's sat gate asks for them."""
 
     log = parse_xes(config.log_path)
     if not log.traces:
@@ -277,6 +283,8 @@ def run_matrix(config: RunConfig) -> AttributionReport:
         except Exception as exc:  # recorded per configuration below
             mining_errors[noise] = f"{type(exc).__name__}: {exc}"
 
+    prover_memo: dict = {}
+
     def run_job(index: int, noise: float, spec: PropertySpec) -> dict:
         base = {
             "id": config_id(noise, spec),
@@ -289,7 +297,7 @@ def run_matrix(config: RunConfig) -> AttributionReport:
             _config_seed(config.seed, index) if config.seed is not None else None
         )
         try:
-            record = run_single(config, trees[noise], noise, spec, seed)
+            record = run_single(config, trees[noise], noise, spec, seed, prover_memo)
             return {**base, **record}
         except Exception as exc:
             return {**base, "error": f"{type(exc).__name__}: {exc}", "phi": {}}

@@ -1,5 +1,5 @@
 """The ElementTree XES reader, kept as the reference ``parse_xes`` is
-checked against.
+checked against, and ``dump_xes``, which writes a log back as plain XES.
 
 It walks ``ET.iterparse`` start/end events and reads each ``<string>`` and
 ``<date>`` attribute when its element ends.  Sources are opened by the
@@ -11,6 +11,7 @@ is walked.  Errors carry the line and column of the ElementTree
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+import io
 from contextlib import ExitStack
 from xml.parsers import expat
 
@@ -83,3 +84,36 @@ def parse_xes_etree(source: Source, classifier_key: str = "concept:name") -> Eve
             ) from exc
 
     return EventLog(traces=tuple(traces))
+
+
+def dump_xes(log: EventLog) -> bytes:
+    """Serialize a log back to plain XES (the debug round-trip format)."""
+
+    out = io.StringIO()
+    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    out.write('<log xes.version="1.0" xes.features="">\n')
+    for trace in log.traces:
+        out.write("  <trace>\n")
+        out.write(f'    <string key="concept:name" value="{_escape(trace.case_id)}"/>\n')
+        for event in trace.events:
+            out.write("    <event>\n")
+            out.write(
+                f'      <string key="concept:name" value="{_escape(event.activity)}"/>\n'
+            )
+            if event.timestamp:
+                out.write(
+                    f'      <date key="time:timestamp" value="{_escape(event.timestamp)}"/>\n'
+                )
+            out.write("    </event>\n")
+        out.write("  </trace>\n")
+    out.write("</log>\n")
+    return out.getvalue().encode("utf-8")
+
+
+def _escape(text: str) -> str:
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )

@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from procshap.datasets import load_running_example, running_example_path
-from procshap.event_log import Event, EventLog, Trace, dump_xes
+from procshap.event_log import Event, EventLog, Trace
 from procshap.miner import MinerConfig, discover
+
+from _xes_etree import dump_xes
 
 
 @pytest.fixture(scope="session")

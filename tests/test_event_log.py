@@ -17,11 +17,10 @@ from procshap.event_log import (
     XesParseError,
     build_dfg,
     dfg_from_sequences,
-    dump_xes,
     parse_xes,
 )
 
-from _xes_etree import parse_xes_etree
+from _xes_etree import dump_xes, parse_xes_etree
 
 MINIMAL = b"""<?xml version="1.0"?>
 <log>

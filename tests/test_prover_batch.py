@@ -1,19 +1,28 @@
 """The prover backend's exact path (``rooted_shapley`` over one batch of
 canonical forms per configuration), its canonical cache keys for
-sampling, and prover faults inside a batch.  Provers are small Python
-scripts: ``fake_prover.py``, optionally behind a wrapper that logs each
-call, or scripts that stall, crash or print garbage."""
+sampling, prover faults inside a batch, and the one prover memo a run
+shares across its configurations.  Provers are small Python scripts:
+``fake_prover.py``, optionally behind a wrapper that logs each call's
+problem kind, or scripts that stall, crash or print garbage."""
 
 from __future__ import annotations
 
 import hashlib
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from procshap.logic_encoder import ProverConfig, emit_tptp, encode, value_via_prover
+from procshap.cli import main
+from procshap.logic_encoder import (
+    ProverConfig,
+    ProverUnknownError,
+    emit_tptp,
+    encode,
+    value_via_prover,
+)
 from procshap.oracle import (
     Property,
     PropertySpec,
@@ -30,6 +39,7 @@ from procshap.process_tree import (
     node_count,
     seq,
     substitute,
+    tree_from_text,
     xor,
 )
 from procshap.reports import RunConfig, run_matrix, run_single
@@ -62,20 +72,27 @@ def script(tmp_path: Path, name: str, body: str, **kw) -> ProverConfig:
 
 
 def counting_prover(tmp_path: Path, **kw) -> tuple[ProverConfig, Path]:
-    """``fake_prover.py`` behind a wrapper that appends one line per call."""
+    """``fake_prover.py`` behind a wrapper that appends one line per call:
+    the problem's kind, from its first line (``% sat: ...``)."""
     calls = tmp_path / "calls.log"
     config = script(tmp_path, "counting_prover.py", (
         "import runpy, sys\n"
+        "kind = open(sys.argv[1]).readline()[2:].split(':')[0]\n"
         f"with open({str(calls)!r}, 'a') as fh:\n"
-        "    fh.write('call\\n')\n"
+        "    fh.write(kind + '\\n')\n"
         f"sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]\n"
         f"runpy.run_path({FAKE_PROVER!r}, run_name='__main__')\n"
     ), **kw)
     return config, calls
 
 
+def call_kinds(calls: Path) -> list[str]:
+    """The kind of every logged call, one per line."""
+    return calls.read_text().splitlines() if calls.exists() else []
+
+
 def call_count(calls: Path) -> int:
-    return len(calls.read_text().splitlines()) if calls.exists() else 0
+    return len(call_kinds(calls))
 
 
 def exact_config(prover: ProverConfig, **kw) -> RunConfig:
@@ -256,3 +273,191 @@ def test_abort_policy_fails_one_configuration(tmp_path, tiny_log_file):
         method="exact",
     )).configurations[0]["phi"]
     assert liv["error"].startswith("ProverUnknownError: prover returned Unknown for liv")
+
+
+# --- one prover memo per run ----------------------------------------------
+
+# Delegates to fake_prover.py, except for sat problems, where it runs FAULT.
+SAT_FAULT = """import runpy, sys
+if open(sys.argv[1]).readline().startswith('% sat:'):
+{fault}
+sys.argv = [{fake!r}, *sys.argv[1:]]
+runpy.run_path({fake!r}, run_name='__main__')
+"""
+
+SAT_FAULTS = {
+    "timeout": ("    import time\n    time.sleep(30)", "Timeout"),
+    "garbage": ("    print('no verdict')\n    sys.exit(0)", "Unknown"),
+}
+
+
+def sat_fault_prover(tmp_path: Path, fault: str, **kw) -> ProverConfig:
+    body, _ = SAT_FAULTS[fault]
+    return script(tmp_path, f"sat_{fault}.py",
+                  SAT_FAULT.format(fault=body, fake=FAKE_PROVER), **kw)
+
+
+def tiny_matrix(log: Path, prover: ProverConfig, *specs) -> list[dict]:
+    return run_matrix(RunConfig(
+        log_path=str(log), noise_levels=(0.0,), properties=specs,
+        method="exact", backend="prover", prover=prover,
+    )).configurations
+
+
+def sat_forms(tree) -> tuple[int, int]:
+    """(canonical forms, forms whose sat verdict is 1) of *tree*."""
+    n = node_count(tree)
+    masks = {canonical_mask(tree, mask) for mask in range(1 << n)}
+    wins = sum(evaluate(tree, Coalition(n, mask), SAT) for mask in masks)
+    return len(masks), wins
+
+
+def test_sat_liv_matrix_decides_each_sat_problem_once(tmp_path, tiny_log_file):
+    prover, calls = counting_prover(tmp_path)
+    sat, liv = tiny_matrix(tiny_log_file, prover, SAT, LIV)
+    tree = tree_from_text(sat["tree"])
+    forms, wins = sat_forms(tree)
+    assert (forms, wins) == (canonical_form_count(tree), 3)
+    # the sat configuration decides every form; liv's gate reuses them all
+    assert call_kinds(calls) == ["sat"] * forms + ["liv"] * wins
+    assert sat["error"] is None and liv["error"] is None
+    assert liv["cache"]["distinct_queries"] == forms
+
+
+def test_liv_record_equals_liv_only_run(tmp_path, tiny_log_file):
+    prover = fake_prover_config()
+    _, shared = tiny_matrix(tiny_log_file, prover, SAT, LIV)
+    [alone] = tiny_matrix(tiny_log_file, prover, LIV)
+    assert shared == alone
+    assert shared["error"] is None
+
+
+def test_memo_does_not_outlive_a_run(tmp_path, tiny_log_file):
+    prover, calls = counting_prover(tmp_path)
+    counts = []
+    for _ in range(2):
+        calls.unlink(missing_ok=True)
+        tiny_matrix(tiny_log_file, prover, SAT, LIV)
+        counts.append(Counter(call_kinds(calls)))
+    assert counts[0] == counts[1] == Counter(sat=11, liv=3)
+
+
+@pytest.mark.parametrize("fault", sorted(SAT_FAULTS))
+def test_liv_warnings_with_faulty_sat_equal_liv_only_run(tmp_path, tiny_log_file, fault):
+    prover = sat_fault_prover(tmp_path, fault, timeout_s=0.3 if fault == "timeout" else 30)
+    sat, shared = tiny_matrix(tiny_log_file, prover, SAT, LIV)
+    [alone] = tiny_matrix(tiny_log_file, prover, LIV)
+    status = SAT_FAULTS[fault][1]
+    expected = [f"prover returned {status} for sat; treating as 0"] * 11
+    assert sat["cache"]["warnings"] == expected
+    assert shared["cache"]["warnings"] == alone["cache"]["warnings"] == expected
+    assert shared == alone
+
+
+def test_liv_warnings_keep_sat_then_liv_order_per_form(tmp_path, tiny_log_file):
+    # sat: real verdict or no verdict by the problem's bytes; liv: no verdict
+    prover = script(tmp_path, "odd.py", (
+        "import hashlib, runpy, sys\n"
+        "text = open(sys.argv[1]).read()\n"
+        "odd = hashlib.sha1(text.encode()).digest()[0] % 2\n"
+        "if text.startswith('% liv:') or odd:\n"
+        "    print('no verdict')\n"
+        "    sys.exit(0)\n"
+        f"sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]\n"
+        f"runpy.run_path({FAKE_PROVER!r}, run_name='__main__')\n"
+    ))
+    _, shared = tiny_matrix(tiny_log_file, prover, SAT, LIV)
+    [alone] = tiny_matrix(tiny_log_file, prover, LIV)
+    tree = tree_from_text(shared["tree"])
+    n = node_count(tree)
+    expected = []
+    for mask in sorted({canonical_mask(tree, mask) for mask in range(1 << n)}):
+        coalition = Coalition(n, mask)
+        problem = emit_tptp(encode(substitute(tree, coalition), SAT), "sat")
+        if hashlib.sha1(problem.encode()).digest()[0] % 2:
+            expected.append("prover returned Unknown for sat; treating as 0")
+        elif evaluate(tree, coalition, SAT):
+            expected.append("prover returned Unknown for liv; treating as 0")
+    assert len(set(expected)) == 2  # both kinds occur
+    assert shared["cache"]["warnings"] == alone["cache"]["warnings"] == expected
+
+
+def test_abort_on_sat_fails_both_configurations_alike(tmp_path, tiny_log_file):
+    prover = sat_fault_prover(tmp_path, "garbage", unknown_policy="abort")
+    sat, liv = tiny_matrix(tiny_log_file, prover, SAT, LIV)
+    message = "ProverUnknownError: prover returned Unknown for sat; treating as 0"
+    assert sat["error"] == liv["error"] == message
+    [alone] = tiny_matrix(tiny_log_file, prover, LIV)
+    assert alone["error"] == message
+
+
+def test_abort_stops_a_batch_at_the_first_failing_call(tmp_path, monkeypatch):
+    # 257 canonical forms; every call logs itself, then stalls past the timeout
+    tree = assign_node_ids(seq(*(activity(f"a{i}") for i in range(8))))
+    calls = tmp_path / "calls.log"
+    prover = script(tmp_path, "stalling.py", (
+        "import time\n"
+        f"open({str(calls)!r}, 'a').write('call\\n')\n"
+        "time.sleep(30)\n"
+    ), timeout_s=0.3, unknown_policy="abort")
+    monkeypatch.setattr("procshap.logic_encoder.os.cpu_count", lambda: 2)
+    with pytest.raises(ProverUnknownError, match="Timeout for sat"):
+        run_single(exact_config(prover), tree, 0.0, SAT, None)
+    # the two running calls, and at most one more each worker took up
+    # before the rest were cancelled
+    assert 1 <= call_count(calls) <= 4
+
+
+def test_abort_error_comes_from_the_first_failing_form(tmp_path):
+    # liv: no verdict; sat: no verdict for the forms with c but without a,
+    # which come after {Seq, a, Xor, b}, the first form to pass the gate
+    body = (
+        "import runpy, sys\n"
+        "text = open(sys.argv[1]).read()\n"
+        "if text.startswith('% liv:') or ('occ_c' in text and 'occ_a' not in text):\n"
+        "    print('no verdict')\n"
+        "    sys.exit(0)\n"
+        f"sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]\n"
+        f"runpy.run_path({FAKE_PROVER!r}, run_name='__main__')\n"
+    )
+    tree = tiny_tree()
+    warned = script(tmp_path, "warn.py", body)
+    record = run_single(exact_config(warned), tree, 0.0, LIV, None)
+    sat, liv = (f"prover returned Unknown for {p}; treating as 0" for p in ("sat", "liv"))
+    assert record["cache"]["warnings"] == [liv, sat, liv, sat, liv]
+    aborting = script(tmp_path, "abort.py", body, unknown_policy="abort")
+    with pytest.raises(ProverUnknownError) as failed:
+        run_single(exact_config(aborting), tree, 0.0, LIV, None)
+    assert str(failed.value) == liv
+
+
+def test_mc_liv_on_prover_equals_oracle(tmp_path):
+    tree = tiny_tree()
+    prover, calls = counting_prover(tmp_path)
+    mc = dict(log_path="log.xes", method="mc", seed=1, permutations=10,
+              min_permutations=10)
+    record = run_single(RunConfig(backend="prover", prover=prover, **mc),
+                        tree, 0.0, LIV, 11)
+    oracle = run_single(RunConfig(**mc), tree, 0.0, LIV, 11)
+    assert record["phi"] == oracle["phi"]
+    # one sat call per distinct canonical form, reused by later queries
+    assert Counter(call_kinds(calls))["sat"] == record["cache"]["distinct_queries"]
+
+
+def test_cli_verify_sat_liv_shares_the_sat_call(tmp_path, capsys):
+    prover, calls = counting_prover(tmp_path)
+    wrapper = tmp_path / "prover"
+    wrapper.write_text(
+        f'#!/bin/sh\nexec "{prover.executable}" "{prover.extra_args[0]}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text("seq\n  act a\n  xor\n    act b\n    act c\n")
+    rc = main([
+        "verify", "--tree", str(tree_file), "--property", "sat,liv",
+        "--backend", "prover", "--prover-path", str(wrapper),
+        "--timeout-ms", "30000",
+    ])
+    assert rc == 0
+    assert "sat: 1" in capsys.readouterr().out
+    assert call_kinds(calls) == ["sat", "liv"]
