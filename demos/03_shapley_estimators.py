@@ -5,7 +5,8 @@ of the coalition-reduced model.  Exact values come two ways: counting
 winning coalitions over the tree is polynomial in n, enumerating all 2^n
 coalitions of a black-box game is exponential.  Monte Carlo permutations
 are unbiased; random subsets are cheaper but biased toward mid-sized
-coalitions.
+coalitions.  Both samplers ask a verdict function for batches of
+coalition masks, as the report pipeline does.
 """
 
 import time
@@ -18,6 +19,7 @@ from procshap import (
     ValueCache,
     discover,
     evaluate,
+    evaluate_masks,
     exact_shapley,
     iter_nodes,
     mc_permutation_shapley,
@@ -48,16 +50,21 @@ print(f"{'node':<28} {'exact':>9}")
 for i in sorted(exact.phi, key=lambda i: -exact.phi[i]):
     print(f"{names[i]:<28} {exact.phi[i]:>+9.4f}")
 
+# The samplers' one query path: a batch of masks in, verdicts out, in order.
+def verdicts(masks):
+    return evaluate_masks(tree, masks, spec, cache)
+
+
 # Monte Carlo: unbiased, converges smoothly; the convergence report
 # tracks the largest per-node movement between checkpoints.
-mc, convergence = mc_permutation_shapley(game, permutations=4000, seed=11)
+mc, convergence = mc_permutation_shapley(n, verdicts, permutations=4000, seed=11)
 print(f"\nMC stopped after {mc.samples[0]} permutations "
       f"(delta_max {convergence.delta_max:.4f})")
 worst = max(abs(mc.phi[i] - exact.phi[i]) for i in range(n))
 print(f"worst |MC - exact| = {worst:.4f}")
 
 # Random subsets: an order of magnitude fewer verdicts, but biased.
-rs = rs_subset_shapley(game, samples_per_player=300, seed=11)
+rs = rs_subset_shapley(n, verdicts, samples_per_player=300, seed=11)
 worst = max(abs(rs.phi[i] - exact.phi[i]) for i in range(n))
 print(f"worst |RS - exact| = {worst:.4f}")
 
@@ -66,9 +73,16 @@ print(f"worst |RS - exact| = {worst:.4f}")
 # instead of 1/n:
 full = (1 << 6) - 1
 unanimity = Game(n=6, value=lambda c: int(c.mask == full))
+
+
+def unanimous(masks):
+    return [int(mask == full) for mask in masks]
+
+
+mc_unanimity, _ = mc_permutation_shapley(6, unanimous, 3000, seed=1,
+                                         min_permutations=3000)
 print("\n6-player unanimity game:")
 print(f"  exact phi      = {exact_shapley(unanimity).phi[0]:.4f}")
-print(f"  RS estimate    = {rs_subset_shapley(unanimity, 3000, seed=1).phi[0]:.4f}"
+print(f"  RS estimate    = {rs_subset_shapley(6, unanimous, 3000, seed=1).phi[0]:.4f}"
       "   <- biased low")
-print(f"  MC estimate    = "
-      f"{mc_permutation_shapley(unanimity, 3000, seed=1, min_permutations=3000)[0].phi[0]:.4f}")
+print(f"  MC estimate    = {mc_unanimity.phi[0]:.4f}")

@@ -33,7 +33,6 @@ from .logic_encoder import (
     emit_tptp,
     encode,
     run_prover,
-    value_via_prover,
 )
 from .miner import MinerConfig, discover, filter_dfg
 from .oracle import (

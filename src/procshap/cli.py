@@ -29,6 +29,7 @@ from .process_tree import (
     tree_to_text,
 )
 from .reports import (
+    DEFAULT_NOISE_LEVELS,
     AttributionReport,
     RunConfig,
     emit_report,
@@ -143,10 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="evaluate properties of a coalition")
     p.add_argument("--tree", required=True, help="tree debug text file")
-    p.add_argument("--coalition", default="all",
-                   help="'all' or comma-separated node indices to keep")
-    p.add_argument("--exclude", default=None,
-                   help="comma-separated node indices to drop")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--coalition", default=None,
+                        help="'all' (the default) or comma-separated node "
+                        "indices to keep")
+    chosen.add_argument("--exclude", default=None,
+                        help="comma-separated node indices to drop")
     p.add_argument("--property", default="sat,liv,saf")
     p.add_argument("--safety-pair", type=_parse_pair, default=None, metavar="A,B")
     _add_common(p)
@@ -235,9 +238,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 def _coalition_from_args(args, n: int) -> Coalition:
     if args.exclude:
-        drop = {int(x) for x in args.exclude.split(",")}
-        return Coalition.of(n, (i for i in range(n) if i not in drop))
-    if args.coalition == "all":
+        drop = Coalition.of(n, (int(x) for x in args.exclude.split(",")))
+        return Coalition(n, Coalition.full(n).mask & ~drop.mask)
+    if args.coalition in (None, "all"):
         return Coalition.full(n)
     return Coalition.of(n, (int(x) for x in args.coalition.split(",")))
 
@@ -322,8 +325,8 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    noise_levels = args.noise if args.noise else (0.0, 0.25, 0.5, 1.0)
-    config = _run_config_from_args(args, tuple(noise_levels))
+    noise_levels = args.noise or DEFAULT_NOISE_LEVELS
+    config = _run_config_from_args(args, noise_levels)
     report = run_matrix(config)
     paths = emit_report(report, args.out)
     for record in report.configurations:

@@ -22,14 +22,13 @@ three problem flavors line up with the oracle module:
 * saf: premises include the root's done variable, conjecture that the
   forbidden pair does not co-occur.
 
-``values_via_prover`` decides a batch of substituted trees (and
-``value_via_prover`` a batch of one).  It is the one place where prover
-calls are deduplicated and run in parallel: a memo from problem text to
-SZS status, which a caller may share across batches (``run_matrix``
-shares one across its configurations, so liv's sat gate reuses the sat
-configuration's statuses), and one pool of threads for the calls the
-memo lacks (each call waits on a subprocess), the package's only
-parallelism.
+``values_via_prover`` decides a batch of substituted trees.  It is the
+one place where prover calls are deduplicated and run in parallel: a
+memo from problem text to SZS status, which a caller may share across
+batches (``run_matrix`` shares one across its configurations, so liv's
+sat gate reuses the sat configuration's statuses), and one pool of
+threads for the calls the memo lacks (each call waits on a subprocess),
+the package's only parallelism.
 """
 
 from __future__ import annotations
@@ -71,9 +70,6 @@ class PropositionalSpec:
     conjecture: Formula | None
     done_root: str
     occ_vars: tuple[tuple[str, tuple[str, ...]], ...]  # label -> instance vars
-
-    def occ_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.occ_vars)
 
 
 def _slug(label: str) -> str:
@@ -430,18 +426,3 @@ def values_via_prover(
         results.append((value, warnings))
     return results
 
-
-def value_via_prover(
-    tree_c: ProcessTree,
-    spec: PropertySpec,
-    config: ProverConfig,
-    warn: Callable[[str], None] | None = None,
-) -> int:
-    """``values_via_prover`` on a batch of one tree, passing its warnings
-    to *warn*."""
-
-    [(value, warnings)] = values_via_prover([tree_c], spec, config)
-    if warn is not None:
-        for message in warnings:
-            warn(message)
-    return value

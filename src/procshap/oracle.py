@@ -14,10 +14,12 @@ execution path.  Then
 * saf  = no completed run's trace contains both activities of the
   forbidden pair (vacuously safe when nothing completes).
 
-``evaluate`` folds the summary over one coalition (``TreeGame.value``)
-and ``shapley.tree_shapley`` counts it over all of them; the prover
-backend decides the same verdicts from the substituted tree's encoding,
-one coalition at a time (``evaluate``) or as a batch (``evaluate_masks``).
+``shapley.tree_shapley`` counts the summary over all coalitions at once.
+Everything that asks for the verdicts of particular coalitions asks
+``evaluate_masks`` for a batch of masks, the package's one coalition
+evaluator: the oracle folds the summary over each coalition
+(``TreeGame.value``), the prover backend decides the substituted trees'
+encodings.  ``evaluate`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -173,24 +175,12 @@ def evaluate(
     prover_config=None,
     prover_memo: dict | None = None,
 ) -> int:
-    """The property's verdict on *coalition* of *tree*'s nodes, memoized
-    per (coalition, property, mode, bound, pair): the oracle folds
-    ``tree_game`` over the coalition, the prover backend decides the
-    encoding of the substituted tree (see ``evaluate_masks``)."""
+    """The property's verdict on *coalition* of *tree*'s nodes:
+    ``evaluate_masks`` on a batch of one."""
 
-    if backend == "prover":
-        return evaluate_masks(
-            tree, [coalition.mask], spec, cache, backend, prover_config, prover_memo
-        )[0]
-    if backend != "oracle":
-        raise ValueError(f"unknown backend {backend!r}")
-
-    def compute() -> int:
-        return tree_game(tree, spec).value(coalition.mask)
-
-    if cache is None:
-        return compute()
-    return cache.get_or_compute((coalition.mask, backend) + spec.cache_key(), compute)
+    return evaluate_masks(
+        tree, [coalition.mask], spec, cache, backend, prover_config, prover_memo
+    )[0]
 
 
 def evaluate_masks(
@@ -203,42 +193,46 @@ def evaluate_masks(
     prover_memo: dict | None = None,
 ) -> list[int]:
     """The verdicts on many coalitions, given as masks over node ids, in
-    order.
+    order, memoized in *cache* per (key, backend, property, mode, bound,
+    pair) and counted there once per mask, in the order of *masks*.
 
-    The prover backend keys the cache by canonical mask, since coalitions
-    with one canonical form substitute to one tree.  It decides the
-    distinct canonical forms the cache lacks as one batch
-    (``logic_encoder.values_via_prover``), whose prover calls go through
-    *prover_memo*, a map from problem text to SZS status that callers may
-    share across configurations, so a problem already decided, such as
-    the sat problem behind liv's gate, costs no call.  It then records the forms' warnings and values in the cache on
-    the calling thread, in the order of *masks*, so the cache's contents
-    and warnings do not depend on which prover call finished first."""
+    The oracle keys the cache by raw mask and folds one ``tree_game``,
+    built per call, over each mask the cache lacks.  The prover keys it
+    by canonical mask, since coalitions with one canonical form
+    substitute to one tree, and decides the distinct canonical forms the
+    cache lacks as one batch (``logic_encoder.values_via_prover``), whose
+    prover calls go through *prover_memo*, a map from problem text to SZS
+    status that callers may share across configurations, so a problem
+    already decided, such as the sat problem behind liv's gate, costs no
+    call.  It records the forms' warnings in the cache on the calling
+    thread, in the order of *masks*, so the cache's contents and warnings
+    do not depend on which prover call finished first."""
 
-    if backend != "prover":
-        n = node_count(tree)
-        return [
-            evaluate(tree, Coalition(n, mask), spec, cache, backend, prover_config)
-            for mask in masks
-        ]
-    from .logic_encoder import values_via_prover
-
-    if prover_config is None:
-        raise ValueError("prover backend requires a prover_config")
+    if backend not in ("oracle", "prover"):
+        raise ValueError(f"unknown backend {backend!r}")
     if cache is None:
         cache = ValueCache()
-    n = node_count(tree)
     suffix = (backend,) + spec.cache_key()
-    keys = [(canonical_mask(tree, mask),) + suffix for mask in masks]
-    batch = list(dict.fromkeys(key[0] for key in keys if key not in cache))
-    trees_c = [substitute(tree, Coalition(n, mask)) for mask in batch]
-    decided = {}
-    for mask, (value, warnings) in zip(
-        batch,
-        values_via_prover(trees_c, spec, prover_config, prover_memo),
-        strict=True,
-    ):
-        for message in warnings:
-            cache.add_warning(message)
-        decided[mask] = value
-    return [cache.get_or_compute(key, lambda: decided[key[0]]) for key in keys]
+    if backend == "oracle":
+        keys = [(mask,) + suffix for mask in masks]
+        decide = tree_game(tree, spec).value
+    else:
+        from .logic_encoder import values_via_prover
+
+        if prover_config is None:
+            raise ValueError("prover backend requires a prover_config")
+        keys = [(canonical_mask(tree, mask),) + suffix for mask in masks]
+        batch = list(dict.fromkeys(key[0] for key in keys if key not in cache))
+        n = node_count(tree)
+        trees_c = [substitute(tree, Coalition(n, mask)) for mask in batch]
+        decided = {}
+        for mask, (value, warnings) in zip(
+            batch,
+            values_via_prover(trees_c, spec, prover_config, prover_memo),
+            strict=True,
+        ):
+            for message in warnings:
+                cache.add_warning(message)
+            decided[mask] = value
+        decide = decided.__getitem__
+    return [cache.get_or_compute(key, lambda: decide(key[0])) for key in keys]

@@ -173,12 +173,6 @@ class Coalition:
     def contains(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
 
-    def add(self, index: int) -> "Coalition":
-        return Coalition(self.n, self.mask | 1 << index)
-
-    def remove(self, index: int) -> "Coalition":
-        return Coalition(self.n, self.mask & ~(1 << index))
-
     def members(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.mask >> i & 1)
 

@@ -2,8 +2,8 @@
 file emission.
 
 A *configuration* is one (noise level, property) pair on one log.  Each
-configuration mines a tree, builds the coalition game over all nodes,
-estimates Shapley values and runs the per-configuration diagnostics;
+configuration mines a tree, estimates Shapley values over the coalition
+game of all its nodes and runs the per-configuration diagnostics;
 cross-configuration analyses (ranking stability, noise correlation,
 adaptive nodes) follow.  Reports are canonical: re-running with the same
 config and seed reproduces report.json byte for byte, whatever the log's
@@ -39,7 +39,6 @@ from .oracle import (
     PropertySpec,
     TauMode,
     ValueCache,
-    evaluate,
     evaluate_masks,
     tree_game,
 )
@@ -51,7 +50,6 @@ from .process_tree import (
     tree_to_text,
 )
 from .shapley import (
-    Game,
     mc_permutation_shapley,
     rooted_shapley,
     rs_subset_shapley,
@@ -166,14 +164,17 @@ def run_single(
     """Attribution and diagnostics for one mined tree and one property.
 
     Exact values on the oracle backend come from ``tree_shapley``, which
-    evaluates no coalition, so the cache counters read 0 there.  Exact
-    values on the prover backend come from ``rooted_shapley``, which asks
-    for one verdict per canonical form (rooted subtree or empty set) in
-    one batch, so the counters count canonical forms.  Sampling queries
-    the game through the cache; for sat and liv, which are monotone, the
-    permutation sampler ties the veto players.  Prover calls go through
-    *prover_memo* (problem text to SZS status), which ``run_matrix``
-    shares across its configurations."""
+    evaluates no coalition, so the cache counters read 0 there.  Every
+    other estimator asks one ``verdicts`` function, built here once, for
+    batches of masks: it is ``evaluate_masks`` over this configuration's
+    cache, the one query path.  Exact values on the prover backend come
+    from ``rooted_shapley``, which asks for one verdict per canonical form
+    (rooted subtree or empty set) in one batch, so the counters count
+    canonical forms; the samplers ask per rotation block (MC) or once
+    (RS), and for sat and liv, which are monotone, the permutation
+    sampler ties the veto players.  Prover calls go through *prover_memo*
+    (problem text to SZS status), which ``run_matrix`` shares across its
+    configurations."""
 
     nodes = list(iter_nodes(tree))
     n = len(nodes)
@@ -181,26 +182,20 @@ def run_single(
     cache = ValueCache()
     warn_if_degenerate(spec, cache)
 
-    game = Game(
-        n=n,
-        value=lambda coalition: evaluate(
-            tree, coalition, spec, cache, config.backend, config.prover, prover_memo
-        ),
-    )
+    def verdicts(masks: list[int]) -> list[int]:
+        return evaluate_masks(
+            tree, masks, spec, cache, config.backend, config.prover, prover_memo
+        )
 
     convergence = None
     if config.method == "exact" and config.backend == "oracle":
         estimate = tree_shapley(tree_game(tree, spec))
     elif config.method == "exact":
-        estimate = rooted_shapley(
-            tree,
-            lambda masks: evaluate_masks(
-                tree, masks, spec, cache, config.backend, config.prover, prover_memo
-            ),
-        )
+        estimate = rooted_shapley(tree, verdicts)
     elif config.method == "mc":
         estimate, report = mc_permutation_shapley(
-            game,
+            n,
+            verdicts,
             permutations=config.permutations,
             seed=seed,
             checkpoint_every=config.checkpoint_every,
@@ -217,7 +212,7 @@ def run_single(
         }
     else:
         estimate = rs_subset_shapley(
-            game, samples_per_player=config.samples_per_player, seed=seed
+            n, verdicts, samples_per_player=config.samples_per_player, seed=seed
         )
 
     phi = {id_text[p]: float(v) for p, v in estimate.phi.items()}

@@ -2,13 +2,19 @@
 exact values over rooted subtrees, exact enumeration, Monte Carlo
 permutation sampling, and random subset sampling.
 
+Every estimator that asks for verdicts asks for a batch: ``verdicts``
+takes a list of coalition masks over players 0..n-1 and returns their
+values in order.  ``rooted_shapley``, ``mc_permutation_shapley`` and
+``rs_subset_shapley`` take one such function, and ``run_single`` gives
+all three the same one, over ``oracle.evaluate_masks``.
+
 There are three exact paths, and all build the classical subset-weighted
 sum with the same integer numerators over n!, so efficiency, symmetry
 and dummy hold exactly and their ``Fraction``s agree.  ``tree_shapley``
 takes a ``TreeGame``, whose value is a bottom-up summary of the
 coalition-reduced tree (the oracle's verdicts are), and counts winning
 coalitions per size over the tree in polynomial time.  ``rooted_shapley``
-takes a tree and a batch verdict function (the prover's verdicts): a
+takes a tree and a verdict function (the prover's verdicts): a
 coalition's verdict depends only on its canonical form, the rooted
 subtree of nodes whose ancestors are all present, so it asks for one
 verdict per rooted subtree, plus one for the empty set, and counts the
@@ -16,18 +22,19 @@ raw coalitions behind each.  ``exact_shapley`` takes a black-box
 ``Game`` and enumerates all 2^n coalitions, so it refuses large n.
 
 Both samplers draw from a seeded numpy generator and are bit-reproducible
-for a fixed seed; contributions are reduced in sample order.
+for a fixed seed; verdicts never touch the generator, and contributions
+are reduced in sample order.
 
 The permutation sampler works in whole rotation blocks: it draws one
 permutation per block and evaluates all n of its cyclic rotations, so
 every player takes every position exactly once per block (position
-stratification, Maleki et al. 2013, arXiv:1306.4265).  Every sample is
-still a full permutation, so efficiency holds for every estimate, and
-exactly tied players of a unanimity game stay exactly tied.  On a game
-declared monotone it also ties the veto players (v(N) = 1 and
-v(N - i) = 0), which are symmetric there: each gets the mean of their
-sampled estimates, which keeps the estimator unbiased and the sum of phi
-unchanged.
+stratification, Maleki et al. 2013, arXiv:1306.4265).  A block is one
+batch of verdicts.  Every sample is still a full permutation, so
+efficiency holds for every estimate, and exactly tied players of a
+unanimity game stay exactly tied.  On a game declared monotone it also
+ties the veto players (v(N) = 1 and v(N - i) = 0), which are symmetric
+there: each gets the mean of their sampled estimates, which keeps the
+estimator unbiased and the sum of phi unchanged.
 """
 
 from __future__ import annotations
@@ -42,10 +49,15 @@ import numpy as np
 
 from .process_tree import Coalition, Op, ProcessTree, node_count
 
+Verdicts = Callable[[list[int]], Sequence[int]]
+"""A batch verdict function: coalition masks in, their values in order."""
+
 
 @dataclass(frozen=True)
 class Game:
-    """A boolean cooperative game over players 0..n-1 (node indices)."""
+    """A boolean cooperative game over players 0..n-1 (node indices),
+    asked one coalition at a time: the black box ``exact_shapley``
+    enumerates."""
 
     n: int
     value: Callable[[Coalition], int]
@@ -267,9 +279,7 @@ def canonical_form_count(tree: ProcessTree) -> int:
     return rooted[0] + 1
 
 
-def rooted_shapley(
-    tree: ProcessTree, verdicts: Callable[[list[int]], Sequence[int]]
-) -> ShapleyEstimate:
+def rooted_shapley(tree: ProcessTree, verdicts: Verdicts) -> ShapleyEstimate:
     """Exact Shapley values of a boolean game over *tree*'s nodes (players
     are the preorder node indices) whose value depends only on the
     coalition's canonical form: the rooted subtree T of nodes whose
@@ -365,7 +375,8 @@ def exact_shapley(game: Game, exact_limit: int = 20) -> ShapleyEstimate:
 
 
 def mc_permutation_shapley(
-    game: Game,
+    n: int,
+    verdicts: Verdicts,
     permutations: int,
     seed: int,
     checkpoint_every: int = 100,
@@ -373,14 +384,16 @@ def mc_permutation_shapley(
     min_permutations: int = 1000,
     monotone: bool = False,
 ) -> tuple[ShapleyEstimate, ConvergenceReport]:
-    """Monte Carlo estimate: sample random player orderings, add players
-    one by one and record marginal contributions.
+    """Monte Carlo estimate over players 0..n-1: sample random player
+    orderings, add players one by one and record marginal contributions.
 
     Orderings come in rotation blocks: each block draws one seeded
     permutation and evaluates all n of its cyclic rotations, so every
     player takes every position exactly once per block.  The sampler runs
     ``max(1, permutations // n)`` whole blocks, so the number of sampled
     permutations is a multiple of n and at most ``max(permutations, n)``.
+    ``verdicts`` is asked once for v(empty), then once per block for its
+    n x n prefix masks, walk by walk.
 
     Checkpoints fall on block ends: the first block end at or past each
     multiple of *checkpoint_every*, plus the last block.  The sampler
@@ -389,31 +402,38 @@ def mc_permutation_shapley(
     *min_permutations*).
 
     With *monotone* (the caller vouches that v(S) <= v(T) whenever S is a
-    subset of T) and v(N) = 1, the sampler then queries v(N - i) for
-    every i and gives every veto player (v(N - i) = 0) the mean of the
-    veto players' sampled estimates.  Veto players of a monotone game are
-    symmetric, so they tie exactly, as their exact values do, and the
-    sum of phi is unchanged.  Checkpoints keep the sampled estimates.
+    subset of T) the sampler then asks v(N) and, if it is 1, v(N - i) for
+    every i in one more call, and gives every veto player (v(N - i) = 0)
+    the mean of the veto players' sampled estimates.  Veto players of a
+    monotone game are symmetric, so they tie exactly, as their exact
+    values do, and the sum of phi is unchanged.  Checkpoints keep the
+    sampled estimates.
     """
 
+    if n < 1:
+        raise ValueError("a game needs at least one player")
     if permutations < 1:
         raise ValueError("need at least one permutation")
-    n = game.n
     blocks = max(1, permutations // n)
     rng = np.random.default_rng(seed)
     sums = [0] * n
     checkpoints: list[tuple[int, dict[int, float]]] = []
     delta = float("inf")
-    empty = game.value_of_mask(0)
+    [empty] = verdicts([0])
 
     for block in range(1, blocks + 1):
         order = [int(pos) for pos in rng.permutation(n)]
-        for start in range(n):
+        walks = [order[start:] + order[:start] for start in range(n)]
+        masks = []
+        for walk in walks:
             mask = 0
-            prev = empty
-            for pos in order[start:] + order[:start]:
+            for pos in walk:
                 mask |= 1 << pos
-                curr = game.value_of_mask(mask)
+                masks.append(mask)
+        values = iter(verdicts(masks))
+        for walk in walks:
+            prev = empty
+            for pos, curr in zip(walk, values):
                 sums[pos] += curr - prev
                 prev = curr
         done = block * n
@@ -428,8 +448,9 @@ def mc_permutation_shapley(
 
     phi = {i: float(sums[i] / done) for i in range(n)}
     full = (1 << n) - 1
-    if monotone and game.value_of_mask(full) == 1:
-        veto = [i for i in range(n) if game.value_of_mask(full & ~(1 << i)) == 0]
+    if monotone and verdicts([full])[0] == 1:
+        drops = verdicts([full & ~(1 << i) for i in range(n)])
+        veto = [i for i in range(n) if drops[i] == 0]
         if veto:
             mean = sum(sums[i] for i in veto) / (len(veto) * done)
             phi.update((i, mean) for i in veto)
@@ -447,31 +468,37 @@ def mc_permutation_shapley(
 
 
 def rs_subset_shapley(
-    game: Game, samples_per_player: int, seed: int
+    n: int, verdicts: Verdicts, samples_per_player: int, seed: int
 ) -> ShapleyEstimate:
-    """Random subset estimate: for each player, draw subsets of the other
-    players uniformly and average the marginal contribution of joining.
+    """Random subset estimate over players 0..n-1: for each player, draw
+    subsets of the other players uniformly and average the marginal
+    contribution of joining.
+
+    Every subset is drawn before ``verdicts`` is asked, once, for each
+    draw with and without its player; values never touch the generator.
 
     Cheaper than permutation sampling but biased, since the uniform subset
     distribution over-weights mid-sized coalitions relative to the Shapley
     weights."""
 
+    if n < 1:
+        raise ValueError("a game needs at least one player")
     if samples_per_player < 1:
         raise ValueError("need at least one sample per player")
-    n = game.n
     rng = np.random.default_rng(seed)
-    phi: dict[int, float] = {}
+    masks = []
     for i in range(n):
-        bit = 1 << i
         rest = [j for j in range(n) if j != i]
-        total = 0.0
         for _ in range(samples_per_player):
             bits = rng.integers(0, 2, size=n - 1)
-            mask = 0
-            for j, b in zip(rest, bits):
-                if b:
-                    mask |= 1 << j
-            total += game.value_of_mask(mask | bit) - game.value_of_mask(mask)
+            mask = sum(1 << j for j, b in zip(rest, bits) if b)
+            masks += [mask | 1 << i, mask]
+    values = iter(verdicts(masks))
+    phi: dict[int, float] = {}
+    for i in range(n):
+        total = 0.0
+        for _ in range(samples_per_player):
+            total += next(values) - next(values)
         phi[i] = total / samples_per_player
     return ShapleyEstimate(
         phi=phi,

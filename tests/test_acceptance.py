@@ -14,13 +14,14 @@ from fractions import Fraction
 import pytest
 
 from procshap.diagnostics import jaccard, top_k
-from procshap.logic_encoder import ProverConfig, encode, value_via_prover
+from procshap.logic_encoder import ProverConfig, encode, values_via_prover
 from procshap.miner import MinerConfig, discover
 from procshap.oracle import (
     Property,
     PropertySpec,
     ValueCache,
     evaluate,
+    evaluate_masks,
 )
 from procshap.process_tree import Coalition, node_count, substitute
 from procshap.reports import AttributionReport, RunConfig, emit_report, run_matrix
@@ -33,6 +34,7 @@ from procshap.shapley import (
 )
 
 from _corpus import corpus, random_boolean_game_table, threshold_game_table
+from _sampling_ref import verdicts_of
 from _sat import spec_value
 
 SAT = PropertySpec(Property.SAT)
@@ -106,7 +108,8 @@ def test_criterion_approximation_fidelity():
         game = table_game(table, 8)
         exact = exact_shapley(game).phi
         est, _ = mc_permutation_shapley(
-            game, permutations=5000, seed=9000 + trial, min_permutations=5000
+            8, verdicts_of(game), permutations=5000, seed=9000 + trial,
+            min_permutations=5000,
         )
         worst = max(abs(est.phi[i] - exact[i]) for i in range(8))
         worst_overall = max(worst_overall, worst)
@@ -117,7 +120,7 @@ def test_criterion_approximation_fidelity():
     full = (1 << 6) - 1
     game = Game(n=6, value=lambda c: int(c.mask == full))
     exact = exact_shapley(game).phi
-    est = rs_subset_shapley(game, samples_per_player=3000, seed=512)
+    est = rs_subset_shapley(6, verdicts_of(game), samples_per_player=3000, seed=512)
     bias = max(abs(est.phi[i] - exact[i]) for i in range(6))
     assert bias > 0.0, "RS bias unexpectedly zero"
     assert outcome(
@@ -136,9 +139,9 @@ def test_criterion_convergence(running_example_log):
     converged_seeds = []
     for seed in (1, 2, 3, 4, 5):
         cache = ValueCache()
-        game = Game(n=n, value=lambda c: evaluate(tree, c, SAT, cache))
         _, report = mc_permutation_shapley(
-            game,
+            n,
+            lambda masks: evaluate_masks(tree, masks, SAT, cache),
             permutations=1000,
             seed=seed,
             checkpoint_every=100,
@@ -341,9 +344,8 @@ def test_criterion_prover_integration():
             coalition = Coalition(n, mask)
             cut = substitute(tree, coalition)
             for spec in (SAT, LIV, SAF):
-                assert value_via_prover(cut, spec, config) == evaluate(
-                    tree, coalition, spec
-                )
+                [(value, _)] = values_via_prover([cut], spec, config)
+                assert value == evaluate(tree, coalition, spec)
                 checks += 1
     assert outcome(
         "prover-integration",

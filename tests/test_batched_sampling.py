@@ -1,0 +1,214 @@
+"""The batched samplers against the per-query references in
+``_sampling_ref``: equal estimates, checkpoints and ``delta_max`` on
+random tables, with the same masks asked in the same order, and equal
+``run_single`` records, cache counters and warnings included, on both
+backends.  Also the number of batches: MC asks 1 + blocks (+2 for the
+veto step), RS asks once, and each ``evaluate_masks`` call builds one
+``tree_game``."""
+
+from __future__ import annotations
+
+import random
+import sys
+
+import pytest
+
+from procshap import oracle, reports
+from procshap.oracle import Property, PropertySpec, TauMode
+from procshap.process_tree import Coalition, activity, assign_node_ids, seq, xor
+from procshap.logic_encoder import ProverConfig
+from procshap.reports import RunConfig, run_single
+from procshap.shapley import Game, mc_permutation_shapley, rs_subset_shapley
+
+from _corpus import random_boolean_game_table, threshold_game_table
+from _sampling_ref import mc_per_query, rs_per_query, verdicts_of
+from test_logic_encoder import FAKE_PROVER
+
+SAF_PAIR = ("pay compensation", "reject request")
+SPECS = (
+    PropertySpec(Property.SAT),
+    PropertySpec(Property.LIV),
+    PropertySpec(Property.SAF, safety_pair=SAF_PAIR),
+    PropertySpec(Property.SAT, mode=TauMode.SKIP),  # records a warning
+)
+
+
+def counted(verdicts):
+    """*verdicts*, and the list of batches it is asked for."""
+    batches: list[list[int]] = []
+
+    def ask(masks):
+        batches.append(list(masks))
+        return verdicts(masks)
+
+    return ask, batches
+
+
+def logged(game: Game) -> tuple[Game, list[int]]:
+    """*game*, and the list of masks it is asked for, in order."""
+    asked: list[int] = []
+
+    def value(coalition):
+        asked.append(coalition.mask)
+        return game.value_of_mask(coalition.mask)
+
+    return Game(game.n, value), asked
+
+
+def random_table_games(seed: int, count: int):
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randint(1, 7)
+        make = threshold_game_table if trial % 2 else random_boolean_game_table
+        table = make(rng, n)
+        yield rng, trial, table, Game(n, lambda c, table=table: table[c.mask])
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_mc_equals_per_query_reference_on_random_tables(monotone):
+    stopped = set()
+    for rng, trial, table, game in random_table_games(60 + monotone, 60):
+        n = game.n
+        kw = dict(
+            permutations=rng.randint(1, 600), seed=trial,
+            checkpoint_every=rng.choice([1, 10, 100]),
+            epsilon=rng.choice([0.0, 0.05, 0.3]),
+            min_permutations=rng.randint(0, 300), monotone=monotone,
+        )
+        reference, asked = logged(game)
+        expected, expected_report = mc_per_query(reference, **kw)
+        verdicts, batches = counted(verdicts_of(game))
+        estimate, report = mc_permutation_shapley(n, verdicts, **kw)
+
+        assert estimate == expected
+        assert report.checkpoints == expected_report.checkpoints
+        assert report.delta_max == expected_report.delta_max
+        assert [mask for batch in batches for mask in batch] == asked
+        blocks = estimate.samples[0] // n
+        veto_step = (1 + table[(1 << n) - 1]) if monotone else 0
+        assert len(batches) == 1 + blocks + veto_step
+        assert all(len(batch) == n * n for batch in batches[1 : 1 + blocks])
+        stopped.add(blocks < max(1, kw["permutations"] // n))
+    assert stopped == {False, True}  # early stop missed and hit
+
+
+def test_rs_equals_per_query_reference_on_random_tables():
+    for rng, trial, _, game in random_table_games(77, 40):
+        samples = rng.randint(1, 30)
+        reference, asked = logged(game)
+        expected = rs_per_query(reference, samples, seed=trial)
+        verdicts, batches = counted(verdicts_of(game))
+        assert rs_subset_shapley(game.n, verdicts, samples, seed=trial) == expected
+        assert batches == [asked]
+
+
+def per_query_samplers(monkeypatch) -> None:
+    """Make ``run_single`` sample with the per-query references, each
+    query a batch of one through the same ``verdicts``."""
+
+    def one_at_a_time(n, verdicts):
+        return Game(n, lambda coalition: verdicts([coalition.mask])[0])
+
+    monkeypatch.setattr(reports, "mc_permutation_shapley",
+                        lambda n, verdicts, **kw: mc_per_query(
+                            one_at_a_time(n, verdicts), **kw))
+    monkeypatch.setattr(reports, "rs_subset_shapley",
+                        lambda n, verdicts, **kw: rs_per_query(
+                            one_at_a_time(n, verdicts), **kw))
+
+
+def records(config: RunConfig, tree, specs, monkeypatch) -> tuple[list, list]:
+    """``run_single`` records per spec, batched and then per query."""
+    batched = [run_single(config, tree, 0.0, spec, 5) for spec in specs]
+    with monkeypatch.context() as patch:
+        per_query_samplers(patch)
+        reference = [run_single(config, tree, 0.0, spec, 5) for spec in specs]
+    return batched, reference
+
+
+@pytest.mark.parametrize(
+    "method, permutations, epsilon",
+    [("mc", 600, 0.01), ("mc", 300, 0.0), ("rs", 0, 0.0)],
+    ids=["mc-early-stop", "mc-full-budget", "rs"],
+)
+def test_run_single_oracle_equals_per_query(
+    running_example_tree, monkeypatch, method, permutations, epsilon
+):
+    config = RunConfig(log_path="log.xes", method=method, seed=1,
+                       permutations=permutations or 2000, min_permutations=200,
+                       epsilon=epsilon, samples_per_player=30)
+    batched, reference = records(config, running_example_tree, SPECS, monkeypatch)
+    assert batched == reference
+    assert batched[-1]["cache"]["warnings"]  # the skip-mode warning
+    if method == "mc":
+        budget = [max(1, permutations // r["node_count"]) * r["node_count"]
+                  for r in batched]
+        samples = [r["method"]["samples"] for r in batched]
+        stopped = [s < b for s, b in zip(samples, budget)]
+        assert any(stopped) if epsilon else not any(stopped)
+
+
+# Answers like fake_prover.py, except that a third of the problems, by
+# their bytes, get no verdict: values differ by form and warnings occur.
+PATCHY = f"""import hashlib, runpy, sys
+if hashlib.sha1(open(sys.argv[1], 'rb').read()).digest()[0] % 3 == 0:
+    print('no verdict')
+else:
+    sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]
+    runpy.run_path({FAKE_PROVER!r}, run_name='__main__')
+"""
+
+
+@pytest.mark.parametrize("method", ["mc", "rs"])
+def test_run_single_prover_equals_per_query(tmp_path, monkeypatch, method):
+    path = tmp_path / "patchy.py"
+    path.write_text(PATCHY)
+    prover = ProverConfig(executable=sys.executable, extra_args=(str(path),),
+                          timeout_s=30)
+    tree = assign_node_ids(seq(activity("a"), xor(activity("b"), activity("c"))))
+    config = RunConfig(log_path="log.xes", method=method, backend="prover",
+                       prover=prover, seed=1, permutations=20, min_permutations=20,
+                       samples_per_player=6)
+    specs = (PropertySpec(Property.SAT), PropertySpec(Property.LIV))
+    batched, reference = records(config, tree, specs, monkeypatch)
+    assert batched == reference
+    assert any(r["cache"]["warnings"] for r in batched)
+
+
+def test_run_single_batches_and_tree_games(running_example_tree, monkeypatch):
+    """MC asks 1 + blocks + 2 batches on the monotone sat game (v(N) = 1),
+    each ``evaluate_masks`` call builds one ``tree_game``, and neither a
+    ``Game`` nor a ``Coalition`` is built."""
+
+    calls, builds, built = [], [], []
+    evaluate_masks, tree_game = reports.evaluate_masks, oracle.tree_game
+
+    def counting_evaluate_masks(*args, **kwargs):
+        calls.append(len(args[1]))
+        return evaluate_masks(*args, **kwargs)
+
+    def counting_tree_game(*args, **kwargs):
+        builds.append(1)
+        return tree_game(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "evaluate_masks", counting_evaluate_masks)
+    monkeypatch.setattr(oracle, "tree_game", counting_tree_game)
+    for cls in (Game, Coalition):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, name=cls.__name__: built.append(name))
+
+    config = RunConfig(log_path="log.xes", method="mc", seed=1, permutations=300,
+                       min_permutations=300)
+    record = run_single(config, running_example_tree, 0.0, SPECS[0], 5)
+    n = record["node_count"]
+    blocks = record["method"]["samples"] // n
+    assert blocks == 300 // n
+    assert calls == [1, *[n * n] * blocks, 1, n]
+    assert len(builds) == len(calls)
+
+    calls.clear()
+    builds.clear()
+    config = RunConfig(log_path="log.xes", method="rs", seed=1, samples_per_player=9)
+    run_single(config, running_example_tree, 0.0, SPECS[2], 5)
+    assert calls == [2 * 9 * n] and builds == [1]
+    assert built == []

@@ -16,7 +16,7 @@ from procshap.logic_encoder import (
     encode,
     parse_szs,
     run_prover,
-    value_via_prover,
+    values_via_prover,
 )
 from procshap.oracle import Property, PropertySpec, evaluate
 from procshap.process_tree import (
@@ -223,8 +223,8 @@ def test_unknown_policy_zero_warns(tmp_path):
     silent.write_text("print('no status')\n")
     config = ProverConfig(executable=sys.executable, extra_args=(str(silent),))
     tree = assign_node_ids(activity("a"))
-    warnings: list[str] = []
-    assert value_via_prover(tree, SAT, config, warn=warnings.append) == 0
+    [(value, warnings)] = values_via_prover([tree], SAT, config)
+    assert value == 0
     assert warnings and "Unknown" in warnings[0]
 
 
@@ -238,7 +238,7 @@ def test_unknown_policy_abort(tmp_path):
     )
     tree = assign_node_ids(activity("a"))
     with pytest.raises(ProverUnknownError):
-        value_via_prover(tree, SAT, config)
+        values_via_prover([tree], SAT, config)
 
 
 def test_value_via_prover_agrees_with_oracle():
@@ -251,15 +251,15 @@ def test_value_via_prover_agrees_with_oracle():
             coalition = Coalition(n, mask)
             cut = substitute(tree, coalition)
             for spec in (SAT, LIV, SAF):
-                assert value_via_prover(cut, spec, config) == evaluate(
-                    tree, coalition, spec
-                )
+                [(value, warnings)] = values_via_prover([cut], spec, config)
+                assert warnings == []
+                assert value == evaluate(tree, coalition, spec)
 
 
 def test_value_via_prover_dumps_problems(tmp_path):
     config = fake_prover_config(dump_dir=str(tmp_path / "problems"))
     tree = assign_node_ids(seq(activity("a"), activity("b")))
-    value_via_prover(tree, SAT, config)
+    values_via_prover([tree], SAT, config)
     dumped = list((tmp_path / "problems").glob("*.p"))
     assert len(dumped) == 1 and dumped[0].name.startswith("sat_")
 

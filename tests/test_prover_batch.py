@@ -21,7 +21,7 @@ from procshap.logic_encoder import (
     ProverUnknownError,
     emit_tptp,
     encode,
-    value_via_prover,
+    values_via_prover,
 )
 from procshap.oracle import (
     Property,
@@ -53,6 +53,7 @@ from procshap.shapley import (
 )
 
 from _corpus import corpus
+from _sampling_ref import verdicts_of
 from test_logic_encoder import FAKE_PROVER, fake_prover_config
 
 SAT = PropertySpec(Property.SAT)
@@ -153,7 +154,7 @@ def raw_keyed_game(tree, spec, prover: ProverConfig) -> Game:
     """The prover game as it was keyed before: one cache entry per raw mask."""
     cache = ValueCache()
     return Game(node_count(tree), lambda c: cache.get_or_compute(
-        c.mask, lambda: value_via_prover(substitute(tree, c), spec, prover)))
+        c.mask, lambda: values_via_prover([substitute(tree, c)], spec, prover)[0][0]))
 
 
 @pytest.mark.parametrize("method", ["mc", "rs"])
@@ -170,11 +171,12 @@ def test_sampling_on_prover_keys_cache_by_canonical_mask(tmp_path, method):
     game = raw_keyed_game(tree, SAT, prover)
     if method == "mc":
         raw, _ = mc_permutation_shapley(
-            game, permutations=10, seed=11, checkpoint_every=config.checkpoint_every,
-            epsilon=config.epsilon, min_permutations=10, monotone=True,
+            5, verdicts_of(game), permutations=10, seed=11,
+            checkpoint_every=config.checkpoint_every, epsilon=config.epsilon,
+            min_permutations=10, monotone=True,
         )
     else:
-        raw = rs_subset_shapley(game, samples_per_player=6, seed=11)
+        raw = rs_subset_shapley(5, verdicts_of(game), samples_per_player=6, seed=11)
     raw_calls = call_count(calls)
 
     assert by_index(tree, record) == raw.phi

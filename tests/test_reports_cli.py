@@ -146,6 +146,8 @@ def test_mc_ties_veto_players_for_sat_and_liv_only(running_example_tree):
     from procshap.process_tree import iter_nodes
     from procshap.shapley import Game, mc_permutation_shapley
 
+    from _sampling_ref import verdicts_of
+
     tree = running_example_tree
     ids = [node.node_id.text for node in iter_nodes(tree)]
     config = RunConfig(log_path="log.xes", method="mc", permutations=300,
@@ -160,8 +162,9 @@ def test_mc_ties_veto_players_for_sat_and_liv_only(running_example_tree):
         cache = ValueCache()
         game = Game(len(ids), lambda c: evaluate(tree, c, spec, cache))
         sampled, _ = mc_permutation_shapley(
-            game, permutations=300, seed=5, checkpoint_every=config.checkpoint_every,
-            epsilon=config.epsilon, min_permutations=300,
+            len(ids), verdicts_of(game), permutations=300, seed=5,
+            checkpoint_every=config.checkpoint_every, epsilon=config.epsilon,
+            min_permutations=300,
         )
         full = (1 << len(ids)) - 1
         veto = [i for i in range(len(ids))
@@ -263,6 +266,27 @@ def test_golden_report(running_example_file):
     assert report.to_json() == golden.read_text()
 
 
+@pytest.mark.parametrize("method", ["mc", "rs"])
+def test_golden_sampling_report(running_example_file, method):
+    config = RunConfig(
+        log_path=str(running_example_file),
+        noise_levels=(0.0, 1.0),
+        properties=(
+            PropertySpec(Property.SAT),
+            PropertySpec(Property.LIV),
+            PropertySpec(Property.SAF, safety_pair=SAF_PAIR),
+        ),
+        method=method,
+        permutations=600,
+        min_permutations=200,
+        samples_per_player=40,
+        seed=7,
+    )
+    report = run_matrix(config)
+    golden = Path(__file__).parent / "golden" / f"report_{method}.json"
+    assert report.to_json() == golden.read_text()
+
+
 def test_report_independent_of_log_location(
     tmp_path, monkeypatch, running_example_file
 ):
@@ -337,6 +361,33 @@ def test_cli_verify_full_and_cut(tmp_path, running_example_file, capsys):
                "--safety-pair", "pay compensation,reject request"])
     assert rc == 0
     assert "saf: 1" in capsys.readouterr().out
+
+
+def test_cli_verify_rejects_excluded_index_out_of_range(
+    tmp_path, running_example_file, capsys
+):
+    main(["mine", "--log", str(running_example_file), "--out", str(tmp_path)])
+    capsys.readouterr()
+    rc = main(["verify", "--tree", str(tmp_path / "tree.txt"), "--property", "sat",
+               "--exclude", "99"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: index 99 outside 0..13\n"
+    assert captured.out == ""
+
+
+def test_cli_verify_coalition_and_exclude_are_exclusive(
+    tmp_path, running_example_file, capsys
+):
+    main(["mine", "--log", str(running_example_file), "--out", str(tmp_path)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--tree", str(tmp_path / "tree.txt"), "--property", "sat",
+              "--coalition", "0,1", "--exclude", "2"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_verify_requires_pair(tmp_path, running_example_file):

@@ -24,6 +24,7 @@ from procshap.shapley import (
 )
 
 from _corpus import corpus, random_boolean_game_table, threshold_game_table
+from _sampling_ref import verdicts_of
 
 
 def table_game(table: dict[int, int], n: int) -> Game:
@@ -144,13 +145,14 @@ def test_symmetry_and_dummy_on_threshold_games():
 
 def test_mc_single_player_exact_after_one_permutation():
     game = Game(n=1, value=lambda c: int(c.mask == 1))
-    est, report = mc_permutation_shapley(game, permutations=1, seed=3)
+    est, report = mc_permutation_shapley(1, verdicts_of(game), permutations=1, seed=3)
     assert est.phi[0] == 1.0
     assert est.samples[0] == 1
 
 
 def test_mc_two_player_or_bound():
-    est, _ = mc_permutation_shapley(or_game(2), permutations=2000, seed=11)
+    game = or_game(2)
+    est, _ = mc_permutation_shapley(2, verdicts_of(game), permutations=2000, seed=11)
     assert abs(est.phi[0] - 0.5) <= 0.05
     assert abs(est.phi[1] - 0.5) <= 0.05
 
@@ -162,7 +164,8 @@ def test_mc_close_to_exact_on_8_player_games():
         game = table_game(table, 8)
         exact = exact_shapley(game).phi
         est, _ = mc_permutation_shapley(
-            game, permutations=5000, seed=100 + trial, min_permutations=5000
+            8, verdicts_of(game), permutations=5000, seed=100 + trial,
+            min_permutations=5000,
         )
         worst = max(abs(est.phi[i] - exact[i]) for i in range(8))
         assert worst <= 0.05
@@ -171,18 +174,19 @@ def test_mc_close_to_exact_on_8_player_games():
 def test_mc_deterministic_for_fixed_seed():
     table = random_boolean_game_table(random.Random(9), 6)
     game = table_game(table, 6)
-    first, rep1 = mc_permutation_shapley(game, permutations=500, seed=42)
-    second, rep2 = mc_permutation_shapley(game, permutations=500, seed=42)
+    verdicts = verdicts_of(game)
+    first, rep1 = mc_permutation_shapley(6, verdicts, permutations=500, seed=42)
+    second, rep2 = mc_permutation_shapley(6, verdicts, permutations=500, seed=42)
     assert first.phi == second.phi
     assert rep1.checkpoints == rep2.checkpoints
-    third, _ = mc_permutation_shapley(game, permutations=500, seed=43)
+    third, _ = mc_permutation_shapley(6, verdicts, permutations=500, seed=43)
     assert third.phi != first.phi
 
 
 def test_mc_early_stop_and_checkpoints():
     game = or_game(3)
     est, report = mc_permutation_shapley(
-        game,
+        game.n, verdicts_of(game),
         permutations=5000,
         seed=1,
         checkpoint_every=100,
@@ -201,7 +205,7 @@ def test_mc_unanimity_ties_exactly(n):
     for seed in (0, 1, 20_001):
         for permutations in (n, 2 * n + 1, 3000):
             est, _ = mc_permutation_shapley(
-                game, permutations=permutations, seed=seed,
+                game.n, verdicts_of(game), permutations=permutations, seed=seed,
                 min_permutations=permutations,
             )
             assert all(est.phi[i] == 1 / n for i in range(n))
@@ -214,7 +218,7 @@ def test_mc_efficiency_on_random_games():
         table = random_boolean_game_table(rng, n)
         game = table_game(table, n)
         est, _ = mc_permutation_shapley(
-            game, permutations=rng.randint(1, 400), seed=trial
+            game.n, verdicts_of(game), permutations=rng.randint(1, 400), seed=trial
         )
         total = sum(est.phi.values())
         assert abs(total - (table[(1 << n) - 1] - table[0])) <= 1e-12
@@ -240,8 +244,9 @@ def test_mc_monotone_ties_veto_players_exactly():
             for seed, permutations in ((0, n), (1, 3 * n + 1), (20_001, 200)):
                 kw = dict(permutations=permutations, seed=seed,
                           min_permutations=permutations)
-                sampled, _ = mc_permutation_shapley(game, **kw)
-                tied, report = mc_permutation_shapley(game, monotone=True, **kw)
+                sampled, _ = mc_permutation_shapley(n, verdicts_of(game), **kw)
+                tied, report = mc_permutation_shapley(
+                    n, verdicts_of(game), monotone=True, **kw)
                 assert tied.samples == sampled.samples
                 assert report.checkpoints[-1][1] == sampled.phi
                 assert len({tied.phi[i] for i in veto}) <= 1
@@ -262,8 +267,9 @@ def test_mc_monotone_flag_leaves_games_without_veto_players():
     either = or_game(n)
     for game in (never, either):
         kw = dict(permutations=50, seed=3, min_permutations=50)
-        assert (mc_permutation_shapley(game, monotone=True, **kw)[0].phi
-                == mc_permutation_shapley(game, **kw)[0].phi)
+        verdicts = verdicts_of(game)
+        assert (mc_permutation_shapley(n, verdicts, monotone=True, **kw)[0].phi
+                == mc_permutation_shapley(n, verdicts, **kw)[0].phi)
 
 
 def test_mc_samples_are_whole_rotation_blocks():
@@ -271,7 +277,7 @@ def test_mc_samples_are_whole_rotation_blocks():
         game = or_game(n)
         for permutations in (1, 4, 10, 101, 250):
             est, report = mc_permutation_shapley(
-                game, permutations=permutations, seed=5,
+                game.n, verdicts_of(game), permutations=permutations, seed=5,
                 checkpoint_every=10, min_permutations=permutations,
             )
             done = est.samples[0]
@@ -285,12 +291,13 @@ def test_mc_samples_are_whole_rotation_blocks():
 
 def test_rs_single_player_is_exact():
     game = Game(n=1, value=lambda c: int(c.mask == 1))
-    est = rs_subset_shapley(game, samples_per_player=5, seed=0)
+    est = rs_subset_shapley(game.n, verdicts_of(game), samples_per_player=5, seed=0)
     assert est.phi[0] == 1.0
 
 
 def test_rs_matches_shapley_weights_at_n2():
-    est = rs_subset_shapley(or_game(2), samples_per_player=4000, seed=21)
+    game = or_game(2)
+    est = rs_subset_shapley(2, verdicts_of(game), samples_per_player=4000, seed=21)
     assert abs(est.phi[0] - 0.5) <= 0.05
     assert abs(est.phi[1] - 0.5) <= 0.05
 
@@ -300,7 +307,7 @@ def test_rs_bias_on_asymmetric_game():
     # concentrates on E[v(S+i) - v(S)] = 1/2^5, far from phi = 1/6.
     game = unanimity_game(6)
     exact = exact_shapley(game).phi
-    est = rs_subset_shapley(game, samples_per_player=2000, seed=8)
+    est = rs_subset_shapley(game.n, verdicts_of(game), samples_per_player=2000, seed=8)
     bias = max(abs(est.phi[i] - exact[i]) for i in range(6))
     assert bias > 0.05
     assert est.phi[0] < 0.1  # concentrated near 1/32, not 1/6
@@ -308,8 +315,8 @@ def test_rs_bias_on_asymmetric_game():
 
 def test_rs_deterministic_for_fixed_seed():
     game = or_game(4)
-    first = rs_subset_shapley(game, samples_per_player=50, seed=5)
-    second = rs_subset_shapley(game, samples_per_player=50, seed=5)
+    first = rs_subset_shapley(game.n, verdicts_of(game), samples_per_player=50, seed=5)
+    second = rs_subset_shapley(game.n, verdicts_of(game), samples_per_player=50, seed=5)
     assert first.phi == second.phi
 
 
@@ -332,7 +339,7 @@ def test_argmax_stability_against_exact():
             continue
         checked += 1
         est, _ = mc_permutation_shapley(
-            game, permutations=5000, seed=77, min_permutations=5000
+            game.n, verdicts_of(game), permutations=5000, seed=77, min_permutations=5000
         )
         assert max(est.phi, key=est.phi.get) == max(exact, key=exact.get)
     assert checked >= 1
