@@ -19,7 +19,6 @@ from procshap import (
     evaluate,
     node_count,
     substitute,
-    trace_language,
     tree_to_text,
 )
 from procshap.datasets import load_running_example
@@ -59,14 +58,9 @@ skip = PropertySpec(Property.SAT, mode=TauMode.SKIP)
 print(f"  sat in skip mode = {evaluate(tree, Coalition.empty(n), skip)} "
       f"(degenerate by design)")
 
-# The bounded trace language grounds these verdicts.
-small = Coalition.of(n, {0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12})
-lang = trace_language(substitute(tree, small), bound=1)
-print(f"\n{len(lang)} traces for one coalition at loop bound 1; shortest:")
-print(" ", min(sorted(lang), key=len))
-
 # Every coalition also has a propositional encoding in TPTP syntax for
 # external provers.
+small = Coalition.of(n, {0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12})
 problem = emit_tptp(encode(substitute(tree, small), sat), "demo")
 print(f"\nTPTP encoding ({problem.count(chr(10))} lines), first lines:")
 print("\n".join(problem.splitlines()[:5]))

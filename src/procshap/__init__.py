@@ -19,9 +19,7 @@ from .diagnostics import (
 )
 from .event_log import (
     DirectlyFollowsGraph,
-    Event,
     EventLog,
-    Trace,
     XesParseError,
     build_dfg,
     parse_xes,
@@ -46,7 +44,6 @@ from .oracle import (
 )
 from .process_tree import (
     Coalition,
-    LanguageSizeError,
     NodeId,
     Op,
     ProcessTree,
@@ -61,7 +58,6 @@ from .process_tree import (
     seq,
     substitute,
     tau,
-    trace_language,
     tree_from_text,
     tree_to_text,
     xor,

@@ -59,12 +59,18 @@ CONFIG_KEYS = {
 }
 
 
+def _parse_noise(text: str) -> float:
+    try:
+        level = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"noise {text!r} is not a number") from None
+    if not 0.0 <= level <= 1.0:
+        raise argparse.ArgumentTypeError(f"noise {level} outside [0, 1]")
+    return level
+
+
 def _parse_noise_list(text: str) -> tuple[float, ...]:
-    levels = tuple(float(x) for x in text.split(","))
-    for level in levels:
-        if not 0.0 <= level <= 1.0:
-            raise argparse.ArgumentTypeError(f"noise {level} outside [0, 1]")
-    return levels
+    return tuple(_parse_noise(x) for x in text.split(","))
 
 
 def _parse_pair(text: str) -> tuple[str, str]:
@@ -138,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="discover a process tree from a log")
     p.add_argument("--log", required=True)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_parse_noise, default=0.0)
     p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("--out", default=None, metavar="DIR")
 
@@ -156,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attribute", help="attribution for one configuration")
     p.add_argument("--log", required=True)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_parse_noise, default=0.0)
     p.add_argument("--property", default="sat")
     p.add_argument("--safety-pair", type=_parse_pair, default=None, metavar="A,B")
     p.add_argument("--out", default=None, metavar="DIR")

@@ -51,9 +51,6 @@ class Classification:
             out[c.label] += 1
         return out
 
-    def harmful_nodes(self) -> list[Hashable]:
-        return [k for k, c in self.classes.items() if c.harmful]
-
 
 def classify(
     values: Mapping[Hashable, float], config: DiagnosticsConfig = DiagnosticsConfig()

@@ -1,24 +1,23 @@
 """XES event log parsing and directly-follows statistics.
 
-``parse_xes`` reads the document in one ``xml.parsers.expat`` pass, keeping
-only what the pipeline uses; no element tree is built.  The XES subset it
-reads:
+An ``EventLog`` is a multiset of activity sequences: each distinct
+sequence (variant) with its number of traces.  That is all the miner
+reads, so case ids, timestamps and trace order are not kept.
+
+``parse_xes`` reads the document in one ``xml.parsers.expat`` pass; no
+element tree is built.  The XES subset it reads:
 
 - ``<trace>`` and ``<event>`` elements, at any depth and under any
   namespace (default or prefixed); other elements are skipped.
 - An event's activity is the value of a ``<string>`` whose key is the
-  classifier key (default ``concept:name``), its timestamp a ``<date>``
-  keyed ``time:timestamp``.  Nested attributes count where they close, so
-  the last matching one to close wins.
-- A trace's case id is the first ``<string key="concept:name">`` closing
-  inside the trace but outside its events, whether before or after them;
-  without one the trace is ``case_<index>``.
-- ``<global>``, extension, classifier and log-level attributes are ignored,
-  and so are lifecycle transitions.
+  classifier key (default ``concept:name``).  Nested attributes count
+  where they close, so the last matching one to close wins.
+- ``<global>``, extension, classifier, trace-level and log-level
+  attributes are ignored, and so are lifecycle transitions.
 - gzip compression is detected by its magic bytes.
 
-``dfg_from_sequences`` counts a sub-log given either as sequences or as a
-variant -> count mapping, so the miner can carry each distinct variant once.
+``dfg_from_sequences`` counts a sub-log given as a variant -> count
+mapping, so the miner handles each distinct variant once.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import os
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Mapping, Union
+from typing import BinaryIO, Mapping, Union
 from xml.parsers import expat
 
 Source = Union[str, "os.PathLike[str]", bytes, BinaryIO]
@@ -46,38 +45,22 @@ class XesParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Event:
-    activity: str
-    timestamp: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.activity:
-            raise ValueError("event activity must be non-empty")
-
-
-@dataclass(frozen=True)
-class Trace:
-    case_id: str
-    events: tuple[Event, ...] = ()
-
-    def activities(self) -> tuple[str, ...]:
-        return tuple(e.activity for e in self.events)
+Variants = Counter[tuple[str, ...]]  # activity sequence -> occurrences
 
 
 @dataclass(frozen=True)
 class EventLog:
-    traces: tuple[Trace, ...] = ()
+    """Each distinct activity sequence with its number of traces, in the
+    order the sequences first occur in the document."""
+
+    variants: Variants = field(default_factory=Counter)
 
     @property
     def alphabet(self) -> frozenset[str]:
-        return frozenset(e.activity for t in self.traces for e in t.events)
-
-    def activity_sequences(self) -> list[tuple[str, ...]]:
-        return [t.activities() for t in self.traces]
+        return frozenset(a for seq in self.variants for a in seq)
 
     def __len__(self) -> int:
-        return len(self.traces)
+        return sum(self.variants.values())
 
 
 @dataclass
@@ -124,59 +107,49 @@ def _localname(tag: str) -> str:
 def parse_xes(source: Source, classifier_key: str = "concept:name") -> EventLog:
     """Parse an XES document (optionally gzip-compressed) into an EventLog.
 
-    One Trace per ``<trace>`` element in document order; one Event per
-    ``<event>``, its activity taken from the string attribute named
-    *classifier_key*.  Events missing that attribute are rejected.  A path
-    is opened and closed here; a stream passed in is left open.
+    Each ``<trace>`` element adds its activity sequence, one activity per
+    ``<event>``, taken from the string attribute named *classifier_key*.
+    Events missing that attribute are rejected.  A path is opened and
+    closed here; a stream passed in is left open.
     """
 
-    traces: list[Trace] = []
-    events: list[Event] = []
-    case_id: str | None = None
+    variants: Variants = Counter()
+    events: list[str] = []
     activity: str | None = None
-    timestamp: str | None = None
-    in_trace = in_event = False
-    # (key, value) of each open <string>/<date>: an attribute counts when
-    # it closes, with the event/trace state at that point.
-    attributes: list[tuple[str | None, str | None]] = []
+    in_event = False
+    # (key, value) of each open <string>: an attribute counts when it
+    # closes, with the event state at that point.
+    strings: list[tuple[str | None, str | None]] = []
     localnames: dict[str, str] = {}
 
     def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal case_id, events, activity, timestamp, in_trace, in_event
+        nonlocal activity, in_event
         tag = localnames.get(name) or localnames.setdefault(name, _localname(name))
-        if tag == "string" or tag == "date":
-            attributes.append((attrs.get("key"), attrs.get("value")))
+        if tag == "string":
+            strings.append((attrs.get("key"), attrs.get("value")))
         elif tag == "event":
             in_event = True
-            activity = timestamp = None
+            activity = None
         elif tag == "trace":
-            in_trace = True
-            case_id = None
-            events = []
+            events.clear()
 
     def end(name: str) -> None:
-        nonlocal case_id, activity, timestamp, in_trace, in_event
+        nonlocal activity, in_event
         tag = localnames[name]
-        if tag == "string" or tag == "date":
-            key, value = attributes.pop()
-            if in_event:
-                if tag == "string" and key == classifier_key:
-                    activity = value
-                elif tag == "date" and key == "time:timestamp":
-                    timestamp = value
-            elif in_trace and tag == "string" and key == "concept:name" and case_id is None:
-                case_id = value
+        if tag == "string":
+            key, value = strings.pop()
+            if in_event and key == classifier_key:
+                activity = value
         elif tag == "event":
             in_event = False
             if not activity:
                 raise XesParseError(
                     f"event without string attribute {classifier_key!r} "
-                    f"in trace {len(traces)}"
+                    f"in trace {sum(variants.values())}"
                 )
-            events.append(Event(activity, timestamp))
+            events.append(activity)
         elif tag == "trace":
-            in_trace = False
-            traces.append(Trace(case_id or f"case_{len(traces)}", tuple(events)))
+            variants[tuple(events)] += 1
 
     parser = expat.ParserCreate(namespace_separator="}")
     parser.StartElementHandler = start
@@ -189,29 +162,22 @@ def parse_xes(source: Source, classifier_key: str = "concept:name") -> EventLog:
             raise XesParseError(
                 f"malformed XES XML: {expat.ErrorString(exc.code)}", exc.lineno, exc.offset
             ) from exc
-    return EventLog(traces=tuple(traces))
+    return EventLog(variants)
 
 
 def build_dfg(log: EventLog) -> DirectlyFollowsGraph:
     """Count adjacent activity pairs, trace starts/ends and totals."""
-    return dfg_from_sequences(log.activity_sequences())
+    return dfg_from_sequences(log.variants)
 
 
-def dfg_from_sequences(
-    sequences: Iterable[tuple[str, ...]] | Mapping[tuple[str, ...], int],
-) -> DirectlyFollowsGraph:
-    """Directly-follows counts of a sub-log.  *sequences* is either an
-    iterable of activity sequences, each occurrence counting once, or a
-    mapping from variant to its number of occurrences."""
-    if isinstance(sequences, Mapping):
-        weighted = sequences.items()
-    else:
-        weighted = ((seq, 1) for seq in sequences)
+def dfg_from_sequences(sequences: Mapping[tuple[str, ...], int]) -> DirectlyFollowsGraph:
+    """Directly-follows counts of a sub-log, given as a mapping from each
+    variant to its number of occurrences."""
     edges: Counter = Counter()
     starts: Counter = Counter()
     ends: Counter = Counter()
     acts: Counter = Counter()
-    for seq, count in weighted:
+    for seq, count in sequences.items():
         if seq:
             starts[seq[0]] += count
             ends[seq[-1]] += count

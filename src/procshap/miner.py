@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .event_log import DirectlyFollowsGraph, EventLog, dfg_from_sequences
+from .event_log import DirectlyFollowsGraph, EventLog, Variants, dfg_from_sequences
 from .process_tree import (
     ProcessTree,
     activity,
@@ -31,8 +31,6 @@ from .process_tree import (
     tau,
     xor,
 )
-
-Variants = Counter[tuple[str, ...]]  # activity sequence -> occurrences
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ def filter_dfg(dfg: DirectlyFollowsGraph, noise: float) -> DirectlyFollowsGraph:
 
 def discover(log: EventLog, config: MinerConfig = MinerConfig()) -> ProcessTree:
     """Mine a process tree and assign preorder node ids."""
-    tree = _discover(Counter(log.activity_sequences()), config, depth=0)
+    tree = _discover(log.variants, config, depth=0)
     return assign_node_ids(tree)
 
 

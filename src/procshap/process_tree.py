@@ -1,5 +1,5 @@
 """Hierarchical process trees: operators, node identities, coalition
-substitution and bounded trace semantics.
+substitution, the debug text format and DOT export.
 
 A tree node is either an operator (Seq, Xor, And, Loop), an activity leaf,
 or a silent tau leaf.  Tau leaves come in two flavors: *mined* taus that
@@ -77,11 +77,6 @@ class ProcessTree:
         if self.is_activity:
             return self.label  # type: ignore[return-value]
         return "tau"
-
-    def describe(self) -> str:
-        if self.node_id is not None:
-            return self.node_id.text
-        return self.kind_label()
 
 
 def seq(*children: ProcessTree) -> ProcessTree:
@@ -214,97 +209,6 @@ def canonical_mask(tree: ProcessTree, mask: int) -> int:
     return walk(tree)
 
 
-class LanguageSizeError(RuntimeError):
-    """Raised when a bounded trace language exceeds the explosion guard."""
-
-
-def _checked(traces: set, guard: int, node: ProcessTree) -> set:
-    if len(traces) > guard:
-        raise LanguageSizeError(
-            f"trace language of node {node.describe()} exceeds guard of {guard}"
-        )
-    return traces
-
-
-def _shuffle_pair(u: tuple, v: tuple) -> set:
-    if not u:
-        return {v}
-    if not v:
-        return {u}
-    return {(u[0],) + rest for rest in _shuffle_pair(u[1:], v)} | {
-        (v[0],) + rest for rest in _shuffle_pair(u, v[1:])
-    }
-
-
-def trace_language(
-    tree: ProcessTree,
-    bound: int = 1,
-    mode: TauMode = TauMode.BLOCKED,
-    guard: int = 10**6,
-) -> frozenset[tuple[str, ...]]:
-    """Bounded trace semantics: the set of activity sequences the tree can
-    produce with loops unrolled up to *bound* redo iterations.
-
-    Removed taus contribute the empty trace in ``skip`` mode and nothing
-    (no completing run) in ``blocked`` mode.
-    """
-
-    if bound < 0:
-        raise ValueError("loop bound must be >= 0")
-
-    def lang(node: ProcessTree) -> set:
-        if node.is_leaf:
-            if node.removed:
-                return {()} if mode is TauMode.SKIP else set()
-            if node.is_activity:
-                return {(node.label,)}
-            return {()}
-        if node.op is Op.SEQ:
-            acc = {()}
-            for child in node.children:
-                cl = lang(child)
-                acc = _checked({u + v for u in acc for v in cl}, guard, node)
-                if not acc:
-                    return acc
-            return acc
-        if node.op is Op.XOR:
-            acc: set = set()
-            for child in node.children:
-                acc = _checked(acc | lang(child), guard, node)
-            return acc
-        if node.op is Op.AND:
-            acc = {()}
-            for child in node.children:
-                cl = lang(child)
-                merged: set = set()
-                for u in acc:
-                    for v in cl:
-                        merged |= _shuffle_pair(u, v)
-                        if len(merged) > guard:
-                            raise LanguageSizeError(
-                                f"trace language of node {node.describe()} exceeds "
-                                f"guard of {guard}"
-                            )
-                acc = merged
-                if not acc:
-                    return acc
-            return acc
-        # Loop(do, redo): do (redo do)^j for j = 0..bound
-        do, redo = (lang(c) for c in node.children)
-        acc = set(do)
-        tails = {()}
-        for _ in range(bound):
-            tails = _checked(
-                {t + r + d for t in tails for r in redo for d in do}, guard, node
-            )
-            acc = _checked(acc | {d + t for d in do for t in tails}, guard, node)
-            if not tails:
-                break
-        return acc
-
-    return frozenset(lang(tree))
-
-
 def tree_to_text(tree: ProcessTree) -> str:
     """Line-based debug serialization, one node per line, two-space indent."""
 
@@ -336,7 +240,9 @@ def tree_from_text(text: str) -> ProcessTree:
         indent = len(raw) - len(stripped)
         if indent % 2:
             raise ValueError(f"line {lineno}: odd indentation")
-        entries.append((indent // 2, stripped.rstrip()))
+        # An activity label is kept exactly as written, spaces included.
+        head = stripped if stripped.startswith("act ") else stripped.rstrip()
+        entries.append((indent // 2, head))
     if not entries:
         raise ValueError("empty tree text")
 
@@ -407,11 +313,12 @@ def export_dot(
     for node in nodes:
         nid = node.node_id
         phi = values.get(nid.text)
+        text = nid.text.replace("\\", "\\\\").replace('"', '\\"')
         if phi is None:
-            label = nid.text
+            label = text
             fill = "#ffffff"
         else:
-            label = f"{nid.text}\\n{phi:.3f}"
+            label = f"{text}\\n{phi:.3f}"
             fill = _color(phi, lo, hi)
         lines.append(f'  n{nid.index} [label="{label}", fillcolor="{fill}"];')
     for node in nodes:

@@ -266,7 +266,7 @@ def run_matrix(config: RunConfig) -> AttributionReport:
     or liv's sat gate asks for them."""
 
     log = parse_xes(config.log_path)
-    if not log.traces:
+    if not log.variants:
         raise ValueError(f"event log {config.log_path} has no traces")
     trees: dict[float, ProcessTree] = {}
     mining_errors: dict[float, str] = {}

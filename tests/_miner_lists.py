@@ -3,13 +3,16 @@
 is checked against.
 
 Every sub-log is a plain list holding one sequence per trace, duplicates
-included.  The cuts, the noise filter and the flower fallback are the
-package's own, so the two differ only in how sub-logs are carried.
+included, and ``dfg_of_traces`` counts it one trace at a time.  The cuts,
+the noise filter and the flower fallback are the package's own, so the two
+differ only in how sub-logs are carried.
 """
 
 from __future__ import annotations
 
-from procshap.event_log import EventLog, dfg_from_sequences
+from collections import Counter
+
+from procshap.event_log import DirectlyFollowsGraph
 from procshap.miner import (
     MinerConfig,
     _flower,
@@ -33,8 +36,29 @@ from procshap.process_tree import (
 Sequences = list[tuple[str, ...]]
 
 
-def discover_lists(log: EventLog, config: MinerConfig = MinerConfig()) -> ProcessTree:
-    return assign_node_ids(_discover(log.activity_sequences(), config, depth=0))
+def discover_lists(sequences: Sequences, config: MinerConfig = MinerConfig()) -> ProcessTree:
+    return assign_node_ids(_discover(list(sequences), config, depth=0))
+
+
+def dfg_of_traces(sequences: Sequences) -> DirectlyFollowsGraph:
+    """Directly-follows counts of a trace list, each occurrence counting
+    once."""
+    edges: Counter = Counter()
+    starts: Counter = Counter()
+    ends: Counter = Counter()
+    acts: Counter = Counter()
+    for seq in sequences:
+        if seq:
+            starts[seq[0]] += 1
+            ends[seq[-1]] += 1
+        acts.update(seq)
+        edges.update(zip(seq, seq[1:]))
+    return DirectlyFollowsGraph(
+        edge_freq=dict(edges),
+        start_freq=dict(starts),
+        end_freq=dict(ends),
+        activity_freq=dict(acts),
+    )
 
 
 def _discover(sequences: Sequences, config: MinerConfig, depth: int) -> ProcessTree:
@@ -54,7 +78,7 @@ def _discover(sequences: Sequences, config: MinerConfig, depth: int) -> ProcessT
     if depth >= config.max_depth:
         return _flower(alphabet)
 
-    dfg = filter_dfg(dfg_from_sequences(nonempty), config.noise)
+    dfg = filter_dfg(dfg_of_traces(nonempty), config.noise)
 
     groups = _xor_cut(alphabet, dfg)
     if groups:

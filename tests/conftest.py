@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from procshap.datasets import load_running_example, running_example_path
-from procshap.event_log import Event, EventLog, Trace
+from procshap.event_log import EventLog
 from procshap.miner import MinerConfig, discover
 
 from _xes_etree import dump_xes
@@ -27,12 +29,7 @@ def running_example_tree(running_example_log):
 @pytest.fixture
 def tiny_log_file(tmp_path):
     # mines to seq(a, xor(b, c)): 5 nodes, small enough for the fake prover
-    log = EventLog(
-        traces=(
-            Trace("1", (Event("a"), Event("b"))),
-            Trace("2", (Event("a"), Event("c"))),
-        )
-    )
+    log = EventLog(Counter([("a", "b"), ("a", "c")]))
     path = tmp_path / "tiny.xes"
     path.write_bytes(dump_xes(log))
     return path

@@ -20,6 +20,7 @@ from procshap.event_log import (
     parse_xes,
 )
 
+from _miner_lists import dfg_of_traces
 from _xes_etree import dump_xes, parse_xes_etree
 
 MINIMAL = b"""<?xml version="1.0"?>
@@ -36,8 +37,7 @@ MINIMAL = b"""<?xml version="1.0"?>
 def test_parse_minimal_document():
     log = parse_xes(MINIMAL)
     assert len(log) == 1
-    assert log.traces[0].activities() == ("a", "b")
-    assert log.traces[0].case_id == "t1"
+    assert list(log.variants.items()) == [(("a", "b"), 1)]
     assert log.alphabet == {"a", "b"}
 
 
@@ -47,7 +47,7 @@ def test_parse_running_example(running_example_file):
     # 6 traces, 42 events, 8 distinct activities.
     log = parse_xes(running_example_file)
     assert len(log) == 6
-    assert sum(len(t.events) for t in log.traces) == 42
+    assert sum(len(s) * count for s, count in log.variants.items()) == 42
     assert len(log.alphabet) == 8
     assert "register request" in log.alphabet
 
@@ -123,7 +123,7 @@ def test_custom_classifier_key():
       <event><string key="action" value="ship"/></event>
     </trace></log>"""
     log = parse_xes(doc, classifier_key="action")
-    assert log.traces[0].activities() == ("ship",)
+    assert list(log.variants) == [("ship",)]
 
 
 def test_namespaced_document():
@@ -138,17 +138,25 @@ def test_roundtrip_through_dump(running_example_file):
     assert parse_xes(dump_xes(log)) == log
 
 
-def test_timestamps_carried(running_example_file):
-    log = parse_xes(running_example_file)
-    first = log.traces[0].events[0]
-    assert first.timestamp is not None and first.timestamp.startswith("2010-12-31")
+def test_event_with_empty_activity_names_trace():
+    doc = b"""<log>
+      <trace><event><string key="concept:name" value="a"/></event></trace>
+      <trace><event><string key="concept:name" value=""/></event></trace>
+    </log>"""
+    with pytest.raises(XesParseError, match="in trace 1"):
+        parse_xes(doc)
 
 
-def test_event_requires_activity():
-    from procshap.event_log import Event
-
-    with pytest.raises(ValueError):
-        Event(activity="")
+def test_variants_count_traces_in_first_seen_order():
+    doc = b"""<log>""" + b"".join(
+        b"<trace>" + b"".join(
+            b'<event><string key="concept:name" value="%s"/></event>' % a for a in trace
+        ) + b"</trace>"
+        for trace in ([b"b"], [b"a", b"b"], [b"b"], [], [b"a", b"b"], [b"b"])
+    ) + b"</log>"
+    log = parse_xes(doc)
+    assert list(log.variants.items()) == [(("b",), 3), (("a", "b"), 2), ((), 1)]
+    assert len(log) == 6
 
 
 def test_build_dfg_weighted_counts():
@@ -160,7 +168,7 @@ def test_build_dfg_weighted_counts():
 
 
 def test_build_dfg_counts():
-    dfg = dfg_from_sequences([("a", "b"), ("a", "c")])
+    dfg = dfg_from_sequences(Counter([("a", "b"), ("a", "c")]))
     assert dfg.edge_freq == {("a", "b"): 1, ("a", "c"): 1}
     assert dfg.start_freq == {"a": 2}
     assert dfg.end_freq == {"b": 1, "c": 1}
@@ -173,7 +181,7 @@ def test_build_dfg_empty_log():
 
 
 def test_build_dfg_self_loop():
-    dfg = dfg_from_sequences([("a", "a", "a")])
+    dfg = dfg_from_sequences(Counter([("a", "a", "a")]))
     assert dfg.edge_freq == {("a", "a"): 2}
     assert dfg.start_freq == {"a": 1} and dfg.end_freq == {"a": 1}
 
@@ -184,7 +192,7 @@ def test_build_dfg_self_loop():
     )
 )
 def test_dfg_invariants_on_random_logs(sequences):
-    dfg = dfg_from_sequences(sequences)
+    dfg = dfg_from_sequences(Counter(sequences))
     assert sum(dfg.edge_freq.values()) == sum(
         max(len(s) - 1, 0) for s in sequences
     )
@@ -199,7 +207,7 @@ def test_dfg_invariants_on_random_logs(sequences):
     )
 )
 def test_dfg_of_variant_counts_equals_dfg_of_sequences(sequences):
-    assert dfg_from_sequences(Counter(sequences)) == dfg_from_sequences(sequences)
+    assert dfg_from_sequences(Counter(sequences)) == dfg_of_traces(sequences)
 
 
 # --- expat reader against the ElementTree reference -----------------------
@@ -273,7 +281,7 @@ def xes_documents(draw) -> bytes:
 
 def _outcome(parse, source):
     try:
-        return parse(source)
+        return list(parse(source).variants.items())
     except XesParseError as exc:
         return ("error", str(exc), exc.line, exc.column)
 
@@ -295,4 +303,6 @@ def test_truncated_documents_fail_alike(doc, data):
 
 
 def test_parse_xes_equals_etree_reference_on_bundled_log(running_example_file):
-    assert parse_xes(running_example_file) == parse_xes_etree(running_example_file)
+    assert _outcome(parse_xes, running_example_file) == _outcome(
+        parse_xes_etree, running_example_file
+    )

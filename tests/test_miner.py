@@ -1,44 +1,40 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procshap.event_log import EventLog, Trace, Event, dfg_from_sequences
+from procshap.event_log import EventLog, dfg_from_sequences
 from procshap.miner import MinerConfig, discover, filter_dfg
 from procshap.process_tree import (
     Op,
     iter_nodes,
     node_count,
-    trace_language,
     tree_to_text,
 )
 
 from _corpus import distinct_label_tree, random_tree
+from _language import trace_language
 from _miner_lists import discover_lists
 
 NOISE_LEVELS = (0.0, 0.1, 0.25, 0.5, 1.0)
 
 
 def log_of(*sequences: tuple[str, ...]) -> EventLog:
-    return EventLog(
-        traces=tuple(
-            Trace(case_id=str(i), events=tuple(Event(a) for a in s))
-            for i, s in enumerate(sequences)
-        )
-    )
+    return EventLog(Counter(sequences))
 
 
 def test_filter_removes_weak_edges():
-    dfg = dfg_from_sequences([])
+    dfg = dfg_from_sequences(Counter())
     dfg.edge_freq = {("a", "b"): 10, ("a", "c"): 1}
     out = filter_dfg(dfg, 0.2)
     assert out.edge_freq == {("a", "b"): 10}
 
 
 def test_filter_noise_zero_is_identity():
-    dfg = dfg_from_sequences([("a", "b"), ("a", "c"), ("b", "c")])
+    dfg = dfg_from_sequences(Counter([("a", "b"), ("a", "c"), ("b", "c")]))
     out = filter_dfg(dfg, 0.0)
     assert out.edge_freq == dfg.edge_freq
     assert out.start_freq == dfg.start_freq
@@ -46,7 +42,7 @@ def test_filter_noise_zero_is_identity():
 
 
 def test_filter_noise_one_keeps_only_maxima():
-    dfg = dfg_from_sequences([])
+    dfg = dfg_from_sequences(Counter())
     dfg.edge_freq = {("a", "b"): 3, ("a", "c"): 1, ("b", "a"): 2, ("b", "c"): 2}
     out = filter_dfg(dfg, 1.0)
     assert out.edge_freq == {("a", "b"): 3, ("b", "a"): 2, ("b", "c"): 2}
@@ -54,7 +50,7 @@ def test_filter_noise_one_keeps_only_maxima():
 
 def test_filter_applies_to_start_end_multisets():
     dfg = dfg_from_sequences(
-        [("a", "x"), ("a", "x"), ("a", "x"), ("b", "y")]
+        Counter([("a", "x"), ("a", "x"), ("a", "x"), ("b", "y")])
     )
     out = filter_dfg(dfg, 0.5)
     assert out.start_freq == {"a": 3}  # b:1 < 0.5 * 3
@@ -62,7 +58,7 @@ def test_filter_applies_to_start_end_multisets():
 
 
 def test_filter_preserves_activity_totals():
-    dfg = dfg_from_sequences([("a", "b"), ("a", "c")])
+    dfg = dfg_from_sequences(Counter([("a", "b"), ("a", "c")]))
     out = filter_dfg(dfg, 1.0)
     assert out.activity_freq == dfg.activity_freq
 
@@ -124,19 +120,14 @@ def test_depth_guard_yields_flower():
     ]
     assert flowers
     lang = trace_language(tree, bound=4)
-    assert all(s in lang for s in log.activity_sequences())
+    assert all(s in lang for s in log.variants)
 
 
 def test_block_structure_invariants():
     rng = random.Random(42)
     for _ in range(30):
         tree = distinct_label_tree(rng, depth=3)
-        log = EventLog(
-            traces=tuple(
-                Trace(case_id=str(i), events=tuple(Event(a) for a in s))
-                for i, s in enumerate(sorted(trace_language(tree, bound=0)))
-            )
-        )
+        log = log_of(*sorted(trace_language(tree, bound=0)))
         mined = discover(log)
         for node in iter_nodes(mined):
             if node.op is Op.LOOP:
@@ -160,7 +151,7 @@ def test_rediscovery_language_equality(seed):
 def test_fitness_at_zero_noise(running_example_log):
     tree = discover(running_example_log, MinerConfig(noise=0.0))
     lang = trace_language(tree, bound=3)
-    for s in running_example_log.activity_sequences():
+    for s in running_example_log.variants:
         assert s in lang
 
 
@@ -210,11 +201,12 @@ def test_miner_config_validation():
 # --- variant -> count discovery against the trace-list reference ----------
 
 
-def assert_mines_like_trace_lists(log: EventLog, max_depth: int = 64) -> None:
+def assert_mines_like_trace_lists(sequences: list, max_depth: int = 64) -> None:
+    log = log_of(*sequences)
     for noise in NOISE_LEVELS:
         config = MinerConfig(noise=noise, max_depth=max_depth)
         assert tree_to_text(discover(log, config)) == tree_to_text(
-            discover_lists(log, config)
+            discover_lists(sequences, config)
         ), (noise, max_depth)
 
 
@@ -224,7 +216,7 @@ def assert_mines_like_trace_lists(log: EventLog, max_depth: int = 64) -> None:
 )
 @settings(max_examples=150, deadline=None)
 def test_variant_counts_mine_like_trace_lists(sequences, max_depth):
-    assert_mines_like_trace_lists(log_of(*sequences), max_depth)
+    assert_mines_like_trace_lists(sequences, max_depth)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 60))
@@ -235,9 +227,8 @@ def test_variant_counts_mine_like_trace_lists_on_tree_logs(seed, traces):
     rng = random.Random(seed)
     tree = random_tree(rng, max_nodes=12, allow_taus=False)
     language = sorted(trace_language(tree, bound=1, guard=10**4))
-    log = log_of(*(rng.choice(language) for _ in range(traces)))
-    assert_mines_like_trace_lists(log)
+    assert_mines_like_trace_lists([rng.choice(language) for _ in range(traces)])
 
 
 def test_variant_counts_mine_like_trace_lists_on_bundled_log(running_example_log):
-    assert_mines_like_trace_lists(running_example_log)
+    assert_mines_like_trace_lists(list(running_example_log.variants.elements()))

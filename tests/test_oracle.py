@@ -23,11 +23,11 @@ from procshap.process_tree import (
     seq,
     substitute,
     tau,
-    trace_language,
     xor,
 )
 
 from _corpus import commitment_run, corpus, iter_commitments
+from _language import trace_language
 
 SAT = PropertySpec(Property.SAT)
 LIV = PropertySpec(Property.LIV)

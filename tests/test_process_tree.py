@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from procshap.process_tree import (
     Coalition,
-    LanguageSizeError,
     Op,
     TauMode,
     activity,
@@ -20,13 +19,13 @@ from procshap.process_tree import (
     seq,
     substitute,
     tau,
-    trace_language,
     tree_from_text,
     tree_to_text,
     xor,
 )
 
 from _corpus import corpus
+from _language import LanguageSizeError, trace_language
 
 
 def ids(tree) -> list[str]:
@@ -140,6 +139,13 @@ def test_debug_text_roundtrip():
         assert tree_from_text(tree_to_text(tree)) == tree
 
 
+def test_debug_text_keeps_spaces_in_labels():
+    tree = assign_node_ids(
+        seq(activity(" a"), activity("a "), xor(activity("  b  "), activity("c\t")))
+    )
+    assert tree_from_text(tree_to_text(tree)) == tree
+
+
 def test_debug_text_rejects_garbage():
     with pytest.raises(ValueError):
         tree_from_text("wat\n")
@@ -165,6 +171,13 @@ def test_export_dot_missing_nodes_neutral():
     tree = assign_node_ids(seq(activity("a"), activity("b")))
     dot = export_dot(tree, {"a@1": 0.5})
     assert 'n0 [label="Seq2@0", fillcolor="#ffffff"]' in dot
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    tree = assign_node_ids(seq(activity('say "hi"'), activity("a\\b")))
+    lines = export_dot(tree, {'say "hi"@1': 0.5}).splitlines()
+    assert '  n1 [label="say \\"hi\\"@1\\n0.500", fillcolor="#ff0000"];' in lines
+    assert '  n2 [label="a\\\\b@2", fillcolor="#ffffff"];' in lines
 
 
 def test_export_dot_byte_stable():

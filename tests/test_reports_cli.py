@@ -4,12 +4,14 @@ import csv
 import json
 import shutil
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from procshap import reports
 from procshap.cli import _apply_config_file, build_parser, main
+from procshap.event_log import EventLog
 from procshap.oracle import Property, PropertySpec
 from procshap.reports import (
     AttributionReport,
@@ -21,6 +23,8 @@ from procshap.reports import (
     run_single,
 )
 from procshap.shapley import tree_shapley
+
+from _xes_etree import dump_xes
 
 SAF_PAIR = ("pay compensation", "reject request")
 
@@ -440,6 +444,35 @@ def test_cli_matrix_and_outputs(tmp_path, running_example_file, capsys):
     assert "ran 4 configurations" in out
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["meta"]["configuration_count"] == 4
+
+
+def test_cli_dot_carries_values_of_labels_with_spaces(tmp_path):
+    log = tmp_path / "spaces.xes"
+    log.write_bytes(dump_xes(EventLog(Counter([("a ", "b"), ("a ", "c")]))))
+    out = tmp_path / "out"
+    rc = main(["matrix", "--log", str(log), "--noise", "0", "--property", "sat",
+               "--method", "exact", "--out", str(out)])
+    assert rc == 0
+    (record,) = json.loads((out / "report.json").read_text())["configurations"]
+    phi = record["phi"]["a @1"]
+    assert phi != 0
+    assert f'label="a @1\\n{phi:.3f}"' in (out / "tree_noise0_sat.dot").read_text()
+
+
+@pytest.mark.parametrize("command", ["mine", "attribute", "matrix"])
+@pytest.mark.parametrize("noise", ["1.5", "-0.5", "nan"])
+def test_cli_noise_outside_unit_interval_is_a_usage_error(
+    tmp_path, running_example_file, capsys, command, noise
+):
+    argv = [command, "--log", str(running_example_file), f"--noise={noise}"]
+    if command == "matrix":
+        argv += ["--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --noise: noise {float(noise)} outside [0, 1]" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_matrix_requires_seed_for_mc(tmp_path, running_example_file, capsys):
