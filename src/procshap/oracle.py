@@ -17,16 +17,22 @@ execution path.  Then
 ``shapley.tree_shapley`` counts the summary over all coalitions at once.
 Everything that asks for the verdicts of particular coalitions asks
 ``evaluate_masks`` for a batch of masks, the package's one coalition
-evaluator: the oracle folds the summary over each coalition
-(``TreeGame.value``), the prover backend decides the substituted trees'
-encodings.  ``evaluate`` is its batch of one.
+evaluator.  The oracle decides a batch by running the summary as a
+bottom-up tree automaton: ``tree_game``'s states, integer-coded once per
+property spec, and its rules as lookup tables, so one numpy step per node
+decides every mask of the batch.  The prover backend decides the
+substituted trees' encodings.  ``evaluate`` is its batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable
+
+import numpy as np
 
 from .process_tree import (
     Coalition,
@@ -34,8 +40,11 @@ from .process_tree import (
     ProcessTree,
     TauMode,
     canonical_mask,
+    iter_nodes,
     node_count,
+    removed_tau,
     substitute,
+    tau,
 )
 from .shapley import TreeGame
 
@@ -98,6 +107,12 @@ def tree_game(tree: ProcessTree, spec: PropertySpec) -> TreeGame:
     and Loop adds the do-redo combinations when the bound allows a redo.
     saf wins when {A, B} is not a profile."""
 
+    return TreeGame(tree, *_rules(spec))
+
+
+def _rules(spec: PropertySpec) -> tuple:
+    """``tree_game``'s leaf, removed, join and wins for *spec*."""
+
     bound = spec.loop_bound
     skip = spec.mode is TauMode.SKIP
     if spec.prop is Property.SAF:
@@ -117,7 +132,7 @@ def tree_game(tree: ProcessTree, spec: PropertySpec) -> TreeGame:
                 return a if bound == 0 else a | both
             return both  # Seq / And
 
-        return TreeGame(tree, leaf, removed, join, lambda state: pair not in state)
+        return leaf, removed, join, lambda state: pair not in state
 
     removed = (skip, skip)
 
@@ -133,8 +148,76 @@ def tree_game(tree: ProcessTree, spec: PropertySpec) -> TreeGame:
         return can_a and can_b, always_a and always_b  # Seq / And
 
     if spec.prop is Property.SAT:
-        return TreeGame(tree, leaf, removed, join, lambda state: state[0])
-    return TreeGame(tree, leaf, removed, join, lambda state: state[0] and state[1])
+        return leaf, removed, join, lambda state: state[0]
+    return leaf, removed, join, lambda state: state[0] and state[1]
+
+
+@functools.cache
+def _automaton(spec: PropertySpec) -> tuple[dict, dict, np.ndarray]:
+    """``tree_game``'s rules for *spec* over integer state codes, built
+    once per spec: ``code`` numbers the states reachable from the removed
+    and leaf states under ``join``, 0 being the removed state,
+    ``tables[op][a, b]`` is the code of ``join(op, a, b)``, and ``wins``
+    holds 0 or 1 per code.  At most 3 states for sat and liv, 16 for saf."""
+
+    leaf, removed, join, wins = _rules(spec)
+    # A leaf's state depends only on whether it is removed and on which
+    # label of the pair, if any, it carries: these leaves give them all.
+    pair = spec.safety_pair or ()
+    leaves = (removed_tau(), tau(), *(ProcessTree(label=a) for a in pair))
+    states = list(dict.fromkeys([removed, *map(leaf, leaves)]))
+    code = {state: i for i, state in enumerate(states)}
+    known = 0
+    while known < len(states):  # until a round of joins reaches no new state
+        known = len(states)
+        for op, a, b in itertools.product(Op, states[:known], states[:known]):
+            state = join(op, a, b)
+            if state not in code:
+                code[state] = len(states)
+                states.append(state)
+    tables = {
+        op: np.array([[code[join(op, a, b)] for b in states] for a in states])
+        for op in Op
+    }
+    return code, tables, np.array([int(wins(state)) for state in states])
+
+
+def _fold(game: TreeGame, automaton: tuple, masks: list[int]) -> list[int]:
+    """The verdicts of *game* on *masks*, by one bottom-up pass over a
+    (node ids x masks) 0/1 matrix: a node's row of state codes is its
+    leaf's code, or its children's rows folded left to right through
+    ``tables[op]``, times its presence bits, since the removed state is
+    code 0."""
+
+    code, tables, wins = automaton
+    tree = game.tree
+    if tree.node_id is None:
+        raise ValueError("the oracle requires an id-assigned tree (assign_node_ids)")
+    nodes = list(iter_nodes(tree))
+    ids = 1 + max(node.node_id.index for node in nodes)
+    width = (ids + 7) // 8  # bytes, not uint64 words: trees can exceed 64 nodes
+    full = (1 << ids) - 1
+    packed = np.frombuffer(
+        b"".join((mask & full).to_bytes(width, "little") for mask in masks),
+        dtype=np.uint8,
+    ).reshape(len(masks), width)
+    present = np.unpackbits(packed.T, axis=0, count=ids, bitorder="little")
+    leaf_code = np.zeros(ids, dtype=np.intp)
+    for node in nodes:
+        if node.is_leaf:
+            leaf_code[node.node_id.index] = code[game.leaf(node)]
+    state = leaf_code[:, None] * present  # every leaf's row at once
+    for node in reversed(nodes):  # children before parents
+        if node.is_leaf:
+            continue
+        table = tables[node.op]
+        first, *rest = node.children
+        folded = state[first.node_id.index]
+        for child in rest:
+            folded = table[folded, state[child.node_id.index]]
+        index = node.node_id.index
+        np.multiply(folded, present[index], out=state[index])
+    return wins[state[tree.node_id.index]].tolist()
 
 
 class ValueCache:
@@ -196,8 +279,11 @@ def evaluate_masks(
     order, memoized in *cache* per (key, backend, property, mode, bound,
     pair) and counted there once per mask, in the order of *masks*.
 
-    The oracle keys the cache by raw mask and folds one ``tree_game``,
-    built per call, over each mask the cache lacks.  The prover keys it
+    The oracle keys the cache by raw mask.  It dedupes the masks the cache
+    lacks, in mask order, and decides them all in one bottom-up pass of
+    table lookups (``_fold``) through ``tree_game``'s rules compiled to
+    integer tables once per spec (``_automaton``); a batch the cache
+    answers whole compiles and folds nothing.  The prover keys it
     by canonical mask, since coalitions with one canonical form
     substitute to one tree, and decides the distinct canonical forms the
     cache lacks as one batch (``logic_encoder.values_via_prover``), whose
@@ -210,22 +296,25 @@ def evaluate_masks(
 
     if backend not in ("oracle", "prover"):
         raise ValueError(f"unknown backend {backend!r}")
+    if backend == "prover" and prover_config is None:
+        raise ValueError("prover backend requires a prover_config")
     if cache is None:
         cache = ValueCache()
     suffix = (backend,) + spec.cache_key()
     if backend == "oracle":
+        game = tree_game(tree, spec)
         keys = [(mask,) + suffix for mask in masks]
-        decide = tree_game(tree, spec).value
     else:
+        keys = [(canonical_mask(tree, mask),) + suffix for mask in masks]
+    batch = list(dict.fromkeys(key[0] for key in keys if key not in cache))
+    decided: dict[int, int] = {}
+    if batch and backend == "oracle":
+        decided = dict(zip(batch, _fold(game, _automaton(spec), batch)))
+    elif batch:
         from .logic_encoder import values_via_prover
 
-        if prover_config is None:
-            raise ValueError("prover backend requires a prover_config")
-        keys = [(canonical_mask(tree, mask),) + suffix for mask in masks]
-        batch = list(dict.fromkeys(key[0] for key in keys if key not in cache))
         n = node_count(tree)
         trees_c = [substitute(tree, Coalition(n, mask)) for mask in batch]
-        decided = {}
         for mask, (value, warnings) in zip(
             batch,
             values_via_prover(trees_c, spec, prover_config, prover_memo),
@@ -234,5 +323,4 @@ def evaluate_masks(
             for message in warnings:
                 cache.add_warning(message)
             decided[mask] = value
-        decide = decided.__getitem__
-    return [cache.get_or_compute(key, lambda: decide(key[0])) for key in keys]
+    return [cache.get_or_compute(key, lambda: decided[key[0]]) for key in keys]

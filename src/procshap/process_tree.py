@@ -12,6 +12,7 @@ mined tau.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Mapping
@@ -209,14 +210,30 @@ def canonical_mask(tree: ProcessTree, mask: int) -> int:
     return walk(tree)
 
 
+# An act label keeps to its line: a backslash is written ``\\`` and each
+# character ``str.splitlines`` breaks on as ``\uXXXX``.
+_ESCAPES = str.maketrans(
+    {"\\": "\\\\"}
+    | {c: f"\\u{ord(c):04x}" for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+_ESCAPED = re.compile(r"\\(\\|u[0-9a-f]{4})")
+
+
+def _unescape(label: str) -> str:
+    return _ESCAPED.sub(
+        lambda m: "\\" if m[1] == "\\" else chr(int(m[1][1:], 16)), label
+    )
+
+
 def tree_to_text(tree: ProcessTree) -> str:
-    """Line-based debug serialization, one node per line, two-space indent."""
+    """Line-based debug serialization, one node per line, two-space indent.
+    Activity labels are written as they are, but for the escapes above."""
 
     lines: list[str] = []
 
     def walk(node: ProcessTree, depth: int) -> None:
         if node.is_activity:
-            head = f"act {node.label}"
+            head = f"act {node.label.translate(_ESCAPES)}"  # type: ignore[union-attr]
         elif node.is_tau:
             head = "removed-tau" if node.removed else "tau"
         else:
@@ -262,7 +279,7 @@ def tree_from_text(text: str) -> ProcessTree:
         elif head == "removed-tau":
             node = removed_tau()
         elif head.startswith("act "):
-            node = activity(head[4:])
+            node = activity(_unescape(head[4:]))
         else:
             ops = {"seq": Op.SEQ, "xor": Op.XOR, "and": Op.AND, "loop": Op.LOOP}
             if head not in ops:

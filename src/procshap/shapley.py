@@ -74,13 +74,15 @@ class Game:
 class TreeGame:
     """A boolean game over the nodes of a process tree (players are the
     preorder node indices) whose value is a bottom-up summary of the
-    coalition-reduced tree.
+    coalition-reduced tree: ``tree_shapley``'s input.
 
     Removing a node collapses its subtree to one removed tau, so a
     coalition's value is ``wins(state(root))``, where an absent node has
     state ``removed``, a present leaf has state ``leaf(node)``, and a
     present operator folds its children's states left to right:
-    ``join(op, join(op, s1, s2), s3) ...``."""
+    ``join(op, join(op, s1, s2), s3) ...``.  That makes it a
+    deterministic bottom-up tree automaton; the oracle runs it over
+    batches of coalitions as integer tables (``oracle.evaluate_masks``)."""
 
     tree: ProcessTree
     leaf: Callable[[ProcessTree], Hashable]
@@ -91,28 +93,6 @@ class TreeGame:
     @property
     def n(self) -> int:
         return node_count(self.tree)
-
-    def value(self, mask: int) -> int:
-        """The value of the coalition *mask* over node ids: the fold above,
-        visiting present nodes only."""
-
-        if self.tree.node_id is None:
-            raise ValueError(
-                "TreeGame.value requires an id-assigned tree (assign_node_ids)"
-            )
-
-        def state(node: ProcessTree) -> Hashable:
-            if not mask >> node.node_id.index & 1:
-                return self.removed
-            if node.is_leaf:
-                return self.leaf(node)
-            first, *rest = node.children
-            acc = state(first)
-            for child in rest:
-                acc = self.join(node.op, acc, state(child))
-            return acc
-
-        return int(self.wins(state(self.tree)))
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,17 @@ def test_debug_text_keeps_spaces_in_labels():
     assert tree_from_text(tree_to_text(tree)) == tree
 
 
+def test_debug_text_escapes_backslashes_and_line_breaks_in_labels():
+    breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    labels = ["a\nx", "b\\", "c\\u000a", "d\r\n", *(f"e{c}f" for c in breaks)]
+    tree = assign_node_ids(seq(*map(activity, labels)))
+    text = tree_to_text(tree)
+    assert len(text.splitlines()) == 1 + len(labels)
+    assert "  act a\\u000ax\n  act b\\\\\n  act c\\\\u000a\n" in text
+    assert tree_from_text(text) == tree
+    assert tree_from_text(text.replace("\n", "\r\n")) == tree
+
+
 def test_debug_text_rejects_garbage():
     with pytest.raises(ValueError):
         tree_from_text("wat\n")

@@ -459,6 +459,62 @@ def test_cli_dot_carries_values_of_labels_with_spaces(tmp_path):
     assert f'label="a @1\\n{phi:.3f}"' in (out / "tree_noise0_sat.dot").read_text()
 
 
+# "a&#10;x" is an activity label with a line break in it.
+LINE_BREAK_XES = b"""<?xml version="1.0" encoding="UTF-8"?>
+<log>
+  <trace>
+    <event><string key="concept:name" value="a&#10;x"/></event>
+    <event><string key="concept:name" value="b"/></event>
+  </trace>
+  <trace>
+    <event><string key="concept:name" value="a&#10;x"/></event>
+    <event><string key="concept:name" value="c"/></event>
+  </trace>
+</log>
+"""
+
+
+@pytest.fixture
+def line_break_log(tmp_path):
+    path = tmp_path / "line_break.xes"
+    path.write_bytes(LINE_BREAK_XES)
+    return path
+
+
+def test_cli_matrix_and_report_with_line_break_in_label(tmp_path, line_break_log):
+    out = tmp_path / "out"
+    rc = main(["matrix", "--log", str(line_break_log), "--property", "sat",
+               "--method", "exact", "--out", str(out)])
+    assert rc == 0
+    written = sorted(path.name for path in out.iterdir())
+    assert written == sorted(
+        ["report.json", "rankings.csv", "noise_series.csv", "summary.txt"]
+        + [f"tree_noise{noise}_sat.dot" for noise in ("0", "0.25", "0.5", "1")]
+    )
+    record = json.loads((out / "report.json").read_text())["configurations"][0]
+    assert "act a\\u000ax\n" in record["tree"]
+    assert "a\nx@1" in record["phi"]
+
+    again = tmp_path / "again"
+    rc = main(["report", "--in", str(out / "report.json"), "--out", str(again)])
+    assert rc == 0
+    for name in written:
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_cli_mine_then_verify_with_line_break_in_label(
+    tmp_path, line_break_log, capsys
+):
+    rc = main(["mine", "--log", str(line_break_log), "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["verify", "--tree", str(tmp_path / "tree.txt"), "--property",
+               "sat,saf", "--safety-pair", "a\nx,b"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "sat: 1" in out and "saf: 0" in out
+
+
 @pytest.mark.parametrize("command", ["mine", "attribute", "matrix"])
 @pytest.mark.parametrize("noise", ["1.5", "-0.5", "nan"])
 def test_cli_noise_outside_unit_interval_is_a_usage_error(

@@ -24,6 +24,7 @@ from procshap.shapley import (
 )
 
 from _corpus import corpus, random_boolean_game_table, threshold_game_table
+from _fold_ref import fold_value
 from _sampling_ref import verdicts_of
 
 
@@ -238,7 +239,7 @@ def test_mc_monotone_ties_veto_players_exactly():
         n = node_count(tree)
         for prop, bound in itertools.product((Property.SAT, Property.LIV), (0, 1)):
             game_of = tree_game(tree, PropertySpec(prop, loop_bound=bound))
-            game = Game(n, lambda c: game_of.value(c.mask))
+            game = Game(n, lambda c: fold_value(game_of, c.mask))
             veto = veto_players(game)
             grand = game.value_of_mask((1 << n) - 1) - game.value_of_mask(0)
             for seed, permutations in ((0, n), (1, 3 * n + 1), (20_001, 200)):
