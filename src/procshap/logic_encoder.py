@@ -28,7 +28,11 @@ memo from problem text to SZS status, which a caller may share across
 batches (``run_matrix`` shares one across its configurations, so liv's
 sat gate reuses the sat configuration's statuses), and one pool of
 threads for the calls the memo lacks (each call waits on a subprocess),
-the package's only parallelism.
+the package's only parallelism.  ``oracle.evaluate_masks`` hands it saf
+forms as one batch and sat and liv forms in rounds, one batch per round,
+from the maximal forms down: both properties grow with the coalition, so
+a verdict of 0 settles every smaller form and a verdict of 1 every larger
+one, and the forms it settles are never handed over.
 """
 
 from __future__ import annotations
@@ -389,7 +393,9 @@ def values_via_prover(
     a value, so each caller records its own warnings, sat's before liv's
     for each tree.  Under the abort policy the first tree, in order,
     whose status is neither verdict raises ``ProverUnknownError``, and
-    the calls after it that have not started are not made."""
+    the calls after it that have not started are not made; since
+    ``oracle.evaluate_masks`` asks for sat and liv in rounds, that is the
+    first failing form, in mask order, of the first round that fails."""
 
     memo = {} if memo is None else memo
     gate = replace(spec, prop=Property.SAT) if spec.prop is Property.LIV else spec

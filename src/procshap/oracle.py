@@ -21,7 +21,10 @@ evaluator.  The oracle decides a batch by running the summary as a
 bottom-up tree automaton: ``tree_game``'s states, integer-coded once per
 property spec, and its rules as lookup tables, so one numpy step per node
 decides every mask of the batch.  The prover backend decides the
-substituted trees' encodings.  ``evaluate`` is its batch of one.
+substituted trees' encodings; sat and liv grow with the coalition, so it
+asks for them in rounds from the largest forms down and infers the
+verdicts that a real verdict on a larger or smaller form settles.
+``evaluate`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -286,13 +289,20 @@ def evaluate_masks(
     answers whole compiles and folds nothing.  The prover keys it
     by canonical mask, since coalitions with one canonical form
     substitute to one tree, and decides the distinct canonical forms the
-    cache lacks as one batch (``logic_encoder.values_via_prover``), whose
-    prover calls go through *prover_memo*, a map from problem text to SZS
-    status that callers may share across configurations, so a problem
-    already decided, such as the sat problem behind liv's gate, costs no
-    call.  It records the forms' warnings in the cache on the calling
+    cache lacks through ``logic_encoder.values_via_prover`` (``_prove``):
+    saf as one batch, sat and liv, which are monotone, in rounds from the
+    maximal forms down, inferring a form's verdict from a real verdict on
+    a larger or smaller form instead of asking for it.  The prover calls
+    go through *prover_memo*, a map from problem text to SZS status that
+    callers may share across configurations, so a problem already
+    decided, such as the sat problem behind liv's gate, costs no call.
+    The cache still counts every mask asked.  Once the last round is
+    done, the forms' warnings are recorded in the cache on the calling
     thread, in the order of *masks*, so the cache's contents and warnings
-    do not depend on which prover call finished first."""
+    do not depend on which prover call finished first; a form whose
+    verdict was inferred raises none.  Under the abort policy the error
+    comes from the first failing form, in mask order, of the first round
+    that fails."""
 
     if backend not in ("oracle", "prover"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -311,16 +321,83 @@ def evaluate_masks(
     if batch and backend == "oracle":
         decided = dict(zip(batch, _fold(game, _automaton(spec), batch)))
     elif batch:
-        from .logic_encoder import values_via_prover
-
-        n = node_count(tree)
-        trees_c = [substitute(tree, Coalition(n, mask)) for mask in batch]
-        for mask, (value, warnings) in zip(
-            batch,
-            values_via_prover(trees_c, spec, prover_config, prover_memo),
-            strict=True,
-        ):
+        results = _prove(tree, batch, spec, prover_config, prover_memo)
+        for mask in batch:
+            value, warnings = results[mask]
             for message in warnings:
                 cache.add_warning(message)
             decided[mask] = value
     return [cache.get_or_compute(key, lambda: decided[key[0]]) for key in keys]
+
+
+def _prove(
+    tree: ProcessTree,
+    batch: list[int],
+    spec: PropertySpec,
+    config,
+    memo: dict | None,
+) -> dict[int, tuple[int, list[str]]]:
+    """Each canonical mask of *batch* with its value and the warnings the
+    prover raised for it.
+
+    saf goes to ``logic_encoder.values_via_prover`` as one batch.  sat
+    and liv are monotone in the coalition, so they go in rounds, one
+    batch each: the forms no undecided form strictly contains, plus the
+    empty form in the first round.  A verdict of 0 decides every
+    undecided sub-form as 0 and a verdict of 1 every undecided super-form
+    as 1; a form whose result carries warnings (no verdict) decides only
+    itself.  A form counts as maximal when none of its one-node frontier
+    extensions is undecided, which may ask a form that a larger
+    undecided one contains, never skip one.  Within a round the forms
+    keep the order of *batch*, so under the abort policy the error comes
+    from the first failing form of the first round that fails."""
+
+    from .logic_encoder import values_via_prover
+
+    n = node_count(tree)
+
+    def ask(masks: list[int]):
+        trees_c = [substitute(tree, Coalition(n, mask)) for mask in masks]
+        return zip(masks, values_via_prover(trees_c, spec, config, memo), strict=True)
+
+    if spec.prop is Property.SAF:
+        return dict(ask(batch))
+    children = {
+        node.node_id.index: [child.node_id.index for child in node.children]
+        for node in iter_nodes(tree)
+    }
+
+    def extensions(mask: int) -> list[int]:
+        """The rooted subtrees one frontier node larger than *mask*."""
+        if not mask:
+            return [1 << tree.node_id.index]
+        return [
+            mask | 1 << child
+            for index, below in children.items() if mask >> index & 1
+            for child in below if not mask >> child & 1
+        ]
+
+    above = {mask: extensions(mask) for mask in batch}
+    results: dict[int, tuple[int, list[str]]] = {}
+    pending = dict.fromkeys(batch)  # the undecided forms, in batch order
+    first = True
+    while pending:
+        asked = [
+            mask for mask in pending
+            if (first and not mask) or not any(e in pending for e in above[mask])
+        ]
+        first = False
+        for mask, result in ask(asked):
+            results[mask] = result
+            del pending[mask]
+        for mask in asked:
+            value, warnings = results[mask]
+            if warnings:
+                continue
+            for other in [
+                other for other in pending
+                if (mask & ~other if value else other & ~mask) == 0
+            ]:
+                results[other] = (value, [])
+                del pending[other]
+    return results

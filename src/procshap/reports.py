@@ -172,9 +172,11 @@ def run_single(
     (rooted subtree or empty set) in one batch, so the counters count
     canonical forms; the samplers ask per rotation block (MC) or once
     (RS), and for sat and liv, which are monotone, the permutation
-    sampler ties the veto players.  Prover calls go through *prover_memo*
-    (problem text to SZS status), which ``run_matrix`` shares across its
-    configurations."""
+    sampler ties the veto players.  For sat and liv the prover decides a
+    batch in rounds from the maximal forms down, so it is handed only the
+    forms no real verdict on a larger or smaller form settles.  Prover
+    calls go through *prover_memo* (problem text to SZS status), which
+    ``run_matrix`` shares across its configurations."""
 
     nodes = list(iter_nodes(tree))
     n = len(nodes)

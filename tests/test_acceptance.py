@@ -170,11 +170,13 @@ def test_criterion_oracle_encoder_equivalence():
     for tree in CORPUS:
         n = node_count(tree)
         assert n <= 10
-        for mask in range(1 << n):
+        masks = list(range(1 << n))
+        oracle = {spec: evaluate_masks(tree, masks, spec) for spec in (SAT, LIV, SAF)}
+        for mask in masks:
             coalition = Coalition(n, mask)
             cut = substitute(tree, coalition)
             for spec in (SAT, LIV, SAF):
-                expected = evaluate(tree, coalition, spec)
+                expected = oracle[spec][mask]
                 got = spec_value(encode(cut, spec))
                 assert got == expected, (
                     f"tree {tree.node_id.text}, coalition {mask:#x}, "
@@ -195,12 +197,9 @@ def test_criterion_monotonicity_and_signs():
     sat_violations = saf_violations = sign_violations = 0
     for tree in CORPUS:
         n = node_count(tree)
-        sat_of = {}
-        saf_of = {}
-        for mask in range(1 << n):
-            coalition = Coalition(n, mask)
-            sat_of[mask] = evaluate(tree, coalition, SAT)
-            saf_of[mask] = evaluate(tree, coalition, SAF)
+        masks = list(range(1 << n))
+        sat_of = dict(zip(masks, evaluate_masks(tree, masks, SAT)))
+        saf_of = dict(zip(masks, evaluate_masks(tree, masks, SAF)))
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i

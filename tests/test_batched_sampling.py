@@ -158,21 +158,43 @@ else:
     runpy.run_path({FAKE_PROVER!r}, run_name='__main__')
 """
 
+# Answers like fake_prover.py where the answer is Satisfiable or Theorem,
+# and gives no verdict where it is Unsatisfiable or CounterSatisfiable.
+# The prover's rounds for sat and liv then settle only forms whose answer
+# is 1 without a call, so every form that warns is asked for whatever the
+# batches, and a batched run can equal a per-query one.  (From PATCHY's
+# real verdicts of 0 the rounds settle forms that warn when asked alone.)
+NEGATIVES_SILENT = f"""import contextlib, io, runpy, sys
+sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_path({FAKE_PROVER!r}, run_name='__main__')
+    except SystemExit:
+        pass
+text = out.getvalue()
+print('no verdict' if 'Unsatisfiable' in text or 'CounterSatisfiable' in text else text)
+"""
+
 
 @pytest.mark.parametrize("method", ["mc", "rs"])
 def test_run_single_prover_equals_per_query(tmp_path, monkeypatch, method):
-    path = tmp_path / "patchy.py"
-    path.write_text(PATCHY)
-    prover = ProverConfig(executable=sys.executable, extra_args=(str(path),),
-                          timeout_s=30)
     tree = assign_node_ids(seq(activity("a"), xor(activity("b"), activity("c"))))
-    config = RunConfig(log_path="log.xes", method=method, backend="prover",
-                       prover=prover, seed=1, permutations=20, min_permutations=20,
-                       samples_per_player=6)
-    specs = (PropertySpec(Property.SAT), PropertySpec(Property.LIV))
-    batched, reference = records(config, tree, specs, monkeypatch)
-    assert batched == reference
-    assert any(r["cache"]["warnings"] for r in batched)
+    for name, body, specs in [
+        ("patchy.py", PATCHY, (PropertySpec(Property.SAF, safety_pair=("a", "b")),)),
+        ("silent.py", NEGATIVES_SILENT,
+         (PropertySpec(Property.SAT), PropertySpec(Property.LIV))),
+    ]:
+        path = tmp_path / name
+        path.write_text(body)
+        prover = ProverConfig(executable=sys.executable, extra_args=(str(path),),
+                              timeout_s=30)
+        config = RunConfig(log_path="log.xes", method=method, backend="prover",
+                           prover=prover, seed=1, permutations=20,
+                           min_permutations=20, samples_per_player=6)
+        batched, reference = records(config, tree, specs, monkeypatch)
+        assert batched == reference
+        assert all(r["cache"]["warnings"] for r in batched)
 
 
 def test_run_single_batches_and_tree_games(running_example_tree, monkeypatch):

@@ -1,0 +1,214 @@
+"""The prover backend's rounds for the monotone properties against asking
+for every form: decided from the maximal forms down, sat and liv batches
+give the oracle's verdict on every mask, ``rooted_shapley`` values
+``Fraction``-equal to ``tree_shapley``'s, no form handed to the prover
+twice and no more forms than the batch has; a form the prover gives no
+verdict on settles no other form; saf hands every form over in one batch.
+The prover is ``StandIn``, an in-process replacement for
+``logic_encoder.values_via_prover`` that answers from the reference fold."""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from procshap import logic_encoder
+from procshap.logic_encoder import ProverConfig
+from procshap.oracle import (
+    Property,
+    PropertySpec,
+    TauMode,
+    ValueCache,
+    evaluate_masks,
+    tree_game,
+)
+from procshap.process_tree import (
+    assign_node_ids,
+    canonical_mask,
+    iter_nodes,
+    node_count,
+    par,
+    seq,
+    xor,
+)
+from procshap.shapley import canonical_form_count, rooted_shapley, tree_shapley
+
+from _corpus import corpus, random_tree
+from _fold_ref import fold_value
+
+UNUSED = ProverConfig(executable="unused")  # the stand-in starts no prover
+MONOTONE = [
+    PropertySpec(prop, mode=mode, loop_bound=bound)
+    for prop, mode, bound in itertools.product(
+        (Property.SAT, Property.LIV), TauMode, (0, 1, 2)
+    )
+]
+SAF = [PropertySpec(Property.SAF, safety_pair=("a", "b"), mode=mode) for mode in TauMode]
+
+
+def present_mask(tree_c) -> int:
+    """The coalition a substituted tree keeps: its nodes but the removed taus."""
+    return sum(
+        1 << node.node_id.index for node in iter_nodes(tree_c) if not node.removed
+    )
+
+
+def silent_third(mask: int) -> bool:
+    """A third of the forms, by a hash of the mask."""
+    return hashlib.sha1(str(mask).encode()).digest()[0] % 3 == 0
+
+
+class StandIn:
+    """``values_via_prover`` in process: each form's value is the reference
+    fold's verdict, or no verdict (0 and a warning naming the form) on
+    the forms *silent* picks.  ``rounds`` holds the forms of every batch
+    it was handed, in order."""
+
+    def __init__(self, tree, silent=lambda mask: False) -> None:
+        self.tree = tree
+        self.silent = silent
+        self.rounds: list[list[int]] = []
+
+    def __call__(self, trees_c, spec, config, memo=None):
+        masks = [present_mask(tree_c) for tree_c in trees_c]
+        self.rounds.append(masks)
+        game = tree_game(self.tree, spec)
+        return [
+            (0, [f"no verdict on {mask:#x}"]) if self.silent(mask)
+            else (fold_value(game, mask), [])
+            for mask in masks
+        ]
+
+    @property
+    def handed(self) -> list[int]:
+        return [mask for masks in self.rounds for mask in masks]
+
+
+def prove(tree, masks, spec, silent=lambda mask: False):
+    """``evaluate_masks`` on the prover backend over a ``StandIn``: the
+    values, the cache and the stand-in."""
+    prover = StandIn(tree, silent)
+    cache = ValueCache()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logic_encoder, "values_via_prover", prover)
+        values = evaluate_masks(tree, masks, spec, cache, "prover", UNUSED)
+    return values, cache, prover
+
+
+def forms_of(tree, masks) -> list[int]:
+    """The distinct canonical forms of *masks*, in mask order."""
+    return list(dict.fromkeys(canonical_mask(tree, mask) for mask in masks))
+
+
+def check_handed(tree, masks, prover) -> None:
+    """No form handed over twice, none outside the batch's forms, and each
+    round in the batch's order."""
+    position = {form: i for i, form in enumerate(forms_of(tree, masks))}
+    handed = prover.handed
+    assert len(handed) == len(set(handed))
+    assert set(handed) <= position.keys()
+    for masks_of_round in prover.rounds:
+        assert masks_of_round == sorted(masks_of_round, key=position.__getitem__)
+
+
+def canonical_forms(tree) -> list[int]:
+    """Every canonical form of *tree*, as ``rooted_shapley`` asks for them."""
+    forms: list[int] = []
+    rooted_shapley(tree, lambda masks: forms.extend(masks) or [0] * len(masks))
+    return forms
+
+
+@st.composite
+def trees(draw):
+    """A random tree of up to 25 nodes and at most 3,000 canonical forms:
+    one random subtree, or two or three under a Seq, Xor or And root."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parts = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([4, 8, 12] if parts == 1 else [3, 6, 8]))
+    if parts == 1:
+        tree = random_tree(rng, max_nodes=size)
+    else:
+        join = draw(st.sampled_from([seq, xor, par]))
+        tree = assign_node_ids(join(*(random_tree(rng, size) for _ in range(parts))))
+    assume(canonical_form_count(tree) <= 3000)
+    return tree
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=trees(), data=st.data())
+def test_rounds_give_the_oracles_verdicts(tree, data):
+    n = node_count(tree)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    masks = [rng.getrandbits(n) for _ in range(data.draw(st.integers(1, 40)))]
+    masks += data.draw(st.lists(st.sampled_from(masks), max_size=10))  # repeats
+    every_form = canonical_forms(tree)
+    full = (1 << n) - 1
+    for spec in MONOTONE:
+        game = tree_game(tree, spec)
+        values, cache, prover = prove(tree, masks, spec)
+        assert values == [fold_value(game, mask) for mask in masks], spec
+        assert cache.total_queries == len(masks)
+        assert cache.distinct_queries == len(forms_of(tree, masks))
+        assert cache.warnings == []
+        check_handed(tree, masks, prover)
+
+        values, _, prover = prove(tree, every_form, spec)
+        assert values == [fold_value(game, form) for form in every_form], spec
+        check_handed(tree, every_form, prover)
+        if spec.mode is TauMode.SKIP:  # every form wins: the empty one settles all
+            assert prover.rounds == [[0, full]]
+
+        via_rounds = rooted_shapley(
+            tree, lambda forms: prove(tree, forms, spec)[0]
+        )
+        assert via_rounds.phi_exact == tree_shapley(game).phi_exact, spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree=trees(), data=st.data())
+def test_saf_hands_over_every_form_at_once(tree, data):
+    n = node_count(tree)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    masks = [0, *(rng.getrandbits(n) for _ in range(data.draw(st.integers(1, 40))))]
+    for spec in SAF:
+        values, _, prover = prove(tree, masks, spec)
+        assert values == [fold_value(tree_game(tree, spec), mask) for mask in masks]
+        assert prover.rounds == [forms_of(tree, masks)]
+
+
+def test_no_verdict_settles_nothing():
+    silent_asked = inferred = 0
+    for tree in [tree for tree in corpus(40, max_nodes=12, seed=12)
+                 if node_count(tree) >= 5]:
+        every_form = canonical_forms(tree)
+        for spec in MONOTONE:
+            game = tree_game(tree, spec)
+            values, cache, prover = prove(tree, every_form, spec, silent_third)
+            check_handed(tree, every_form, prover)
+            value = dict(zip(every_form, values))
+            real = {
+                form: fold_value(game, form)
+                for form in prover.handed if not silent_third(form)
+            }
+            for form in every_form:
+                if form in real:
+                    assert value[form] == real[form]
+                elif form in prover.handed:  # no verdict: 0, and no inference
+                    assert value[form] == 0
+                else:  # settled by a real verdict on a larger 0 or smaller 1
+                    assert any(
+                        (form & ~other if verdict == 0 else other & ~form) == 0
+                        for other, verdict in real.items()
+                        if verdict == value[form]
+                    ), (tree, spec, form)
+                    assert value[form] == fold_value(game, form)
+                    inferred += 1
+            silent = [form for form in every_form
+                      if form in prover.handed and silent_third(form)]
+            assert cache.warnings == [f"no verdict on {form:#x}" for form in silent]
+            silent_asked += len(silent)
+    assert silent_asked and inferred  # both cases occur

@@ -11,6 +11,7 @@ from procshap.oracle import (
     TauMode,
     ValueCache,
     evaluate,
+    evaluate_masks,
     tree_game,
 )
 from procshap.process_tree import (
@@ -120,21 +121,19 @@ def test_empty_coalition_modes():
 
 def test_skip_mode_degeneracy():
     for tree in corpus(15, seed=31):
-        n = node_count(tree)
-        for mask in range(1 << n):
-            c = Coalition(n, mask)
-            assert evaluate(tree, c, PropertySpec(Property.SAT, mode=TauMode.SKIP)) == 1
-            assert evaluate(tree, c, PropertySpec(Property.LIV, mode=TauMode.SKIP)) == 1
+        masks = list(range(1 << node_count(tree)))
+        for prop in (Property.SAT, Property.LIV):
+            spec = PropertySpec(prop, mode=TauMode.SKIP)
+            assert evaluate_masks(tree, masks, spec) == [1] * len(masks)
 
 
 def test_liv_at_most_sat_everywhere():
     for tree in corpus(15, seed=32):
-        n = node_count(tree)
-        for mask in range(1 << n):
-            c = Coalition(n, mask)
-            for mode in TauMode:
-                s = evaluate(tree, c, PropertySpec(Property.SAT, mode=mode))
-                l = evaluate(tree, c, PropertySpec(Property.LIV, mode=mode))
+        masks = list(range(1 << node_count(tree)))
+        for mode in TauMode:
+            sat = evaluate_masks(tree, masks, PropertySpec(Property.SAT, mode=mode))
+            liv = evaluate_masks(tree, masks, PropertySpec(Property.LIV, mode=mode))
+            for s, l in zip(sat, liv, strict=True):
                 assert l <= s
 
 
@@ -147,11 +146,13 @@ def test_values_match_commitment_enumeration():
     ] + [saf("a", "c")]
     for tree in corpus(25, max_nodes=8, seed=33):
         n = node_count(tree)
-        for mask in range(1 << n):
+        masks = list(range(1 << n))
+        oracle = {spec: evaluate_masks(tree, masks, spec) for spec in specs}
+        for mask in masks:
             coalition = Coalition(n, mask)
             cut = substitute(tree, coalition)
             for spec in specs:
-                assert evaluate(tree, coalition, spec) == brute_force(cut, spec), (
+                assert oracle[spec][mask] == brute_force(cut, spec), (
                     tree,
                     mask,
                     spec,
@@ -174,12 +175,9 @@ def test_sat_equals_language_nonemptiness():
 def test_blocked_monotonicity_exhaustive():
     for tree in corpus(20, seed=35):
         n = node_count(tree)
-        sat_of = {}
-        saf_of = {}
-        for mask in range(1 << n):
-            coalition = Coalition(n, mask)
-            sat_of[mask] = evaluate(tree, coalition, SAT)
-            saf_of[mask] = evaluate(tree, coalition, saf())
+        masks = list(range(1 << n))
+        sat_of = dict(zip(masks, evaluate_masks(tree, masks, SAT)))
+        saf_of = dict(zip(masks, evaluate_masks(tree, masks, saf())))
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i

@@ -1,5 +1,6 @@
 """The prover backend's exact path (``rooted_shapley`` over one batch of
-canonical forms per configuration), its canonical cache keys for
+canonical forms per configuration, which the prover decides in rounds
+for sat and liv), its canonical cache keys for
 sampling, prover faults inside a batch, and the one prover memo a run
 shares across its configurations.  Provers are small Python scripts:
 ``fake_prover.py``, optionally behind a wrapper that logs each call's
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from procshap import logic_encoder
 from procshap.cli import main
 from procshap.logic_encoder import (
     ProverConfig,
@@ -55,6 +57,7 @@ from procshap.shapley import (
 from _corpus import corpus
 from _sampling_ref import verdicts_of
 from test_logic_encoder import FAKE_PROVER, fake_prover_config
+from test_monotone_rounds import present_mask
 
 SAT = PropertySpec(Property.SAT)
 LIV = PropertySpec(Property.LIV)
@@ -101,6 +104,20 @@ def exact_config(prover: ProverConfig, **kw) -> RunConfig:
                      prover=prover, **kw)
 
 
+def handed_over(monkeypatch) -> list[list[int]]:
+    """The forms of every batch ``values_via_prover`` is handed from now on,
+    as masks, in order."""
+    rounds: list[list[int]] = []
+    values_via_prover = logic_encoder.values_via_prover
+
+    def spy(trees_c, *args):
+        rounds.append([present_mask(tree_c) for tree_c in trees_c])
+        return values_via_prover(trees_c, *args)
+
+    monkeypatch.setattr(logic_encoder, "values_via_prover", spy)
+    return rounds
+
+
 def by_index(tree, record: dict) -> dict[int, float]:
     ids = {node.node_id.text: node.node_id.index for node in iter_nodes(tree)}
     return {ids[text]: value for text, value in record["phi"].items()}
@@ -126,13 +143,23 @@ def test_rooted_equals_enumeration_through_fake_prover():
             assert cache.warnings == []
 
 
-def test_exact_prover_calls_equal_canonical_forms(tmp_path):
-    tree = tiny_tree()
+def test_exact_sat_prover_asks_rounds_from_the_maximal_forms_down(
+    tmp_path, monkeypatch
+):
+    tree = tiny_tree()  # nodes 0 Seq, 1 a, 2 Xor, 3 b, 4 c
     prover, calls = counting_prover(tmp_path)
+    rounds = handed_over(monkeypatch)
     record = run_single(exact_config(prover), tree, 0.0, SAT, None)
     forms = canonical_form_count(tree)  # rooted subtrees + 1
     assert forms == 11
-    assert call_count(calls) == forms
+    assert rounds == [
+        [0b00000, 0b11111],  # the empty form: 0; the full tree: 1
+        # {Seq, a, Xor, b}: 1, {Seq, a, Xor, c}: 1, {Seq, Xor, b, c}: 0,
+        # which settles the four forms below it
+        [0b01111, 0b10111, 0b11101],
+        [0b00111],  # {Seq, a, Xor}: 0, which settles {Seq, a}
+    ]
+    assert call_count(calls) == 6
     assert record["cache"]["total_queries"] == forms
     assert record["cache"]["distinct_queries"] == forms
     reference = exact_shapley(Game(5, lambda c: evaluate(tree, c, SAT)))
@@ -180,8 +207,8 @@ def test_sampling_on_prover_keys_cache_by_canonical_mask(tmp_path, method):
     raw_calls = call_count(calls)
 
     assert by_index(tree, record) == raw.phi
-    assert record["cache"]["distinct_queries"] == canonical_calls
-    assert canonical_calls < raw_calls
+    # the rounds settle some canonical forms without a call
+    assert canonical_calls <= record["cache"]["distinct_queries"] < raw_calls
 
 
 def test_prover_cache_key_is_canonical():
@@ -320,8 +347,11 @@ def test_sat_liv_matrix_decides_each_sat_problem_once(tmp_path, tiny_log_file):
     tree = tree_from_text(sat["tree"])
     forms, wins = sat_forms(tree)
     assert (forms, wins) == (canonical_form_count(tree), 3)
-    # the sat configuration decides every form; liv's gate reuses them all
-    assert call_kinds(calls) == ["sat"] * forms + ["liv"] * wins
+    # the sat configuration asks 6 of the 11 forms in three rounds; liv's
+    # gate reuses their statuses, and liv asks the forms that pass it: the
+    # full tree, then {Seq, a, Xor, b} and {Seq, a, Xor, c}, whose verdicts
+    # of 0 settle every form below them
+    assert call_kinds(calls) == ["sat"] * 6 + ["liv"] * wins
     assert sat["error"] is None and liv["error"] is None
     assert liv["cache"]["distinct_queries"] == forms
 
@@ -341,7 +371,7 @@ def test_memo_does_not_outlive_a_run(tmp_path, tiny_log_file):
         calls.unlink(missing_ok=True)
         tiny_matrix(tiny_log_file, prover, SAT, LIV)
         counts.append(Counter(call_kinds(calls)))
-    assert counts[0] == counts[1] == Counter(sat=11, liv=3)
+    assert counts[0] == counts[1] == Counter(sat=6, liv=3)
 
 
 @pytest.mark.parametrize("fault", sorted(SAT_FAULTS))
@@ -374,6 +404,10 @@ def test_liv_warnings_keep_sat_then_liv_order_per_form(tmp_path, tiny_log_file):
     n = node_count(tree)
     expected = []
     for mask in sorted({canonical_mask(tree, mask) for mask in range(1 << n)}):
+        if mask == 0b00101:
+            # {Seq, Xor} has no sat verdict, but it is never asked: the
+            # second round's sat verdict 0 on {Seq, Xor, b, c} settles it
+            continue
         coalition = Coalition(n, mask)
         problem = emit_tptp(encode(substitute(tree, coalition), SAT), "sat")
         if hashlib.sha1(problem.encode()).digest()[0] % 2:
@@ -410,9 +444,15 @@ def test_abort_stops_a_batch_at_the_first_failing_call(tmp_path, monkeypatch):
     assert 1 <= call_count(calls) <= 4
 
 
-def test_abort_error_comes_from_the_first_failing_form(tmp_path):
-    # liv: no verdict; sat: no verdict for the forms with c but without a,
-    # which come after {Seq, a, Xor, b}, the first form to pass the gate
+def test_abort_error_comes_from_the_first_failing_form(tmp_path, monkeypatch):
+    # liv: no verdict; sat: no verdict for the forms with c but without a.
+    # The first round asks the empty form (sat 0) and the full tree, which
+    # passes the gate; the second {Seq, a, Xor, b}, {Seq, a, Xor, c} (both
+    # pass) and {Seq, Xor, b, c} (sat: none); the third {Seq, a, Xor} and
+    # {Seq, Xor, b} (sat 0, settling the forms below) and {Seq, Xor, c}
+    # (sat: none).  No real verdict settles a form without one, so each of
+    # those warns, in mask order.  Under abort the first round fails, on
+    # the full tree's liv problem, and no later round is asked.
     body = (
         "import runpy, sys\n"
         "text = open(sys.argv[1]).read()\n"
@@ -428,9 +468,11 @@ def test_abort_error_comes_from_the_first_failing_form(tmp_path):
     sat, liv = (f"prover returned Unknown for {p}; treating as 0" for p in ("sat", "liv"))
     assert record["cache"]["warnings"] == [liv, sat, liv, sat, liv]
     aborting = script(tmp_path, "abort.py", body, unknown_policy="abort")
+    rounds = handed_over(monkeypatch)
     with pytest.raises(ProverUnknownError) as failed:
         run_single(exact_config(aborting), tree, 0.0, LIV, None)
     assert str(failed.value) == liv
+    assert rounds == [[0b00000, 0b11111]]
 
 
 def test_mc_liv_on_prover_equals_oracle(tmp_path):
@@ -442,8 +484,9 @@ def test_mc_liv_on_prover_equals_oracle(tmp_path):
                         tree, 0.0, LIV, 11)
     oracle = run_single(RunConfig(**mc), tree, 0.0, LIV, 11)
     assert record["phi"] == oracle["phi"]
-    # one sat call per distinct canonical form, reused by later queries
-    assert Counter(call_kinds(calls))["sat"] == record["cache"]["distinct_queries"]
+    # at most one sat call per distinct canonical form, reused by later
+    # queries; the rounds settle some forms without a call
+    assert Counter(call_kinds(calls))["sat"] <= record["cache"]["distinct_queries"]
 
 
 def test_cli_verify_sat_liv_shares_the_sat_call(tmp_path, capsys):

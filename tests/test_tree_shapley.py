@@ -59,17 +59,15 @@ def specs(modes=tuple(TauMode), bounds=(0, 1, 2), pair=("a", "b")):
 
 
 def enumerated(tree, spec_list):
-    """exact_shapley's estimate for every spec, evaluating each of the
-    2^n coalitions once per spec."""
+    """exact_shapley's estimate for every spec, over the verdicts on all
+    2^n coalitions, asked of the oracle as one batch per spec."""
     n = node_count(tree)
-    tables = {spec: [] for spec in spec_list}
-    for mask in range(1 << n):
-        coalition = Coalition(n, mask)
-        for spec, table in tables.items():
-            table.append(evaluate(tree, coalition, spec))
+    masks = list(range(1 << n))
     return {
-        spec: exact_shapley(Game(n, lambda c, table=table: table[c.mask]))
-        for spec, table in tables.items()
+        spec: exact_shapley(Game(
+            n, lambda c, table=evaluate_masks(tree, masks, spec): table[c.mask]
+        ))
+        for spec in spec_list
     }
 
 
