@@ -1,6 +1,7 @@
 """The oracle: satisfiability, liveness and safety verdicts on the
 coalition-reduced tree, stated once as a bottom-up tree summary
-(``tree_game``), and the memoizing evaluation front-end.
+(``tree_game``), and the batch evaluation front-end, memoized in one
+mask -> verdict table per (backend, spec).
 
 Removing a node collapses its subtree to one removed tau.  Semantics are
 commitment-based.  A commitment resolves every choice in the tree up
@@ -224,32 +225,44 @@ def _fold(game: TreeGame, automaton: tuple, masks: list[int]) -> list[int]:
 
 
 class ValueCache:
-    """One configuration's memo table for coalition values, used from one
-    thread.  Each distinct key is computed once; counters track total and
-    distinct queries, and warnings collect what the computations
-    reported, in query order."""
+    """One configuration's memo of coalition verdicts, used from one
+    thread: a mask -> verdict dict per (backend, spec) suffix (``table``),
+    which ``get_or_compute`` reaches by key ``(mask, *suffix)``, or ``()``
+    for a key that is no tuple.  Counters track total and distinct
+    queries; warnings collect what the computations reported, in order."""
 
     def __init__(self) -> None:
-        self._entries: dict[Hashable, int] = {}
+        self._tables: dict[tuple, dict[Hashable, int]] = {}
         self.total_queries = 0
         self.distinct_queries = 0
         self.warnings: list[str] = []
 
+    def table(self, suffix: tuple) -> dict[Hashable, int]:
+        """The mask -> verdict table of *suffix*, ``(backend,) + spec.cache_key()``."""
+        return self._tables.setdefault(suffix, {})
+
     def get_or_compute(self, key: Hashable, compute: Callable[[], int]) -> int:
+        suffix, mask = _split_key(key)
+        table = self.table(suffix)
         self.total_queries += 1
-        if key not in self._entries:
-            self._entries[key] = compute()
+        if mask not in table:
+            table[mask] = compute()
             self.distinct_queries += 1
-        return self._entries[key]
+        return table[mask]
 
     def add_warning(self, message: str) -> None:
         self.warnings.append(message)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        suffix, mask = _split_key(key)
+        return mask in self._tables.get(suffix, ())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._tables.values()))
+
+
+def _split_key(key: Hashable) -> tuple[tuple, Hashable]:  # (suffix, mask)
+    return (key[1:], key[0]) if isinstance(key, tuple) and key else ((), key)
 
 
 def evaluate(
@@ -279,30 +292,29 @@ def evaluate_masks(
     prover_memo: dict | None = None,
 ) -> list[int]:
     """The verdicts on many coalitions, given as masks over node ids, in
-    order, memoized in *cache* per (key, backend, property, mode, bound,
-    pair) and counted there once per mask, in the order of *masks*.
+    order, memoized in *cache*'s table of (backend, property, mode, bound,
+    pair), keyed by mask, and counted there once per mask.
 
-    The oracle keys the cache by raw mask.  It dedupes the masks the cache
+    The oracle keys the table by raw mask.  It dedupes the masks the table
     lacks, in mask order, and decides them all in one bottom-up pass of
     table lookups (``_fold``) through ``tree_game``'s rules compiled to
-    integer tables once per spec (``_automaton``); a batch the cache
-    answers whole compiles and folds nothing.  The prover keys it
-    by canonical mask, since coalitions with one canonical form
-    substitute to one tree, and decides the distinct canonical forms the
-    cache lacks through ``logic_encoder.values_via_prover`` (``_prove``):
+    integer tables once per spec (``_automaton``); a batch the table
+    answers whole compiles and folds nothing.  The prover keys it by
+    canonical mask, since coalitions with one canonical form substitute
+    to one tree, and decides the distinct canonical forms the table
+    lacks through ``logic_encoder.values_via_prover`` (``_prove``):
     saf as one batch, sat and liv, which are monotone, in rounds from the
     maximal forms down, inferring a form's verdict from a real verdict on
     a larger or smaller form instead of asking for it.  The prover calls
     go through *prover_memo*, a map from problem text to SZS status that
     callers may share across configurations, so a problem already
     decided, such as the sat problem behind liv's gate, costs no call.
-    The cache still counts every mask asked.  Once the last round is
-    done, the forms' warnings are recorded in the cache on the calling
-    thread, in the order of *masks*, so the cache's contents and warnings
-    do not depend on which prover call finished first; a form whose
-    verdict was inferred raises none.  Under the abort policy the error
-    comes from the first failing form, in mask order, of the first round
-    that fails."""
+    Once the last round is done, the forms' warnings are recorded in the
+    cache on the calling thread, in the order of *masks*, so the cache's
+    contents and warnings do not depend on which prover call finished
+    first; a form whose verdict was inferred raises none.  Under the
+    abort policy the error comes from the first failing form, in mask
+    order, of the first round that fails."""
 
     if backend not in ("oracle", "prover"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -310,24 +322,22 @@ def evaluate_masks(
         raise ValueError("prover backend requires a prover_config")
     if cache is None:
         cache = ValueCache()
-    suffix = (backend,) + spec.cache_key()
-    if backend == "oracle":
-        game = tree_game(tree, spec)
-        keys = [(mask,) + suffix for mask in masks]
+    table = cache.table((backend,) + spec.cache_key())
+    if backend == "prover":
+        masks = [canonical_mask(tree, mask) for mask in masks]
     else:
-        keys = [(canonical_mask(tree, mask),) + suffix for mask in masks]
-    batch = list(dict.fromkeys(key[0] for key in keys if key not in cache))
-    decided: dict[int, int] = {}
+        game = tree_game(tree, spec)
+    batch = [mask for mask in dict.fromkeys(masks) if mask not in table]
     if batch and backend == "oracle":
-        decided = dict(zip(batch, _fold(game, _automaton(spec), batch)))
+        table.update(zip(batch, _fold(game, _automaton(spec), batch)))
     elif batch:
         results = _prove(tree, batch, spec, prover_config, prover_memo)
         for mask in batch:
-            value, warnings = results[mask]
-            for message in warnings:
-                cache.add_warning(message)
-            decided[mask] = value
-    return [cache.get_or_compute(key, lambda: decided[key[0]]) for key in keys]
+            table[mask], warnings = results[mask]
+            cache.warnings.extend(warnings)
+    cache.total_queries += len(masks)
+    cache.distinct_queries += len(batch)
+    return list(map(table.__getitem__, masks))
 
 
 def _prove(

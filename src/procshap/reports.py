@@ -92,6 +92,16 @@ class RunConfig:
             raise ValueError("backend must be oracle or prover")
         if self.backend == "prover" and self.prover is None:
             raise ValueError("prover backend requires a ProverConfig")
+        if self.permutations < 1:
+            raise ValueError("permutations must be at least 1")
+        if self.samples_per_player < 1:
+            raise ValueError("samples_per_player must be at least 1")
+        # Equal ids would write their configurations to the same files.
+        ids = [config_id(noise, spec)
+               for noise in self.noise_levels for spec in self.properties]
+        duplicates = [i for i in dict.fromkeys(ids) if ids.count(i) > 1]
+        if duplicates:
+            raise ValueError(f"duplicate configurations: {', '.join(duplicates)}")
 
 
 @dataclass

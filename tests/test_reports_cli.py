@@ -549,6 +549,31 @@ def test_cli_matrix_rejects_empty_log(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--noise", "0,0.0", "--property", "sat"], "duplicate configurations: noise0_sat"),
+    (["--noise", "0,0.5,0", "--property", "sat,liv,sat"],
+     "duplicate configurations: noise0_sat, noise0_liv, noise0.5_sat"),
+    (["--noise", "0", "--property", "sat", "--method", "mc", "--seed", "1",
+      "--permutations", "0"], "permutations must be at least 1"),
+    (["--noise", "0", "--property", "sat", "--method", "rs", "--seed", "1",
+      "--samples", "0"], "samples_per_player must be at least 1"),
+])
+def test_cli_matrix_rejects_bad_run_config_before_mining(
+    tmp_path, running_example_file, monkeypatch, capsys, flags, message
+):
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the log was read before the configuration was checked")
+
+    monkeypatch.setattr(reports, "parse_xes", no_parse)
+    out = tmp_path / "out"
+    argv = ["matrix", "--log", str(running_example_file), "--method", "exact",
+            *flags, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_config_file(tmp_path, running_example_file, capsys):
     config_file = tmp_path / "run.conf"
     config_file.write_text(
