@@ -25,7 +25,6 @@ from procshap import (
     mc_permutation_shapley,
     node_count,
     rs_subset_shapley,
-    tree_game,
     tree_shapley,
 )
 from procshap.datasets import load_running_example
@@ -42,7 +41,7 @@ exact = exact_shapley(game)
 print(f"exact over 2^{n} coalitions: {time.time() - t0:.2f}s, "
       f"{cache.distinct_queries} distinct verdicts")
 t0 = time.time()
-counted = tree_shapley(tree_game(tree, spec))
+counted = tree_shapley(tree, spec)
 print(f"exact by counting coalitions over the tree: {time.time() - t0:.3f}s, "
       f"no verdicts, same values: {counted.phi_exact == exact.phi_exact}\n")
 

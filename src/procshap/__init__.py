@@ -40,7 +40,6 @@ from .oracle import (
     ValueCache,
     evaluate,
     evaluate_masks,
-    tree_game,
 )
 from .process_tree import (
     Coalition,
@@ -67,7 +66,6 @@ from .shapley import (
     ConvergenceReport,
     Game,
     ShapleyEstimate,
-    TreeGame,
     convergence_delta_max,
     exact_shapley,
     mc_permutation_shapley,

@@ -90,7 +90,7 @@ def _build_specs(args) -> tuple[PropertySpec, ...]:
         prop = Property(name)
         pair = args.safety_pair if prop is Property.SAF else None
         if prop is Property.SAF and pair is None:
-            raise SystemExit("--safety-pair A,B is required for the saf property")
+            raise ValueError("--safety-pair A,B is required for the saf property")
         specs.append(
             PropertySpec(
                 prop=prop, safety_pair=pair, mode=mode, loop_bound=args.loop_bound
@@ -103,7 +103,7 @@ def _prover_config(args) -> ProverConfig | None:
     if args.backend != "prover":
         return None
     if not args.prover_path:
-        raise SystemExit("--prover-path is required with --backend prover")
+        raise ValueError("--prover-path is required with --backend prover")
     return ProverConfig(
         executable=args.prover_path,
         timeout_s=args.timeout_ms / 1000.0,
@@ -229,10 +229,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
+            parser.error(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise SystemExit(f"{path}:{lineno}: unknown config key {key!r}")
+            parser.error(f"{path}:{lineno}: unknown config key {key!r}")
         defaults[key] = value
     flags = _subcommand_flags(parser, out)
     for key, value in defaults.items():

@@ -1,7 +1,7 @@
 """The oracle: satisfiability, liveness and safety verdicts on the
-coalition-reduced tree, stated once as a bottom-up tree summary
-(``tree_game``), and the batch evaluation front-end, memoized in one
-mask -> verdict table per (backend, spec).
+coalition-reduced tree, stated once as the rules of a bottom-up tree
+automaton (``_rules``), and the batch evaluation front-end, memoized in
+one mask -> verdict table per (backend, spec).
 
 Removing a node collapses its subtree to one removed tau.  Semantics are
 commitment-based.  A commitment resolves every choice in the tree up
@@ -15,17 +15,18 @@ execution path.  Then
 * saf  = no completed run's trace contains both activities of the
   forbidden pair (vacuously safe when nothing completes).
 
-``shapley.tree_shapley`` counts the summary over all coalitions at once.
+``_automaton`` compiles the rules once per property spec: integer state
+codes, a leaf coder and one lookup table per operator.  Both exact and
+batch evaluation run that one compiled automaton.
+``shapley.tree_shapley`` counts it over all coalitions at once.
 Everything that asks for the verdicts of particular coalitions asks
 ``evaluate_masks`` for a batch of masks, the package's one coalition
-evaluator.  The oracle decides a batch by running the summary as a
-bottom-up tree automaton: ``tree_game``'s states, integer-coded once per
-property spec, and its rules as lookup tables, so one numpy step per node
-decides every mask of the batch.  The prover backend decides the
-substituted trees' encodings; sat and liv grow with the coalition, so it
-asks for them in rounds from the largest forms down and infers the
-verdicts that a real verdict on a larger or smaller form settles.
-``evaluate`` is its batch of one.
+evaluator.  The oracle decides a batch in one numpy step per node
+(``_fold``).  The prover backend decides the substituted trees'
+encodings; sat and liv grow with the coalition, so it asks for them in
+rounds from the largest forms down and infers the verdicts that a real
+verdict on a larger or smaller form settles.  ``evaluate`` is its batch
+of one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .process_tree import (
     substitute,
     tau,
 )
-from .shapley import TreeGame
 
 __all__ = [
     "TauMode",
@@ -59,7 +59,6 @@ __all__ = [
     "ValueCache",
     "evaluate",
     "evaluate_masks",
-    "tree_game",
 ]
 
 
@@ -92,9 +91,15 @@ class PropertySpec:
         return (self.prop.value, self.mode.value, self.loop_bound, self.safety_pair)
 
 
-def tree_game(tree: ProcessTree, spec: PropertySpec) -> TreeGame:
-    """The oracle's verdict on every coalition of *tree*'s nodes as a
-    bottom-up summary: the only statement of the oracle's semantics.
+def _rules(spec: PropertySpec) -> tuple:
+    """The oracle's verdict on every coalition of a tree's nodes as a
+    bottom-up summary, ``(leaf, removed, join, wins)`` for *spec*: the
+    only statement of the oracle's semantics.
+
+    A coalition's verdict is ``wins(state(root))``, where an absent node
+    has state ``removed``, a present leaf has state ``leaf(node)``, and a
+    present operator folds its children's states left to right:
+    ``join(op, join(op, s1, s2), s3) ...``.
 
     For sat and liv the state of a subtree is ``(can, always)``: some of
     its commitments completes, every one does.  A present leaf completes,
@@ -110,12 +115,6 @@ def tree_game(tree: ProcessTree, spec: PropertySpec) -> TreeGame:
     Xor unites its children's sets, Seq and And combine them pairwise,
     and Loop adds the do-redo combinations when the bound allows a redo.
     saf wins when {A, B} is not a profile."""
-
-    return TreeGame(tree, *_rules(spec))
-
-
-def _rules(spec: PropertySpec) -> tuple:
-    """``tree_game``'s leaf, removed, join and wins for *spec*."""
 
     bound = spec.loop_bound
     skip = spec.mode is TauMode.SKIP
@@ -157,12 +156,13 @@ def _rules(spec: PropertySpec) -> tuple:
 
 
 @functools.cache
-def _automaton(spec: PropertySpec) -> tuple[dict, dict, np.ndarray]:
-    """``tree_game``'s rules for *spec* over integer state codes, built
-    once per spec: ``code`` numbers the states reachable from the removed
-    and leaf states under ``join``, 0 being the removed state,
-    ``tables[op][a, b]`` is the code of ``join(op, a, b)``, and ``wins``
-    holds 0 or 1 per code.  At most 3 states for sat and liv, 16 for saf."""
+def _automaton(spec: PropertySpec) -> tuple[Callable, dict, np.ndarray]:
+    """``_rules(spec)`` over integer state codes, built once per spec:
+    the codes number the states reachable from the removed and leaf
+    states under ``join``, 0 being the removed state, ``leaf_code(node)``
+    is the code of a leaf's state, ``tables[op][a, b]`` is the code of
+    ``join(op, a, b)``, and ``wins`` holds 0 or 1 per code.  At most 3
+    states for sat and liv, 16 for saf."""
 
     leaf, removed, join, wins = _rules(spec)
     # A leaf's state depends only on whether it is removed and on which
@@ -171,30 +171,30 @@ def _automaton(spec: PropertySpec) -> tuple[dict, dict, np.ndarray]:
     leaves = (removed_tau(), tau(), *(ProcessTree(label=a) for a in pair))
     states = list(dict.fromkeys([removed, *map(leaf, leaves)]))
     code = {state: i for i, state in enumerate(states)}
-    known = 0
-    while known < len(states):  # until a round of joins reaches no new state
-        known = len(states)
-        for op, a, b in itertools.product(Op, states[:known], states[:known]):
-            state = join(op, a, b)
-            if state not in code:
-                code[state] = len(states)
-                states.append(state)
+    joined = {}  # (op, a, b) -> join(op, a, b), each pair joined once
+    for i, new in enumerate(states):  # states grows as joins reach new ones
+        for op, old in itertools.product(Op, states[: i + 1]):
+            for a, b in dict.fromkeys([(new, old), (old, new)]):
+                state = joined[op, a, b] = join(op, a, b)
+                if state not in code:
+                    code[state] = len(states)
+                    states.append(state)
     tables = {
-        op: np.array([[code[join(op, a, b)] for b in states] for a in states])
+        op: np.array([[code[joined[op, a, b]] for b in states] for a in states])
         for op in Op
     }
-    return code, tables, np.array([int(wins(state)) for state in states])
+    wins_of = np.array([int(wins(state)) for state in states])
+    return lambda node: code[leaf(node)], tables, wins_of
 
 
-def _fold(game: TreeGame, automaton: tuple, masks: list[int]) -> list[int]:
-    """The verdicts of *game* on *masks*, by one bottom-up pass over a
-    (node ids x masks) 0/1 matrix: a node's row of state codes is its
-    leaf's code, or its children's rows folded left to right through
-    ``tables[op]``, times its presence bits, since the removed state is
-    code 0."""
+def _fold(tree: ProcessTree, automaton: tuple, masks: list[int]) -> list[int]:
+    """The verdicts of the compiled *automaton* on *masks* over *tree*'s
+    node ids, by one bottom-up pass over a (node ids x masks) 0/1 matrix:
+    a node's row of state codes is its leaf's code, or its children's
+    rows folded left to right through ``tables[op]``, times its presence
+    bits, since the removed state is code 0."""
 
-    code, tables, wins = automaton
-    tree = game.tree
+    leaf_code, tables, wins = automaton
     if tree.node_id is None:
         raise ValueError("the oracle requires an id-assigned tree (assign_node_ids)")
     nodes = list(iter_nodes(tree))
@@ -206,11 +206,11 @@ def _fold(game: TreeGame, automaton: tuple, masks: list[int]) -> list[int]:
         dtype=np.uint8,
     ).reshape(len(masks), width)
     present = np.unpackbits(packed.T, axis=0, count=ids, bitorder="little")
-    leaf_code = np.zeros(ids, dtype=np.intp)
+    leaves = np.zeros(ids, dtype=np.intp)
     for node in nodes:
         if node.is_leaf:
-            leaf_code[node.node_id.index] = code[game.leaf(node)]
-    state = leaf_code[:, None] * present  # every leaf's row at once
+            leaves[node.node_id.index] = leaf_code(node)
+    state = leaves[:, None] * present  # every leaf's row at once
     for node in reversed(nodes):  # children before parents
         if node.is_leaf:
             continue
@@ -297,8 +297,8 @@ def evaluate_masks(
 
     The oracle keys the table by raw mask.  It dedupes the masks the table
     lacks, in mask order, and decides them all in one bottom-up pass of
-    table lookups (``_fold``) through ``tree_game``'s rules compiled to
-    integer tables once per spec (``_automaton``); a batch the table
+    table lookups (``_fold``) through ``_rules`` compiled to integer
+    tables once per spec (``_automaton``); a batch the table
     answers whole compiles and folds nothing.  The prover keys it by
     canonical mask, since coalitions with one canonical form substitute
     to one tree, and decides the distinct canonical forms the table
@@ -325,11 +325,9 @@ def evaluate_masks(
     table = cache.table((backend,) + spec.cache_key())
     if backend == "prover":
         masks = [canonical_mask(tree, mask) for mask in masks]
-    else:
-        game = tree_game(tree, spec)
     batch = [mask for mask in dict.fromkeys(masks) if mask not in table]
     if batch and backend == "oracle":
-        table.update(zip(batch, _fold(game, _automaton(spec), batch)))
+        table.update(zip(batch, _fold(tree, _automaton(spec), batch)))
     elif batch:
         results = _prove(tree, batch, spec, prover_config, prover_memo)
         for mask in batch:

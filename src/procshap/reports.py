@@ -40,7 +40,6 @@ from .oracle import (
     TauMode,
     ValueCache,
     evaluate_masks,
-    tree_game,
 )
 from .process_tree import (
     ProcessTree,
@@ -120,12 +119,34 @@ class AttributionReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AttributionReport":
+        """The report in *text*; ``ValueError`` names the first missing or
+        mistyped key among the top-level ones and the ``meta`` and
+        ``cross`` keys that ``render_summary`` reads."""
+
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("not a report: the JSON is not an object")
+        for where, types in _REPORT_KEYS.items():
+            part = payload if where == "report" else payload[where]
+            for key, kind in types.items():
+                if key not in part or not isinstance(part[key], kind):
+                    problem = "mistyped" if key in part else "missing"
+                    raise ValueError(f"not a report: {where} key {key!r} is {problem}")
         return cls(
             meta=payload["meta"],
             configurations=payload["configurations"],
             cross=payload["cross"],
         )
+
+
+# The keys render_summary reads, with their JSON types, by part of the report.
+_REPORT_KEYS = {
+    "report": {"meta": dict, "configurations": list, "cross": dict},
+    "meta": {"configuration_count": int, "noise_levels": list, "properties": list,
+             "method": str, "backend": str, "seed": (int, type(None))},
+    "cross": {"topk_jaccard_across_noise": dict, "noise_correlation": dict,
+              "adaptive_nodes": dict, "baseline_noise": (int, float)},
+}
 
 
 def property_label(spec: PropertySpec) -> str:
@@ -201,7 +222,7 @@ def run_single(
 
     convergence = None
     if config.method == "exact" and config.backend == "oracle":
-        estimate = tree_shapley(tree_game(tree, spec))
+        estimate = tree_shapley(tree, spec)
     elif config.method == "exact":
         estimate = rooted_shapley(tree, verdicts)
     elif config.method == "mc":
@@ -407,15 +428,11 @@ def _cross_analyses(config: RunConfig, records: list[dict]) -> dict:
 
 def emit_report(report: AttributionReport, out_dir: str | Path) -> list[Path]:
     """Write report.json, rankings.csv, noise_series.csv, one DOT file per
-    configuration and a plain-text summary into *out_dir*."""
+    configuration and a plain-text summary into *out_dir*.  Every file's
+    text is rendered before the first is written, so a report that does
+    not render leaves nothing behind."""
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    path = out / "report.json"
-    path.write_text(report.to_json())
-    written.append(path)
+    files = [("report.json", report.to_json())]
 
     rankings = io.StringIO()
     writer = csv.writer(rankings, lineterminator="\n")
@@ -438,9 +455,7 @@ def emit_report(report: AttributionReport, out_dir: str | Path) -> list[Path]:
                     cls["sign"],
                 ]
             )
-    path = out / "rankings.csv"
-    path.write_text(rankings.getvalue())
-    written.append(path)
+    files.append(("rankings.csv", rankings.getvalue()))
 
     series = io.StringIO()
     writer = csv.writer(series, lineterminator="\n")
@@ -461,22 +476,21 @@ def emit_report(report: AttributionReport, out_dir: str | Path) -> list[Path]:
                 f"{summary['negative_sum']:.6f}",
             ]
         )
-    path = out / "noise_series.csv"
-    path.write_text(series.getvalue())
-    written.append(path)
+    files.append(("noise_series.csv", series.getvalue()))
 
     for record in report.configurations:
         if record.get("error") or not record.get("tree"):
             continue
         tree = tree_from_text(record["tree"])
-        path = out / f"tree_{record['id']}.dot"
-        path.write_text(export_dot(tree, record["phi"]))
-        written.append(path)
+        files.append((f"tree_{record['id']}.dot", export_dot(tree, record["phi"])))
 
-    path = out / "summary.txt"
-    path.write_text(render_summary(report))
-    written.append(path)
-    return written
+    files.append(("summary.txt", render_summary(report)))
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files:
+        (out / name).write_text(text)
+    return [out / name for name, _ in files]
 
 
 def render_summary(report: AttributionReport) -> str:

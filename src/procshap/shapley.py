@@ -11,9 +11,9 @@ all three the same one, over ``oracle.evaluate_masks``.
 There are three exact paths, and all build the classical subset-weighted
 sum with the same integer numerators over n!, so efficiency, symmetry
 and dummy hold exactly and their ``Fraction``s agree.  ``tree_shapley``
-takes a ``TreeGame``, whose value is a bottom-up summary of the
-coalition-reduced tree (the oracle's verdicts are), and counts winning
-coalitions per size over the tree in polynomial time.  ``rooted_shapley``
+takes a tree and a property spec, and counts the coalitions that the
+oracle's compiled automaton (``oracle._automaton``) accepts, per size,
+over the tree in polynomial time.  ``rooted_shapley``
 takes a tree and a verdict function (the prover's verdicts): a
 coalition's verdict depends only on its canonical form, the rooted
 subtree of nodes whose ancestors are all present, so it asks for one
@@ -43,11 +43,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .process_tree import Coalition, Op, ProcessTree, node_count
+from .oracle import PropertySpec, _automaton
+from .process_tree import Coalition, ProcessTree
 
 Verdicts = Callable[[list[int]], Sequence[int]]
 """A batch verdict function: coalition masks in, their values in order."""
@@ -68,31 +69,6 @@ class Game:
 
     def value_of_mask(self, mask: int) -> int:
         return self.value(Coalition(self.n, mask))
-
-
-@dataclass(frozen=True)
-class TreeGame:
-    """A boolean game over the nodes of a process tree (players are the
-    preorder node indices) whose value is a bottom-up summary of the
-    coalition-reduced tree: ``tree_shapley``'s input.
-
-    Removing a node collapses its subtree to one removed tau, so a
-    coalition's value is ``wins(state(root))``, where an absent node has
-    state ``removed``, a present leaf has state ``leaf(node)``, and a
-    present operator folds its children's states left to right:
-    ``join(op, join(op, s1, s2), s3) ...``.  That makes it a
-    deterministic bottom-up tree automaton; the oracle runs it over
-    batches of coalitions as integer tables (``oracle.evaluate_masks``)."""
-
-    tree: ProcessTree
-    leaf: Callable[[ProcessTree], Hashable]
-    removed: Hashable
-    join: Callable[[Op, Hashable, Hashable], Hashable]
-    wins: Callable[[Hashable], bool]
-
-    @property
-    def n(self) -> int:
-        return node_count(self.tree)
 
 
 @dataclass(frozen=True)
@@ -159,19 +135,22 @@ def _preorder(
     return nodes, children, parent
 
 
-def tree_shapley(game: TreeGame) -> ShapleyEstimate:
-    """Exact Shapley values of a tree game in polynomial time, by counting
-    winning coalitions per size over the tree (size-stratified model
-    counting: Deutch, Frost, Kimelfeld, Monet, SIGMOD 2022; Van den
-    Broeck et al., AAAI 2021).
+def tree_shapley(tree: ProcessTree, spec: PropertySpec) -> ShapleyEstimate:
+    """Exact Shapley values of the oracle's verdicts under *spec* on the
+    coalitions of *tree*'s nodes (players are the preorder node indices)
+    in polynomial time, by counting winning coalitions per size over the
+    tree (size-stratified model counting: Deutch, Frost, Kimelfeld,
+    Monet, SIGMOD 2022; Van den Broeck et al., AAAI 2021).
 
-    Each subtree gets a table from summary state to count polynomial,
-    whose coefficient k counts the coalitions of the subtree's nodes with
-    k members that give it that state.  A present node convolves its
-    children's tables and shifts by one; an absent node takes the removed
-    state with its size - 1 descendants free, (1 + x)^(size - 1).  Forcing
-    player i in changes only the tables on the path from i to the root,
-    where an absent ancestor leaves the others free but counts i:
+    Each subtree gets a table: a list, indexed by the state codes of the
+    oracle's compiled automaton (``oracle._automaton``), of count
+    polynomials, whose coefficient k counts the coalitions of the
+    subtree's nodes with k members that give it that state.  A present
+    node folds its children's tables through the join table of its
+    operator and shifts by one; an absent node takes the removed state,
+    code 0, with its size - 1 descendants free, (1 + x)^(size - 1).
+    Forcing player i in changes only the tables on the path from i to the
+    root, where an absent ancestor leaves the others free but counts i:
     x (1 + x)^(size - 2).  With A[k] the winning coalitions of size k
     that contain i and W[k] all winning ones of size k,
 
@@ -183,7 +162,11 @@ def tree_shapley(game: TreeGame) -> ShapleyEstimate:
     substitution): no coefficient exceeds 2^n, so a convolution is one
     integer product and the coefficients read back exactly."""
 
-    nodes, children, parent = _preorder(game.tree)
+    leaf_code, lookups, wins = _automaton(spec)
+    joins = {op: lookup.tolist() for op, lookup in lookups.items()}
+    winners = [code for code, won in enumerate(wins.tolist()) if won]
+    states = len(wins)
+    nodes, children, parent = _preorder(tree)
     n = len(nodes)
     width = n + 1
     x = 1 << width
@@ -194,28 +177,32 @@ def tree_shapley(game: TreeGame) -> ShapleyEstimate:
     for pos in reversed(range(1, n)):
         size[parent[pos]] += size[pos]
 
-    def present(pos: int, child_tables: list[dict]) -> dict:
+    def present(pos: int, child_tables: list[list[int]]) -> list[int]:
         if not child_tables:
-            return {game.leaf(nodes[pos]): x}
-        op = nodes[pos].op
+            table = [0] * states
+            table[leaf_code(nodes[pos])] = x
+            return table
+        join = joins[nodes[pos].op]
         acc = child_tables[0]
         for right in child_tables[1:]:
-            out: dict = {}
-            for a, p in acc.items():
-                for b, q in right.items():
-                    state = game.join(op, a, b)
-                    out[state] = out.get(state, 0) + p * q
+            out = [0] * states
+            for a, p in enumerate(acc):
+                if p:
+                    row = join[a]
+                    for b, q in enumerate(right):
+                        if q:
+                            out[row[b]] += p * q
             acc = out
-        return {state: p << width for state, p in acc.items()}
+        return [p << width for p in acc]
 
-    def with_absent(table: dict, poly: int) -> dict:
-        table[game.removed] = table.get(game.removed, 0) + poly
+    def with_absent(table: list[int], poly: int) -> list[int]:
+        table[0] += poly
         return table
 
-    def winning(table: dict) -> int:
-        return sum(p for state, p in table.items() if game.wins(state))
+    def winning(table: list[int]) -> int:
+        return sum(table[code] for code in winners)
 
-    tables: list[dict] = [{} for _ in range(n)]
+    tables: list[list[int]] = [[] for _ in range(n)]
     for pos in reversed(range(n)):  # children before parents
         own = present(pos, [tables[c] for c in children[pos]])
         tables[pos] = with_absent(own, free[size[pos] - 1])

@@ -1,30 +1,33 @@
-"""The per-coalition reference fold of a ``TreeGame``: the recursive walk
-the oracle's batch fold (``oracle.evaluate_masks``) is checked against."""
+"""The per-coalition reference fold of the oracle's rules
+(``oracle._rules``): the recursive walk the oracle's batch fold
+(``oracle.evaluate_masks``) and its compiled automaton are checked
+against."""
 
 from __future__ import annotations
 
 from typing import Hashable
 
+from procshap.oracle import PropertySpec, _rules
 from procshap.process_tree import ProcessTree
-from procshap.shapley import TreeGame
 
 
-def fold_value(game: TreeGame, mask: int) -> int:
-    """The value of the coalition *mask* over node ids: ``wins`` of the
-    root's state, folding present nodes only."""
+def fold_value(tree: ProcessTree, spec: PropertySpec, mask: int) -> int:
+    """The verdict under *spec* on the coalition *mask* over *tree*'s node
+    ids: ``wins`` of the root's state, folding present nodes only."""
 
-    if game.tree.node_id is None:
+    if tree.node_id is None:
         raise ValueError("fold_value requires an id-assigned tree (assign_node_ids)")
+    leaf, removed, join, wins = _rules(spec)
 
     def state(node: ProcessTree) -> Hashable:
         if not mask >> node.node_id.index & 1:
-            return game.removed
+            return removed
         if node.is_leaf:
-            return game.leaf(node)
+            return leaf(node)
         first, *rest = node.children
         acc = state(first)
         for child in rest:
-            acc = game.join(node.op, acc, state(child))
+            acc = join(node.op, acc, state(child))
         return acc
 
-    return int(game.wins(state(game.tree)))
+    return int(wins(state(tree)))

@@ -3,7 +3,7 @@
 ``trace_language`` materialises every activity sequence a tree can
 produce with loops unrolled up to a bound, so tests can state what a
 mined or substituted tree accepts.  The package never enumerates traces:
-its verdicts fold the tree directly (``oracle.tree_game``).
+its verdicts fold the tree directly (``oracle._rules``).
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 random tables, with the same masks asked in the same order, and equal
 ``run_single`` records, cache counters and warnings included, on both
 backends.  Also the number of batches: MC asks 1 + blocks (+2 for the
-veto step), RS asks once, and each ``evaluate_masks`` call builds one
-``tree_game``."""
+veto step), RS asks once, and each ``evaluate_masks`` call runs the
+oracle's table fold once, or not at all when the cache holds the whole
+batch."""
 
 from __future__ import annotations
 
@@ -197,24 +198,29 @@ def test_run_single_prover_equals_per_query(tmp_path, monkeypatch, method):
         assert all(r["cache"]["warnings"] for r in batched)
 
 
-def test_run_single_batches_and_tree_games(running_example_tree, monkeypatch):
+def test_run_single_batches_and_folds(running_example_tree, monkeypatch):
     """MC asks 1 + blocks + 2 batches on the monotone sat game (v(N) = 1),
-    each ``evaluate_masks`` call builds one ``tree_game``, and neither a
-    ``Game`` nor a ``Coalition`` is built."""
+    each ``evaluate_masks`` call runs at most one ``_fold``, none on a
+    batch the cache answers whole, and neither a ``Game`` nor a
+    ``Coalition`` is built."""
 
-    calls, builds, built = [], [], []
-    evaluate_masks, tree_game = reports.evaluate_masks, oracle.tree_game
+    calls, folds, built = [], [], []
+    evaluate_masks, fold = reports.evaluate_masks, oracle._fold
 
-    def counting_evaluate_masks(*args, **kwargs):
-        calls.append(len(args[1]))
-        return evaluate_masks(*args, **kwargs)
+    def counting_evaluate_masks(tree, masks, spec, cache, *args):
+        cached = all((mask, "oracle", *spec.cache_key()) in cache for mask in masks)
+        before = len(folds)
+        values = evaluate_masks(tree, masks, spec, cache, *args)
+        calls.append(len(masks))
+        assert len(folds) - before == (0 if cached else 1)
+        return values
 
-    def counting_tree_game(*args, **kwargs):
-        builds.append(1)
-        return tree_game(*args, **kwargs)
+    def counting_fold(*args):
+        folds.append(1)
+        return fold(*args)
 
     monkeypatch.setattr(reports, "evaluate_masks", counting_evaluate_masks)
-    monkeypatch.setattr(oracle, "tree_game", counting_tree_game)
+    monkeypatch.setattr(oracle, "_fold", counting_fold)
     for cls in (Game, Coalition):
         monkeypatch.setattr(cls, "__post_init__",
                             lambda self, name=cls.__name__: built.append(name))
@@ -226,11 +232,11 @@ def test_run_single_batches_and_tree_games(running_example_tree, monkeypatch):
     blocks = record["method"]["samples"] // n
     assert blocks == 300 // n
     assert calls == [1, *[n * n] * blocks, 1, n]
-    assert len(builds) == len(calls)
+    assert 0 < len(folds) < len(calls)  # v(N) at least comes from the cache
 
     calls.clear()
-    builds.clear()
+    folds.clear()
     config = RunConfig(log_path="log.xes", method="rs", seed=1, samples_per_player=9)
     run_single(config, running_example_tree, 0.0, SPECS[2], 5)
-    assert calls == [2 * 9 * n] and builds == [1]
+    assert calls == [2 * 9 * n] and folds == [1]
     assert built == []

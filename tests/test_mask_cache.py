@@ -21,7 +21,6 @@ from procshap.oracle import (
     TauMode,
     ValueCache,
     evaluate_masks,
-    tree_game,
 )
 from procshap.process_tree import canonical_mask, node_count
 
@@ -61,7 +60,6 @@ def test_shared_cache_matches_model(data):
         for backend in BACKENDS
         for spec in specs(data.draw(st.sampled_from(TauMode)), data.draw(st.integers(0, 2)))
     ]
-    games = {spec: tree_game(tree, spec) for _, spec in jobs}
     stand_ins = {
         (backend, spec): StandIn(tree, lambda form, b=backend, s=spec: silent(b, s, form))
         for backend, spec in jobs
@@ -83,7 +81,7 @@ def test_shared_cache_matches_model(data):
     # what evaluate_masks must return for them: it reads them, not a fold.
     for backend, spec in jobs:
         for mask in data.draw(st.lists(st.sampled_from(pool), max_size=3)):
-            stored = 1 - fold_value(games[spec], mask)
+            stored = 1 - fold_value(tree, spec, mask)
             value = get_or_compute(cache, (key(backend, mask),) + suffix(backend, spec),
                                    lambda stored=stored: stored)
             model[suffix(backend, spec)].setdefault(key(backend, mask), value)
@@ -107,7 +105,7 @@ def test_shared_cache_matches_model(data):
                 for form in dict.fromkeys(key(backend, mask) for mask in batch):
                     if form not in table:
                         table[form] = (0 if silent(backend, spec, form)
-                                       else fold_value(games[spec], form))
+                                       else fold_value(tree, spec, form))
                         if silent(backend, spec, form):
                             warnings.append(f"no verdict on {form:#x}")
                 got = evaluate_masks(tree, batch, spec, cache, backend, UNUSED)

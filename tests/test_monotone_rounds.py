@@ -24,7 +24,6 @@ from procshap.oracle import (
     TauMode,
     ValueCache,
     evaluate_masks,
-    tree_game,
 )
 from procshap.process_tree import (
     assign_node_ids,
@@ -76,10 +75,9 @@ class StandIn:
     def __call__(self, trees_c, spec, config, memo=None):
         masks = [present_mask(tree_c) for tree_c in trees_c]
         self.rounds.append(masks)
-        game = tree_game(self.tree, spec)
         return [
             (0, [f"no verdict on {mask:#x}"]) if self.silent(mask)
-            else (fold_value(game, mask), [])
+            else (fold_value(self.tree, spec, mask), [])
             for mask in masks
         ]
 
@@ -148,16 +146,15 @@ def test_rounds_give_the_oracles_verdicts(tree, data):
     every_form = canonical_forms(tree)
     full = (1 << n) - 1
     for spec in MONOTONE:
-        game = tree_game(tree, spec)
         values, cache, prover = prove(tree, masks, spec)
-        assert values == [fold_value(game, mask) for mask in masks], spec
+        assert values == [fold_value(tree, spec, mask) for mask in masks], spec
         assert cache.total_queries == len(masks)
         assert cache.distinct_queries == len(forms_of(tree, masks))
         assert cache.warnings == []
         check_handed(tree, masks, prover)
 
         values, _, prover = prove(tree, every_form, spec)
-        assert values == [fold_value(game, form) for form in every_form], spec
+        assert values == [fold_value(tree, spec, form) for form in every_form], spec
         check_handed(tree, every_form, prover)
         if spec.mode is TauMode.SKIP:  # every form wins: the empty one settles all
             assert prover.rounds == [[0, full]]
@@ -165,7 +162,7 @@ def test_rounds_give_the_oracles_verdicts(tree, data):
         via_rounds = rooted_shapley(
             tree, lambda forms: prove(tree, forms, spec)[0]
         )
-        assert via_rounds.phi_exact == tree_shapley(game).phi_exact, spec
+        assert via_rounds.phi_exact == tree_shapley(tree, spec).phi_exact, spec
 
 
 @settings(max_examples=30, deadline=None)
@@ -176,7 +173,7 @@ def test_saf_hands_over_every_form_at_once(tree, data):
     masks = [0, *(rng.getrandbits(n) for _ in range(data.draw(st.integers(1, 40))))]
     for spec in SAF:
         values, _, prover = prove(tree, masks, spec)
-        assert values == [fold_value(tree_game(tree, spec), mask) for mask in masks]
+        assert values == [fold_value(tree, spec, mask) for mask in masks]
         assert prover.rounds == [forms_of(tree, masks)]
 
 
@@ -186,12 +183,11 @@ def test_no_verdict_settles_nothing():
                  if node_count(tree) >= 5]:
         every_form = canonical_forms(tree)
         for spec in MONOTONE:
-            game = tree_game(tree, spec)
             values, cache, prover = prove(tree, every_form, spec, silent_third)
             check_handed(tree, every_form, prover)
             value = dict(zip(every_form, values))
             real = {
-                form: fold_value(game, form)
+                form: fold_value(tree, spec, form)
                 for form in prover.handed if not silent_third(form)
             }
             for form in every_form:
@@ -205,7 +201,7 @@ def test_no_verdict_settles_nothing():
                         for other, verdict in real.items()
                         if verdict == value[form]
                     ), (tree, spec, form)
-                    assert value[form] == fold_value(game, form)
+                    assert value[form] == fold_value(tree, spec, form)
                     inferred += 1
             silent = [form for form in every_form
                       if form in prover.handed and silent_third(form)]

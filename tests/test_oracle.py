@@ -12,7 +12,6 @@ from procshap.oracle import (
     ValueCache,
     evaluate,
     evaluate_masks,
-    tree_game,
 )
 from procshap.process_tree import (
     Coalition,
@@ -198,8 +197,7 @@ def test_sat_and_liv_monotone_on_corpus():
     for tree in corpus(60):
         n = node_count(tree)
         for spec in specs:
-            game = tree_game(tree, spec)
-            values = [fold_value(game, mask) for mask in range(1 << n)]
+            values = [fold_value(tree, spec, mask) for mask in range(1 << n)]
             for i in range(n):
                 bit = 1 << i
                 assert all(

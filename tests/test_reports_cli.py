@@ -13,6 +13,7 @@ from procshap import reports
 from procshap.cli import _apply_config_file, build_parser, main
 from procshap.event_log import EventLog
 from procshap.oracle import Property, PropertySpec
+from procshap.process_tree import node_count
 from procshap.reports import (
     AttributionReport,
     RunConfig,
@@ -199,10 +200,10 @@ def test_matrix_counters_and_structure(running_example_file):
 
 def test_error_isolation(monkeypatch, running_example_file):
     # a config whose Shapley step raises must not poison its siblings
-    def failing_on_14_nodes(game):
-        if game.n == 14:  # the noise-0 tree; noise 1 mines 13 nodes
+    def failing_on_14_nodes(tree, spec):
+        if node_count(tree) == 14:  # the noise-0 tree; noise 1 mines 13 nodes
             raise ValueError("refused")
-        return tree_shapley(game)
+        return tree_shapley(tree, spec)
 
     monkeypatch.setattr(reports, "tree_shapley", failing_on_14_nodes)
     config = RunConfig(
@@ -331,6 +332,36 @@ def test_report_rerender_roundtrip(tmp_path, running_example_file):
         assert (first_dir / name).read_text() == (second_dir / name).read_text()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{}", "report key 'meta' is missing"),
+    ("[1]", "the JSON is not an object"),
+    ('{"meta": {}, "configurations": [], "cross": {}}',
+     "meta key 'configuration_count' is missing"),
+    ('{"meta": [], "configurations": [], "cross": {}}', "report key 'meta' is mistyped"),
+])
+def test_cli_report_rejects_json_that_is_not_a_report(tmp_path, capsys, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["report", "--in", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: not a report: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_report_from_json_checks_the_keys_the_summary_reads(running_example_file):
+    payload = json.loads(run_matrix(small_config(running_example_file)).to_json())
+    for part, key in [("meta", "seed"), ("cross", "baseline_noise")]:
+        broken = json.loads(json.dumps(payload))
+        del broken[part][key]
+        with pytest.raises(ValueError, match=f"{part} key '{key}' is missing"):
+            AttributionReport.from_json(json.dumps(broken))
+    payload["meta"].pop("log_name")
+    payload["meta"]["log_path"] = "old/log.xes"  # reports written before log_name
+    report = AttributionReport.from_json(json.dumps(payload))
+    assert render_summary(report).startswith("log: old/log.xes\n")
+
+
 # -- CLI ------------------------------------------------------------------
 
 
@@ -394,10 +425,14 @@ def test_cli_verify_coalition_and_exclude_are_exclusive(
     assert captured.out == ""
 
 
-def test_cli_verify_requires_pair(tmp_path, running_example_file):
+def test_cli_verify_requires_pair(tmp_path, running_example_file, capsys):
     main(["mine", "--log", str(running_example_file), "--out", str(tmp_path)])
-    with pytest.raises(SystemExit):
-        main(["verify", "--tree", str(tmp_path / "tree.txt"), "--property", "saf"])
+    capsys.readouterr()
+    rc = main(["verify", "--tree", str(tmp_path / "tree.txt"), "--property", "saf"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --safety-pair A,B is required for the saf property\n"
+    assert captured.out == ""
 
 
 def test_cli_skip_mode_warning(tmp_path, running_example_file, capsys):
@@ -557,6 +592,9 @@ def test_cli_matrix_rejects_empty_log(tmp_path, capsys):
       "--permutations", "0"], "permutations must be at least 1"),
     (["--noise", "0", "--property", "sat", "--method", "rs", "--seed", "1",
       "--samples", "0"], "samples_per_player must be at least 1"),
+    (["--noise", "0"], "--safety-pair A,B is required for the saf property"),
+    (["--noise", "0", "--property", "sat", "--backend", "prover"],
+     "--prover-path is required with --backend prover"),
 ])
 def test_cli_matrix_rejects_bad_run_config_before_mining(
     tmp_path, running_example_file, monkeypatch, capsys, flags, message
@@ -656,11 +694,24 @@ def test_cli_config_serves_several_subcommands(tmp_path, running_example_file, c
     assert report["meta"]["configuration_count"] == 1  # property = sat applies
 
 
-def test_cli_config_rejects_unknown_key(tmp_path):
+def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     config_file = tmp_path / "run.conf"
     config_file.write_text("seed = 3\npermutation = 50\n")
-    with pytest.raises(SystemExit, match="unknown config key 'permutation'"):
+    with pytest.raises(SystemExit) as excinfo:
         main(["mine", "--log", "x.xes", "--config", str(config_file)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"error: {config_file}:2: unknown config key 'permutation'" in err
+
+
+def test_cli_config_rejects_line_without_equals(tmp_path, capsys):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("# defaults\nseed 3\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--config", str(config_file), "mine", "--log", "x.xes"])
+    assert excinfo.value.code == 2
+    assert f"error: {config_file}:2: expected 'key = value'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

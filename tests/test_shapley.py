@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procshap.oracle import Property, PropertySpec, ValueCache, evaluate, tree_game
+from procshap.oracle import Property, PropertySpec, ValueCache, evaluate
 from procshap.process_tree import (
     activity,
     assign_node_ids,
@@ -238,8 +238,8 @@ def test_mc_monotone_ties_veto_players_exactly():
     for tree in corpus(30, seed=51):
         n = node_count(tree)
         for prop, bound in itertools.product((Property.SAT, Property.LIV), (0, 1)):
-            game_of = tree_game(tree, PropertySpec(prop, loop_bound=bound))
-            game = Game(n, lambda c: fold_value(game_of, c.mask))
+            spec = PropertySpec(prop, loop_bound=bound)
+            game = Game(n, lambda c: fold_value(tree, spec, c.mask))
             veto = veto_players(game)
             grand = game.value_of_mask((1 << n) - 1) - game.value_of_mask(0)
             for seed, permutations in ((0, n), (1, 3 * n + 1), (20_001, 200)):

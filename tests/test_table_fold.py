@@ -1,5 +1,5 @@
 """The oracle's batch fold against the per-coalition reference fold
-(``_fold_ref.fold_value`` over ``tree_game``): equal verdicts for every
+(``_fold_ref.fold_value`` over ``oracle._rules``): equal verdicts for every
 property, tau mode and loop bound, on trees with removed taus and trees
 of more than 64 nodes, for batches with repeated masks; equal cache
 counters; no compiling or folding for a batch the cache answers whole;
@@ -20,7 +20,6 @@ from procshap.oracle import (
     TauMode,
     ValueCache,
     evaluate_masks,
-    tree_game,
 )
 from procshap.process_tree import (
     Coalition,
@@ -93,8 +92,7 @@ def test_batch_fold_equals_reference_fold(tree, data):
     masks = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=10))
     first = masks[: len(masks) // 2]  # a second batch then hits the cache in part
     for spec in SPECS:
-        game = tree_game(tree, spec)
-        expected = [fold_value(game, mask) for mask in masks]
+        expected = [fold_value(tree, spec, mask) for mask in masks]
         cache = ValueCache()
         assert evaluate_masks(tree, first, spec, cache) == expected[: len(first)]
         assert evaluate_masks(tree, masks, spec, cache) == expected, spec
@@ -111,9 +109,8 @@ def test_batch_fold_beyond_64_nodes():
     masks = [full, 0, full >> 1, full & ~1, *(rng.getrandbits(n) for _ in range(200))]
     masks += [full ^ (1 << i) for i in range(n)]  # the top bits matter here
     for spec in SPECS:
-        game = tree_game(tree, spec)
         assert evaluate_masks(tree, masks, spec) == [
-            fold_value(game, mask) for mask in masks
+            fold_value(tree, spec, mask) for mask in masks
         ], spec
 
 

@@ -1,6 +1,6 @@
 """The two polynomial exact paths against the 2^n enumeration
 (``exact_shapley`` over the oracle's verdicts), compared as exact
-fractions: the tree DP (``tree_shapley`` over ``oracle.tree_game``),
+fractions: the tree DP (``tree_shapley`` over the oracle's compiled rules),
 which replaces it on the oracle path, and the sum over rooted subtrees
 (``rooted_shapley``), which replaces it on the prover path and is
 checked here through oracle-backed verdicts."""
@@ -21,7 +21,6 @@ from procshap.oracle import (
     TauMode,
     evaluate,
     evaluate_masks,
-    tree_game,
 )
 from procshap.process_tree import (
     Coalition,
@@ -80,7 +79,7 @@ def assert_dp_matches(tree, spec_list):
             return evaluate_masks(tree, masks, spec)
 
         for estimate in (
-            tree_shapley(tree_game(tree, spec)),
+            tree_shapley(tree, spec),
             rooted_shapley(tree, verdicts),
         ):
             assert estimate.phi_exact == reference.phi_exact, (tree, spec)
@@ -171,7 +170,7 @@ def test_dp_efficiency_beyond_enumeration():
         exact_shapley(Game(n, lambda c: 0))
     full, empty = Coalition.full(n), Coalition.empty(n)
     for spec in specs(bounds=(1,)):
-        estimate = tree_shapley(tree_game(tree, spec))
+        estimate = tree_shapley(tree, spec)
         grand = evaluate(tree, full, spec) - evaluate(tree, empty, spec)
         assert sum(estimate.phi_exact.values()) == Fraction(grand), spec
         assert estimate.samples == {i: 1 << (n - 1) for i in range(n)}
