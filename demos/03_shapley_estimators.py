@@ -6,7 +6,8 @@ winning coalitions over the tree is polynomial in n, enumerating all 2^n
 coalitions of a black-box game is exponential.  Monte Carlo permutations
 are unbiased; random subsets are cheaper but biased toward mid-sized
 coalitions.  Both samplers ask a verdict function for batches of
-coalition masks, as the report pipeline does.
+coalitions, as the report pipeline does: a 0/1 coalition matrix, one
+row per coalition and one column per node.
 """
 
 import time
@@ -19,7 +20,7 @@ from procshap import (
     ValueCache,
     discover,
     evaluate,
-    evaluate_masks,
+    evaluate_rows,
     exact_shapley,
     iter_nodes,
     mc_permutation_shapley,
@@ -49,9 +50,9 @@ print(f"{'node':<28} {'exact':>9}")
 for i in sorted(exact.phi, key=lambda i: -exact.phi[i]):
     print(f"{names[i]:<28} {exact.phi[i]:>+9.4f}")
 
-# The samplers' one query path: a batch of masks in, verdicts out, in order.
-def verdicts(masks):
-    return evaluate_masks(tree, masks, spec, cache)
+# The samplers' one query path: coalition rows in, verdicts out, in order.
+def verdicts(rows):
+    return evaluate_rows(tree, rows, spec, cache)
 
 
 # Monte Carlo: unbiased, converges smoothly; the convergence report
@@ -74,8 +75,8 @@ full = (1 << 6) - 1
 unanimity = Game(n=6, value=lambda c: int(c.mask == full))
 
 
-def unanimous(masks):
-    return [int(mask == full) for mask in masks]
+def unanimous(rows):
+    return rows.all(axis=1)  # 1 only for the row that holds every player
 
 
 mc_unanimity, _ = mc_permutation_shapley(6, unanimous, 3000, seed=1,

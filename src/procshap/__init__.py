@@ -38,8 +38,10 @@ from .oracle import (
     PropertySpec,
     TauMode,
     ValueCache,
+    coalition_rows,
     evaluate,
-    evaluate_masks,
+    evaluate_rows,
+    row_masks,
 )
 from .process_tree import (
     Coalition,

@@ -28,7 +28,7 @@ memo from problem text to SZS status, which a caller may share across
 batches (``run_matrix`` shares one across its configurations, so liv's
 sat gate reuses the sat configuration's statuses), and one pool of
 threads for the calls the memo lacks (each call waits on a subprocess),
-the package's only parallelism.  ``oracle.evaluate_masks`` hands it saf
+the package's only parallelism.  ``oracle.evaluate_rows`` hands it saf
 forms as one batch and sat and liv forms in rounds, one batch per round,
 from the maximal forms down: both properties grow with the coalition, so
 a verdict of 0 settles every smaller form and a verdict of 1 every larger
@@ -394,7 +394,7 @@ def values_via_prover(
     for each tree.  Under the abort policy the first tree, in order,
     whose status is neither verdict raises ``ProverUnknownError``, and
     the calls after it that have not started are not made; since
-    ``oracle.evaluate_masks`` asks for sat and liv in rounds, that is the
+    ``oracle.evaluate_rows`` asks for sat and liv in rounds, that is the
     first failing form, in mask order, of the first round that fails."""
 
     memo = {} if memo is None else memo

@@ -1,7 +1,6 @@
 """The oracle: satisfiability, liveness and safety verdicts on the
 coalition-reduced tree, stated once as the rules of a bottom-up tree
-automaton (``_rules``), and the batch evaluation front-end, memoized in
-one mask -> verdict table per (backend, spec).
+automaton (``_rules``), and the batch evaluation front-end.
 
 Removing a node collapses its subtree to one removed tau.  Semantics are
 commitment-based.  A commitment resolves every choice in the tree up
@@ -20,13 +19,22 @@ codes, a leaf coder and one lookup table per operator.  Both exact and
 batch evaluation run that one compiled automaton.
 ``shapley.tree_shapley`` counts it over all coalitions at once.
 Everything that asks for the verdicts of particular coalitions asks
-``evaluate_masks`` for a batch of masks, the package's one coalition
-evaluator.  The oracle decides a batch in one numpy step per node
-(``_fold``).  The prover backend decides the substituted trees'
-encodings; sat and liv grow with the coalition, so it asks for them in
-rounds from the largest forms down and infers the verdicts that a real
-verdict on a larger or smaller form settles.  ``evaluate`` is its batch
-of one.
+``evaluate_rows`` for a batch, the package's one coalition evaluator: a
+0/1 coalition matrix, one row per coalition and one column per node id.
+The oracle folds every row of the batch in one numpy step per node
+(``_fold``), through a node program compiled once per configuration's
+tree and spec (``ValueCache.program``), and stores no verdict.  The
+prover backend decides the substituted trees' encodings, one per
+distinct canonical form; sat and liv grow with the coalition, so it asks
+for them in rounds from the largest forms down and infers the verdicts
+that a real verdict on a larger or smaller form settles.  A
+configuration's ``ValueCache`` counts every row asked in
+``total_queries`` and every distinct row (canonical form, on the prover)
+once per (backend, spec) in ``distinct_queries``.  Rows are only how a
+batch is represented: which coalitions a batch holds, and how the
+estimators split their queries into batches, does not depend on it.
+Callers that hold int masks convert them with ``coalition_rows``;
+``evaluate`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -57,8 +65,10 @@ __all__ = [
     "Property",
     "PropertySpec",
     "ValueCache",
+    "coalition_rows",
     "evaluate",
-    "evaluate_masks",
+    "evaluate_rows",
+    "row_masks",
 ]
 
 
@@ -187,59 +197,157 @@ def _automaton(spec: PropertySpec) -> tuple[Callable, dict, np.ndarray]:
     return lambda node: code[leaf(node)], tables, wins_of
 
 
-def _fold(tree: ProcessTree, automaton: tuple, masks: list[int]) -> list[int]:
-    """The verdicts of the compiled *automaton* on *masks* over *tree*'s
-    node ids, by one bottom-up pass over a (node ids x masks) 0/1 matrix:
-    a node's row of state codes is its leaf's code, or its children's
-    rows folded left to right through ``tables[op]``, times its presence
-    bits, since the removed state is code 0."""
+def coalition_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """Int masks over players 0..n-1 (bit i keeps player i) as a
+    ``(len(masks), n)`` uint8 coalition matrix, one row per mask: the
+    one conversion for callers that hold masks.  A negative mask, or one
+    with a bit at n or above, raises ``ValueError``."""
 
-    leaf_code, tables, wins = automaton
+    if any(mask < 0 or mask >> n for mask in masks):
+        raise ValueError(f"a coalition mask is negative or has a bit past player {n - 1}")
+    width = (n + 7) // 8
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The rows of a 0/1 coalition matrix as int masks, bit i for column i:
+    the inverse of ``coalition_rows``."""
+
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _checked(rows, width: int) -> np.ndarray:
+    """*rows* as a uint8 matrix, if it is a rank-2 matrix of 0/1 integers
+    with *width* columns; ``ValueError`` naming its shape otherwise."""
+
+    rows = np.asarray(rows)
+    if (
+        rows.ndim != 2
+        or rows.shape[1] != width
+        or rows.dtype.kind not in "biu"
+        or (rows.size and (rows.min() < 0 or rows.max() > 1))
+    ):
+        raise ValueError(
+            f"coalition matrix of shape {rows.shape} and dtype {rows.dtype}: "
+            f"need 0/1 integer rows of {width} columns, one per node id"
+        )
+    return rows.astype(np.uint8, copy=False)
+
+
+def _span(tree: ProcessTree) -> int:
+    """One more than *tree*'s largest node id: its coalition matrices' width."""
     if tree.node_id is None:
         raise ValueError("the oracle requires an id-assigned tree (assign_node_ids)")
+    return 1 + max(node.node_id.index for node in iter_nodes(tree))
+
+
+def _compile(tree: ProcessTree, spec: PropertySpec) -> tuple:
+    """*tree*'s node program for ``_fold`` under *spec*: ``(ids, root,
+    leaves, steps, states, wins)``, with the leaf state code per node id
+    and one ``(index, table, children)`` step per operator node, children
+    before parents.  ``table`` is the operator's join table of
+    ``_automaton(spec)`` flattened to uint8 and read at ``a * states +
+    b``, which at most 16 states keep within a byte."""
+
+    ids = _span(tree)
+    leaf_code, tables, wins = _automaton(spec)
+    flat = {op: table.astype(np.uint8).ravel() for op, table in tables.items()}
     nodes = list(iter_nodes(tree))
-    ids = 1 + max(node.node_id.index for node in nodes)
-    width = (ids + 7) // 8  # bytes, not uint64 words: trees can exceed 64 nodes
-    full = (1 << ids) - 1
-    packed = np.frombuffer(
-        b"".join((mask & full).to_bytes(width, "little") for mask in masks),
-        dtype=np.uint8,
-    ).reshape(len(masks), width)
-    present = np.unpackbits(packed.T, axis=0, count=ids, bitorder="little")
-    leaves = np.zeros(ids, dtype=np.intp)
-    for node in nodes:
+    leaves = np.zeros(ids, dtype=np.uint8)
+    steps = []
+    for node in reversed(nodes):
         if node.is_leaf:
             leaves[node.node_id.index] = leaf_code(node)
+        else:
+            children = [child.node_id.index for child in node.children]
+            steps.append((node.node_id.index, flat[node.op], children))
+    return ids, tree.node_id.index, leaves, steps, len(wins), wins
+
+
+def _fold(program: tuple, rows: np.ndarray) -> np.ndarray:
+    """The verdicts of a compiled node *program* (``_compile``) on every
+    row of the coalition matrix *rows*, by one bottom-up pass over its
+    transpose: a node's row of state codes is its leaf's code, or its
+    children's rows folded left to right through its join table, times
+    its presence bits, since the removed state is code 0."""
+
+    _, root, leaves, steps, states, wins = program
+    present = np.ascontiguousarray(rows.T)
     state = leaves[:, None] * present  # every leaf's row at once
-    for node in reversed(nodes):  # children before parents
-        if node.is_leaf:
-            continue
-        table = tables[node.op]
-        first, *rest = node.children
-        folded = state[first.node_id.index]
+    for index, table, (first, *rest) in steps:
+        folded = state[first]
         for child in rest:
-            folded = table[folded, state[child.node_id.index]]
-        index = node.node_id.index
+            folded = table.take(folded * states + state[child])
         np.multiply(folded, present[index], out=state[index])
-    return wins[state[tree.node_id.index]].tolist()
+    return wins[state[root]]
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """*rows* packed into uint64 words, one row of words per coalition:
+    the rows are padded to whole words, so one flat ``packbits`` packs
+    them all."""
+    k, n = rows.shape
+    words = -(-n // 64)
+    bits = np.zeros((k, words * 64), dtype=np.uint8)
+    bits[:, :n] = rows
+    return np.packbits(bits.reshape(-1), bitorder="little").view(np.uint64).reshape(k, words)
+
+
+def _distinct(words: np.ndarray) -> np.ndarray:
+    """The distinct rows of a word matrix, by sorting (a lexsort when the
+    rows take more than one word) and keeping each row that differs from
+    the one before (``np.unique`` over rows is far slower)."""
+    if len(words) < 2:
+        return words
+    if words.shape[1] == 1:
+        ordered = np.sort(words, axis=0)
+    else:
+        ordered = words[np.lexsort(words.T)]
+    keep = np.ones(len(ordered), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=keep[1:])
+    return ordered[keep]
 
 
 class ValueCache:
-    """One configuration's memo of coalition verdicts, used from one
-    thread: a mask -> verdict dict per (backend, spec) suffix (``table``),
-    which ``get_or_compute`` reaches by key ``(mask, *suffix)``, or ``()``
-    for a key that is no tuple.  Counters track total and distinct
-    queries; warnings collect what the computations reported, in order."""
+    """One configuration's record of its coalition queries, used from one
+    thread and one tree.
+
+    The oracle stores no verdict: it keeps the node program it compiled
+    for the tree and spec (``program``) and, per (backend, spec) suffix,
+    the rows it was asked, packed into uint64 words.  The prover keeps a
+    canonical mask -> verdict dict per suffix (``table``), which
+    ``get_or_compute`` also reaches by key ``(mask, *suffix)``, or ``()``
+    for a key that is no tuple.  ``total_queries`` counts the rows asked;
+    ``distinct_queries``, which is ``len``, counts the distinct rows per
+    suffix plus the tables' entries.  Warnings collect what the
+    computations reported, in order."""
 
     def __init__(self) -> None:
         self._tables: dict[tuple, dict[Hashable, int]] = {}
+        self._words: dict[tuple, list[np.ndarray]] = {}
+        self._programs: dict[PropertySpec, tuple[ProcessTree, tuple]] = {}
         self.total_queries = 0
-        self.distinct_queries = 0
         self.warnings: list[str] = []
 
     def table(self, suffix: tuple) -> dict[Hashable, int]:
         """The mask -> verdict table of *suffix*, ``(backend,) + spec.cache_key()``."""
         return self._tables.setdefault(suffix, {})
+
+    def program(self, tree: ProcessTree, spec: PropertySpec) -> tuple:
+        """The oracle's node program for *tree* under *spec*, compiled
+        once: the tree is matched by identity, never hashed."""
+        held = self._programs.get(spec)
+        if held is None or held[0] is not tree:
+            held = self._programs[spec] = (tree, _compile(tree, spec))
+        return held[1]
+
+    def record_rows(self, suffix: tuple, rows: np.ndarray) -> None:
+        """Count the coalition matrix *rows* as asked under *suffix*."""
+        self.total_queries += len(rows)
+        self._words.setdefault(suffix, []).append(_pack(rows))
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], int]) -> int:
         suffix, mask = _split_key(key)
@@ -247,18 +355,25 @@ class ValueCache:
         self.total_queries += 1
         if mask not in table:
             table[mask] = compute()
-            self.distinct_queries += 1
         return table[mask]
 
     def add_warning(self, message: str) -> None:
         self.warnings.append(message)
+
+    @property
+    def distinct_queries(self) -> int:
+        return len(self)
 
     def __contains__(self, key: Hashable) -> bool:
         suffix, mask = _split_key(key)
         return mask in self._tables.get(suffix, ())
 
     def __len__(self) -> int:
-        return sum(map(len, self._tables.values()))
+        for words in self._words.values():
+            words[:] = [_distinct(np.concatenate(words))]
+        return sum(map(len, self._tables.values())) + sum(
+            len(words[0]) for words in self._words.values()
+        )
 
 
 def _split_key(key: Hashable) -> tuple[tuple, Hashable]:  # (suffix, mask)
@@ -275,46 +390,52 @@ def evaluate(
     prover_memo: dict | None = None,
 ) -> int:
     """The property's verdict on *coalition* of *tree*'s nodes:
-    ``evaluate_masks`` on a batch of one."""
+    ``evaluate_rows`` on a batch of one."""
 
-    return evaluate_masks(
-        tree, [coalition.mask], spec, cache, backend, prover_config, prover_memo
-    )[0]
+    rows = coalition_rows([coalition.mask], coalition.n)
+    return int(
+        evaluate_rows(tree, rows, spec, cache, backend, prover_config, prover_memo)[0]
+    )
 
 
-def evaluate_masks(
+def evaluate_rows(
     tree: ProcessTree,
-    masks: list[int],
+    rows: np.ndarray,
     spec: PropertySpec,
     cache: ValueCache | None = None,
     backend: str = "oracle",
     prover_config=None,
     prover_memo: dict | None = None,
-) -> list[int]:
-    """The verdicts on many coalitions, given as masks over node ids, in
-    order, memoized in *cache*'s table of (backend, property, mode, bound,
-    pair), keyed by mask, and counted there once per mask.
+) -> np.ndarray:
+    """The verdicts on a batch of coalitions, in order, as an int64
+    array: *rows* is a 0/1 coalition matrix with one row per coalition
+    and one column per node id of *tree* (``coalition_rows`` makes one
+    from int masks).  A matrix of another rank or width, or with other
+    entries, raises ``ValueError``.  *cache* counts every row asked in
+    ``total_queries`` and every distinct one once per (backend,
+    property, mode, bound, pair) in ``distinct_queries``.
 
-    The oracle keys the table by raw mask.  It dedupes the masks the table
-    lacks, in mask order, and decides them all in one bottom-up pass of
-    table lookups (``_fold``) through ``_rules`` compiled to integer
-    tables once per spec (``_automaton``); a batch the table
-    answers whole compiles and folds nothing.  The prover keys it by
-    canonical mask, since coalitions with one canonical form substitute
-    to one tree, and decides the distinct canonical forms the table
-    lacks through ``logic_encoder.values_via_prover`` (``_prove``):
-    saf as one batch, sat and liv, which are monotone, in rounds from the
-    maximal forms down, inferring a form's verdict from a real verdict on
-    a larger or smaller form instead of asking for it.  The prover calls
-    go through *prover_memo*, a map from problem text to SZS status that
-    callers may share across configurations, so a problem already
-    decided, such as the sat problem behind liv's gate, costs no call.
-    Once the last round is done, the forms' warnings are recorded in the
-    cache on the calling thread, in the order of *masks*, so the cache's
-    contents and warnings do not depend on which prover call finished
-    first; a form whose verdict was inferred raises none.  Under the
-    abort policy the error comes from the first failing form, in mask
-    order, of the first round that fails."""
+    The oracle folds every row, repeats included, in one bottom-up pass
+    of table lookups (``_fold``) through the node program that *cache*
+    compiled for *tree* and *spec* (``_compile``, from ``_rules``
+    compiled to integer tables once per spec by ``_automaton``), and
+    stores no verdict.  The prover keys *cache*'s table of the
+    (backend, spec) by canonical mask, since coalitions with one
+    canonical form substitute to one tree, and decides the distinct
+    canonical forms the table lacks through
+    ``logic_encoder.values_via_prover`` (``_prove``): saf as one batch,
+    sat and liv, which are monotone, in rounds from the maximal forms
+    down, inferring a form's verdict from a real verdict on a larger or
+    smaller form instead of asking for it.  The prover calls go through
+    *prover_memo*, a map from problem text to SZS status that callers
+    may share across configurations, so a problem already decided, such
+    as the sat problem behind liv's gate, costs no call.  Once the last
+    round is done, the forms' warnings are recorded in the cache on the
+    calling thread, in row order, so the cache's contents and warnings
+    do not depend on which prover call finished first; a form whose
+    verdict was inferred raises none.  Under the abort policy the error
+    comes from the first failing form, in row order, of the first round
+    that fails."""
 
     if backend not in ("oracle", "prover"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -322,20 +443,23 @@ def evaluate_masks(
         raise ValueError("prover backend requires a prover_config")
     if cache is None:
         cache = ValueCache()
-    table = cache.table((backend,) + spec.cache_key())
-    if backend == "prover":
-        masks = [canonical_mask(tree, mask) for mask in masks]
+    suffix = (backend,) + spec.cache_key()
+    if backend == "oracle":
+        program = cache.program(tree, spec)
+        rows = _checked(rows, program[0])
+        cache.record_rows(suffix, rows)
+        return _fold(program, rows)
+    rows = _checked(rows, _span(tree))
+    masks = [canonical_mask(tree, mask) for mask in row_masks(rows)]
+    table = cache.table(suffix)
     batch = [mask for mask in dict.fromkeys(masks) if mask not in table]
-    if batch and backend == "oracle":
-        table.update(zip(batch, _fold(tree, _automaton(spec), batch)))
-    elif batch:
+    if batch:
         results = _prove(tree, batch, spec, prover_config, prover_memo)
         for mask in batch:
             table[mask], warnings = results[mask]
             cache.warnings.extend(warnings)
     cache.total_queries += len(masks)
-    cache.distinct_queries += len(batch)
-    return list(map(table.__getitem__, masks))
+    return np.fromiter(map(table.__getitem__, masks), dtype=np.int64, count=len(masks))
 
 
 def _prove(

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .diagnostics import (
     DiagnosticsConfig,
     adaptive_nodes,
@@ -39,7 +41,7 @@ from .oracle import (
     PropertySpec,
     TauMode,
     ValueCache,
-    evaluate_masks,
+    evaluate_rows,
 )
 from .process_tree import (
     ProcessTree,
@@ -120,18 +122,35 @@ class AttributionReport:
     @classmethod
     def from_json(cls, text: str) -> "AttributionReport":
         """The report in *text*; ``ValueError`` names the first missing or
-        mistyped key among the top-level ones and the ``meta`` and
-        ``cross`` keys that ``render_summary`` reads."""
+        mistyped key among the ones that ``emit_report`` and
+        ``render_summary`` read: the top-level, ``meta`` and ``cross``
+        keys, and each configuration record's, by record index."""
 
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("not a report: the JSON is not an object")
         for where, types in _REPORT_KEYS.items():
-            part = payload if where == "report" else payload[where]
-            for key, kind in types.items():
-                if key not in part or not isinstance(part[key], kind):
-                    problem = "mistyped" if key in part else "missing"
-                    raise ValueError(f"not a report: {where} key {key!r} is {problem}")
+            _check_keys(payload if where == "report" else payload[where], types, where)
+        for index, record in enumerate(payload["configurations"]):
+            where = f"configuration {index}"
+            if not isinstance(record, dict):
+                raise ValueError(f"not a report: {where} is not an object")
+            _check_keys(record, {"id": str}, where)
+            if record.get("error"):
+                continue
+            _check_keys(record, _RECORD_KEYS, where)
+            for part, types in _RECORD_PARTS.items():
+                _check_keys(record[part], types, f"{where} {part}")
+            phi, classes = record["phi"], record["classification"]
+            _check_keys(phi, dict.fromkeys(phi, _NUMBER), f"{where} phi")
+            _check_keys(classes, dict.fromkeys(phi, dict), f"{where} classification")
+            for node in phi:
+                _check_keys(classes[node], {"class": str, "sign": str},
+                            f"{where} classification {node!r}")
+            for node in record["top_k"]:
+                if not isinstance(node, str) or node not in phi:
+                    raise ValueError(f"not a report: {where} top_k names {node!r}, "
+                                     "which phi lacks")
         return cls(
             meta=payload["meta"],
             configurations=payload["configurations"],
@@ -139,13 +158,31 @@ class AttributionReport:
         )
 
 
-# The keys render_summary reads, with their JSON types, by part of the report.
+def _check_keys(part: dict, types: dict, where: str) -> None:
+    for key, kind in types.items():
+        if key not in part or not isinstance(part[key], kind):
+            problem = "mistyped" if key in part else "missing"
+            raise ValueError(f"not a report: {where} key {key!r} is {problem}")
+
+
+# The keys render_summary and emit_report read, with their JSON types, by
+# part of the report: the report's, and a configuration record's that has
+# no error.
+_NUMBER = (int, float)
 _REPORT_KEYS = {
     "report": {"meta": dict, "configurations": list, "cross": dict},
     "meta": {"configuration_count": int, "noise_levels": list, "properties": list,
              "method": str, "backend": str, "seed": (int, type(None))},
     "cross": {"topk_jaccard_across_noise": dict, "noise_correlation": dict,
-              "adaptive_nodes": dict, "baseline_noise": (int, float)},
+              "adaptive_nodes": dict, "baseline_noise": _NUMBER},
+}
+_RECORD_KEYS = {"noise": _NUMBER, "property": str, "tree": str, "node_count": int,
+                "phi": dict, "classification": dict, "class_counts": dict,
+                "cache": dict, "summary": dict, "top_k": list}
+_RECORD_PARTS = {
+    "class_counts": {"critical": int, "neutral": int, "redundant": int},
+    "cache": {"total_queries": int, "distinct_queries": int, "warnings": list},
+    "summary": {"mean_abs_phi": _NUMBER, "positive_sum": _NUMBER, "negative_sum": _NUMBER},
 }
 
 
@@ -197,16 +234,21 @@ def run_single(
     Exact values on the oracle backend come from ``tree_shapley``, which
     evaluates no coalition, so the cache counters read 0 there.  Every
     other estimator asks one ``verdicts`` function, built here once, for
-    batches of masks: it is ``evaluate_masks`` over this configuration's
-    cache, the one query path.  Exact values on the prover backend come
-    from ``rooted_shapley``, which asks for one verdict per canonical form
+    batches of coalitions as 0/1 rows: it is ``evaluate_rows`` over this
+    configuration's cache, the one query path.  The oracle folds every
+    row it is handed; ``total_queries`` counts the rows and
+    ``distinct_queries`` the distinct ones (distinct canonical forms on
+    the prover).  Exact values on the prover backend come from
+    ``rooted_shapley``, which asks for one verdict per canonical form
     (rooted subtree or empty set) in one batch, so the counters count
     canonical forms; the samplers ask per rotation block (MC) or once
-    (RS), and for sat and liv, which are monotone, the permutation
-    sampler ties the veto players.  For sat and liv the prover decides a
-    batch in rounds from the maximal forms down, so it is handed only the
-    forms no real verdict on a larger or smaller form settles.  Prover
-    calls go through *prover_memo* (problem text to SZS status), which
+    (RS), plus v(empty) first for MC, and for sat and liv, which are
+    monotone, the permutation sampler ties the veto players after two
+    more batches; rows change how a batch is represented, not what it
+    holds.  For sat and liv the prover decides a batch in rounds
+    from the maximal forms down, so it is handed only the forms no real
+    verdict on a larger or smaller form settles.  Prover calls go
+    through *prover_memo* (problem text to SZS status), which
     ``run_matrix`` shares across its configurations."""
 
     nodes = list(iter_nodes(tree))
@@ -215,9 +257,9 @@ def run_single(
     cache = ValueCache()
     warn_if_degenerate(spec, cache)
 
-    def verdicts(masks: list[int]) -> list[int]:
-        return evaluate_masks(
-            tree, masks, spec, cache, config.backend, config.prover, prover_memo
+    def verdicts(rows: np.ndarray) -> np.ndarray:
+        return evaluate_rows(
+            tree, rows, spec, cache, config.backend, config.prover, prover_memo
         )
 
     convergence = None

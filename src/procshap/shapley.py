@@ -3,10 +3,17 @@ exact values over rooted subtrees, exact enumeration, Monte Carlo
 permutation sampling, and random subset sampling.
 
 Every estimator that asks for verdicts asks for a batch: ``verdicts``
-takes a list of coalition masks over players 0..n-1 and returns their
-values in order.  ``rooted_shapley``, ``mc_permutation_shapley`` and
-``rs_subset_shapley`` take one such function, and ``run_single`` gives
-all three the same one, over ``oracle.evaluate_masks``.
+takes a 0/1 coalition matrix, one uint8 row per coalition and one column
+per player 0..n-1, and returns the rows' values in order.
+``rooted_shapley``, ``mc_permutation_shapley`` and ``rs_subset_shapley``
+take one such function, and ``run_single`` gives all three the same one,
+over ``oracle.evaluate_rows``, whose oracle folds every row it is handed;
+the configuration's cache counts the rows (``total_queries``) and the
+distinct ones (``distinct_queries``).  The samplers build each batch's
+rows and reduce its values in numpy, with integer sums, so no
+per-coalition Python int or dict is made; the batches hold the same
+coalitions in the same order as the int masks of the per-query
+references in the tests.
 
 There are three exact paths, and all build the classical subset-weighted
 sum with the same integer numerators over n!, so efficiency, symmetry
@@ -23,18 +30,20 @@ raw coalitions behind each.  ``exact_shapley`` takes a black-box
 
 Both samplers draw from a seeded numpy generator and are bit-reproducible
 for a fixed seed; verdicts never touch the generator, and contributions
-are reduced in sample order.
+are summed as integers before any division, so the order in which they
+are reduced does not change a bit of the estimate.
 
 The permutation sampler works in whole rotation blocks: it draws one
 permutation per block and evaluates all n of its cyclic rotations, so
 every player takes every position exactly once per block (position
 stratification, Maleki et al. 2013, arXiv:1306.4265).  A block is one
-batch of verdicts.  Every sample is still a full permutation, so
-efficiency holds for every estimate, and exactly tied players of a
-unanimity game stay exactly tied.  On a game declared monotone it also
-ties the veto players (v(N) = 1 and v(N - i) = 0), which are symmetric
-there: each gets the mean of their sampled estimates, which keeps the
-estimator unbiased and the sum of phi unchanged.
+batch of verdicts, its n x n prefix rows.  Every sample is still a full
+permutation, so efficiency holds for every estimate, and exactly tied
+players of a unanimity game stay exactly tied.  On a game declared
+monotone it also ties the veto players (v(N) = 1 and v(N - i) = 0),
+which are symmetric there: each gets the mean of their sampled
+estimates, which keeps the estimator unbiased and the sum of phi
+unchanged.
 """
 
 from __future__ import annotations
@@ -47,11 +56,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .oracle import PropertySpec, _automaton
+from .oracle import PropertySpec, _automaton, coalition_rows
 from .process_tree import Coalition, ProcessTree
 
-Verdicts = Callable[[list[int]], Sequence[int]]
-"""A batch verdict function: coalition masks in, their values in order."""
+Verdicts = Callable[[np.ndarray], Sequence[int]]
+"""A batch verdict function: a (k, n) 0/1 uint8 coalition matrix in, one
+row per coalition and one column per player, the rows' k values out, in
+order."""
 
 
 @dataclass(frozen=True)
@@ -252,10 +263,11 @@ def rooted_shapley(tree: ProcessTree, verdicts: Verdicts) -> ShapleyEstimate:
     coalition's canonical form: the rooted subtree T of nodes whose
     ancestors are all present, or the empty set.
 
-    ``verdicts`` receives every canonical mask at once, 0 first and then
-    the rooted subtrees in ascending order, and returns their values in
-    the same order; it is called exactly once, after the size check, so
-    a batch evaluator can overlap the calls.  Trees with more than
+    ``verdicts`` receives every canonical form at once as coalition rows,
+    the empty set first and then the rooted subtrees in ascending mask
+    order, and returns their values in the same order; it is called
+    exactly once, after the size check, so a batch evaluator can overlap
+    the calls.  Trees with more than
     ``ROOTED_LIMIT`` canonical forms are refused before any verdict.
 
     The raw coalitions with canonical form T are T plus any part of R(T),
@@ -283,7 +295,7 @@ def rooted_shapley(tree: ProcessTree, verdicts: Verdicts) -> ShapleyEstimate:
             grown = [mask | part for mask in grown for part in options]
         subtrees[pos] = grown
     masks = [0, *sorted(subtrees[0])]
-    values = verdicts(masks)
+    values = verdicts(coalition_rows(masks, n))
 
     weights = _shapley_weights(n)
 
@@ -360,7 +372,10 @@ def mc_permutation_shapley(
     ``max(1, permutations // n)`` whole blocks, so the number of sampled
     permutations is a multiple of n and at most ``max(permutations, n)``.
     ``verdicts`` is asked once for v(empty), then once per block for its
-    n x n prefix masks, walk by walk.
+    n x n prefix rows, walk by walk: with ``pos`` the inverse
+    permutation, the row of walk s at step k holds player p iff
+    ``(pos[p] - s) % n <= k``.  The block's marginal contributions are
+    the rows' value differences along each walk, summed per player.
 
     Checkpoints fall on block ends: the first block end at or past each
     multiple of *checkpoint_every*, plus the last block.  The sampler
@@ -383,43 +398,36 @@ def mc_permutation_shapley(
         raise ValueError("need at least one permutation")
     blocks = max(1, permutations // n)
     rng = np.random.default_rng(seed)
-    sums = [0] * n
+    players = np.arange(n)
+    sums = np.zeros(n, dtype=np.int64)
     checkpoints: list[tuple[int, dict[int, float]]] = []
     delta = float("inf")
-    [empty] = verdicts([0])
+    [empty] = verdicts(np.zeros((1, n), dtype=np.uint8))
 
     for block in range(1, blocks + 1):
-        order = [int(pos) for pos in rng.permutation(n)]
-        walks = [order[start:] + order[:start] for start in range(n)]
-        masks = []
-        for walk in walks:
-            mask = 0
-            for pos in walk:
-                mask |= 1 << pos
-                masks.append(mask)
-        values = iter(verdicts(masks))
-        for walk in walks:
-            prev = empty
-            for pos, curr in zip(walk, values):
-                sums[pos] += curr - prev
-                prev = curr
+        pos = np.argsort(rng.permutation(n))
+        step = (pos - players[:, None]) % n  # step[s, p]: when walk s adds p
+        rows = step[:, None, :] <= players[None, :, None]
+        values = np.asarray(verdicts(rows.reshape(n * n, n).view(np.uint8)), np.int64)
+        gains = np.diff(values.reshape(n, n), axis=1, prepend=empty)
+        sums += np.take_along_axis(gains, step, axis=1).sum(axis=0)
         done = block * n
         crossed = done // checkpoint_every > (done - n) // checkpoint_every
         if crossed or block == blocks:
-            snapshot = {i: float(sums[i] / done) for i in range(n)}
+            snapshot = {i: float(s / done) for i, s in enumerate(sums.tolist())}
             if checkpoints:
                 delta = convergence_delta_max(checkpoints[-1][1], snapshot)
             checkpoints.append((done, snapshot))
             if delta < epsilon and done >= min_permutations:
                 break
 
-    phi = {i: float(sums[i] / done) for i in range(n)}
-    full = (1 << n) - 1
-    if monotone and verdicts([full])[0] == 1:
-        drops = verdicts([full & ~(1 << i) for i in range(n)])
+    totals = sums.tolist()
+    phi = {i: float(s / done) for i, s in enumerate(totals)}
+    if monotone and verdicts(np.ones((1, n), dtype=np.uint8))[0] == 1:
+        drops = verdicts(1 - np.eye(n, dtype=np.uint8))
         veto = [i for i in range(n) if drops[i] == 0]
         if veto:
-            mean = sum(sums[i] for i in veto) / (len(veto) * done)
+            mean = sum(totals[i] for i in veto) / (len(veto) * done)
             phi.update((i, mean) for i in veto)
     estimate = ShapleyEstimate(
         phi=phi,
@@ -453,20 +461,19 @@ def rs_subset_shapley(
     if samples_per_player < 1:
         raise ValueError("need at least one sample per player")
     rng = np.random.default_rng(seed)
-    masks = []
-    for i in range(n):
-        rest = [j for j in range(n) if j != i]
-        for _ in range(samples_per_player):
-            bits = rng.integers(0, 2, size=n - 1)
-            mask = sum(1 << j for j, b in zip(rest, bits) if b)
-            masks += [mask | 1 << i, mask]
-    values = iter(verdicts(masks))
-    phi: dict[int, float] = {}
-    for i in range(n):
-        total = 0.0
-        for _ in range(samples_per_player):
-            total += next(values) - next(values)
-        phi[i] = total / samples_per_player
+    bits = rng.integers(0, 2, size=(n, samples_per_player, n - 1))
+    # rows[i, t, 0] is player i's sample t with i, rows[i, t, 1] without:
+    # the other players take the sample's bits in order.
+    rows = np.zeros((n, samples_per_player, 2, n), dtype=np.uint8)
+    others = ~np.eye(n, dtype=bool)
+    rows.transpose(0, 3, 1, 2)[others] = bits.transpose(0, 2, 1).reshape(
+        -1, samples_per_player, 1
+    )
+    players = np.arange(n)
+    rows[players, :, 0, players] = 1
+    values = np.asarray(verdicts(rows.reshape(-1, n)), np.int64).reshape(rows.shape[:3])
+    totals = (values[..., 0] - values[..., 1]).sum(axis=1).tolist()
+    phi = {i: total / samples_per_player for i, total in enumerate(totals)}
     return ShapleyEstimate(
         phi=phi,
         samples={i: samples_per_player for i in range(n)},

@@ -1,13 +1,14 @@
 """The per-coalition reference fold of the oracle's rules
 (``oracle._rules``): the recursive walk the oracle's batch fold
-(``oracle.evaluate_masks``) and its compiled automaton are checked
-against."""
+(``oracle.evaluate_rows``) and its compiled automaton are checked
+against; and ``verdicts_of_masks``, the batch evaluator asked with int
+masks."""
 
 from __future__ import annotations
 
 from typing import Hashable
 
-from procshap.oracle import PropertySpec, _rules
+from procshap.oracle import PropertySpec, _rules, _span, coalition_rows, evaluate_rows
 from procshap.process_tree import ProcessTree
 
 
@@ -31,3 +32,10 @@ def fold_value(tree: ProcessTree, spec: PropertySpec, mask: int) -> int:
         return acc
 
     return int(wins(state(tree)))
+
+
+def verdicts_of_masks(tree: ProcessTree, masks: list[int], spec: PropertySpec,
+                      *args) -> list[int]:
+    """``evaluate_rows(tree, rows, spec, *args)`` as a list, with the rows
+    made from int *masks* over *tree*'s node ids by ``coalition_rows``."""
+    return evaluate_rows(tree, coalition_rows(masks, _span(tree)), spec, *args).tolist()

@@ -1,12 +1,14 @@
-"""Reference samplers that ask a ``Game`` one coalition at a time: the
-Monte Carlo and random-subset estimators as they were before they asked
-for batches of masks.  The batched samplers in ``procshap.shapley`` must
-give the same estimates, checkpoints and query sequence."""
+"""Reference samplers that ask a ``Game`` one coalition at a time, as int
+masks: the Monte Carlo and random-subset estimators as they were before
+they asked for batches of coalition rows.  The batched samplers in
+``procshap.shapley`` must give the same estimates, checkpoints and query
+sequence."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from procshap.oracle import row_masks
 from procshap.shapley import (
     ConvergenceReport,
     Game,
@@ -16,8 +18,9 @@ from procshap.shapley import (
 
 
 def verdicts_of(game: Game):
-    """A batch verdict function over *game*, one query per mask, in order."""
-    return lambda masks: [game.value_of_mask(mask) for mask in masks]
+    """A batch verdict function over *game*: each row of the coalition
+    matrix converted to its mask, one query per row, in order."""
+    return lambda rows: [game.value_of_mask(mask) for mask in row_masks(rows)]
 
 
 def mc_per_query(

@@ -21,7 +21,7 @@ from procshap.oracle import (
     PropertySpec,
     ValueCache,
     evaluate,
-    evaluate_masks,
+    evaluate_rows,
 )
 from procshap.process_tree import Coalition, node_count, substitute
 from procshap.reports import AttributionReport, RunConfig, emit_report, run_matrix
@@ -36,6 +36,7 @@ from procshap.shapley import (
 from _corpus import corpus, random_boolean_game_table, threshold_game_table
 from _sampling_ref import verdicts_of
 from _sat import spec_value
+from _fold_ref import verdicts_of_masks
 
 SAT = PropertySpec(Property.SAT)
 LIV = PropertySpec(Property.LIV)
@@ -141,7 +142,7 @@ def test_criterion_convergence(running_example_log):
         cache = ValueCache()
         _, report = mc_permutation_shapley(
             n,
-            lambda masks: evaluate_masks(tree, masks, SAT, cache),
+            lambda rows: evaluate_rows(tree, rows, SAT, cache),
             permutations=1000,
             seed=seed,
             checkpoint_every=100,
@@ -171,7 +172,7 @@ def test_criterion_oracle_encoder_equivalence():
         n = node_count(tree)
         assert n <= 10
         masks = list(range(1 << n))
-        oracle = {spec: evaluate_masks(tree, masks, spec) for spec in (SAT, LIV, SAF)}
+        oracle = {spec: verdicts_of_masks(tree, masks, spec) for spec in (SAT, LIV, SAF)}
         for mask in masks:
             coalition = Coalition(n, mask)
             cut = substitute(tree, coalition)
@@ -198,8 +199,8 @@ def test_criterion_monotonicity_and_signs():
     for tree in CORPUS:
         n = node_count(tree)
         masks = list(range(1 << n))
-        sat_of = dict(zip(masks, evaluate_masks(tree, masks, SAT)))
-        saf_of = dict(zip(masks, evaluate_masks(tree, masks, SAF)))
+        sat_of = dict(zip(masks, verdicts_of_masks(tree, masks, SAT)))
+        saf_of = dict(zip(masks, verdicts_of_masks(tree, masks, SAF)))
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i

@@ -1,11 +1,12 @@
 """The batched samplers against the per-query references in
 ``_sampling_ref``: equal estimates, checkpoints and ``delta_max`` on
-random tables, with the same masks asked in the same order, and equal
-``run_single`` records, cache counters and warnings included, on both
-backends.  Also the number of batches: MC asks 1 + blocks (+2 for the
-veto step), RS asks once, and each ``evaluate_masks`` call runs the
-oracle's table fold once, or not at all when the cache holds the whole
-batch."""
+random tables, with the same coalitions asked in the same order, and
+equal ``run_single`` records, cache counters and warnings included, on
+both backends.  Also the number of batches: MC asks 1 + blocks (+2 for
+the veto step), RS asks once, and each ``evaluate_rows`` call runs the
+oracle's table fold once; and on a tree of more than 64 nodes, whose
+packed rows take two words, the folded verdicts equal the reference
+fold and ``distinct_queries`` the number of distinct masks."""
 
 from __future__ import annotations
 
@@ -15,13 +16,29 @@ import sys
 import pytest
 
 from procshap import oracle, reports
-from procshap.oracle import Property, PropertySpec, TauMode
-from procshap.process_tree import Coalition, activity, assign_node_ids, seq, xor
+from procshap.oracle import (
+    Property,
+    PropertySpec,
+    TauMode,
+    ValueCache,
+    coalition_rows,
+    evaluate_rows,
+    row_masks,
+)
+from procshap.process_tree import (
+    Coalition,
+    activity,
+    assign_node_ids,
+    iter_nodes,
+    seq,
+    xor,
+)
 from procshap.logic_encoder import ProverConfig
 from procshap.reports import RunConfig, run_single
 from procshap.shapley import Game, mc_permutation_shapley, rs_subset_shapley
 
-from _corpus import random_boolean_game_table, threshold_game_table
+from _corpus import random_boolean_game_table, random_tree, threshold_game_table
+from _fold_ref import fold_value
 from _sampling_ref import mc_per_query, rs_per_query, verdicts_of
 from test_logic_encoder import FAKE_PROVER
 
@@ -35,12 +52,13 @@ SPECS = (
 
 
 def counted(verdicts):
-    """*verdicts*, and the list of batches it is asked for."""
+    """*verdicts*, and the list of batches it is asked for, each row
+    converted to its mask."""
     batches: list[list[int]] = []
 
-    def ask(masks):
-        batches.append(list(masks))
-        return verdicts(masks)
+    def ask(rows):
+        batches.append(row_masks(rows))
+        return verdicts(rows)
 
     return ask, batches
 
@@ -108,7 +126,7 @@ def per_query_samplers(monkeypatch) -> None:
     query a batch of one through the same ``verdicts``."""
 
     def one_at_a_time(n, verdicts):
-        return Game(n, lambda coalition: verdicts([coalition.mask])[0])
+        return Game(n, lambda c: verdicts(coalition_rows([c.mask], n))[0])
 
     monkeypatch.setattr(reports, "mc_permutation_shapley",
                         lambda n, verdicts, **kw: mc_per_query(
@@ -200,26 +218,24 @@ def test_run_single_prover_equals_per_query(tmp_path, monkeypatch, method):
 
 def test_run_single_batches_and_folds(running_example_tree, monkeypatch):
     """MC asks 1 + blocks + 2 batches on the monotone sat game (v(N) = 1),
-    each ``evaluate_masks`` call runs at most one ``_fold``, none on a
-    batch the cache answers whole, and neither a ``Game`` nor a
-    ``Coalition`` is built."""
+    each ``evaluate_rows`` call runs one ``_fold`` over all its rows, and
+    neither a ``Game`` nor a ``Coalition`` is built."""
 
     calls, folds, built = [], [], []
-    evaluate_masks, fold = reports.evaluate_masks, oracle._fold
+    evaluate_rows, fold = reports.evaluate_rows, oracle._fold
 
-    def counting_evaluate_masks(tree, masks, spec, cache, *args):
-        cached = all((mask, "oracle", *spec.cache_key()) in cache for mask in masks)
+    def counting_evaluate_rows(tree, rows, spec, cache, *args):
         before = len(folds)
-        values = evaluate_masks(tree, masks, spec, cache, *args)
-        calls.append(len(masks))
-        assert len(folds) - before == (0 if cached else 1)
+        values = evaluate_rows(tree, rows, spec, cache, *args)
+        calls.append(len(rows))
+        assert folds[before:] == [len(rows)]
         return values
 
-    def counting_fold(*args):
-        folds.append(1)
-        return fold(*args)
+    def counting_fold(program, rows):
+        folds.append(len(rows))
+        return fold(program, rows)
 
-    monkeypatch.setattr(reports, "evaluate_masks", counting_evaluate_masks)
+    monkeypatch.setattr(reports, "evaluate_rows", counting_evaluate_rows)
     monkeypatch.setattr(oracle, "_fold", counting_fold)
     for cls in (Game, Coalition):
         monkeypatch.setattr(cls, "__post_init__",
@@ -232,11 +248,32 @@ def test_run_single_batches_and_folds(running_example_tree, monkeypatch):
     blocks = record["method"]["samples"] // n
     assert blocks == 300 // n
     assert calls == [1, *[n * n] * blocks, 1, n]
-    assert 0 < len(folds) < len(calls)  # v(N) at least comes from the cache
+    assert folds == calls
 
     calls.clear()
     folds.clear()
     config = RunConfig(log_path="log.xes", method="rs", seed=1, samples_per_player=9)
     run_single(config, running_example_tree, 0.0, SPECS[2], 5)
-    assert calls == [2 * 9 * n] and folds == [1]
+    assert calls == folds == [2 * 9 * n]
     assert built == []
+
+
+@pytest.mark.parametrize("spec", SPECS[:3], ids=["sat", "liv", "saf"])
+def test_mc_beyond_64_nodes_counts_distinct_masks(spec):
+    tree = random_tree(random.Random(16), max_nodes=100)
+    n = sum(1 for _ in iter_nodes(tree))
+    assert 64 < n <= 100
+    cache = ValueCache()
+    asked, values = [], []
+
+    def verdicts(rows):
+        got = evaluate_rows(tree, rows, spec, cache)
+        asked.extend(row_masks(rows))
+        values.extend(got.tolist())
+        return got
+
+    mc_permutation_shapley(n, verdicts, permutations=2 * n, seed=3,
+                           min_permutations=2 * n, monotone=True)
+    assert values == [fold_value(tree, spec, mask) for mask in asked]
+    assert cache.total_queries == len(asked)
+    assert cache.distinct_queries == len(cache) == len(set(asked)) < len(asked)

@@ -1,11 +1,13 @@
-"""The mask-keyed ``ValueCache`` against a model of what it should hold:
-one shared cache serving sat, liv and saf on the oracle and on the prover
+"""The ``ValueCache`` against a model of what it should hold: one shared
+cache serving sat, liv and saf on the oracle and on the prover
 (``StandIn``), asked random batches with repeats and partial hits in
 random sub-batches, gives the reference fold's verdicts, counts every
-mask asked and every distinct (canonical, on the prover) mask once per
-spec, keeps warnings in mask order, and shares its entries with
-``get_or_compute`` both ways, which ``evaluate_masks`` itself never
-calls."""
+coalition asked and every distinct (canonical, on the prover) coalition
+once per spec, keeps warnings in mask order, and on the prover shares
+its table with ``get_or_compute`` both ways, which ``evaluate_rows``
+itself never calls.  The oracle stores no verdict: it folds every row,
+whatever ``get_or_compute`` stored under its suffix, and counts its
+distinct rows apart from those entries."""
 
 from __future__ import annotations
 
@@ -20,12 +22,11 @@ from procshap.oracle import (
     PropertySpec,
     TauMode,
     ValueCache,
-    evaluate_masks,
 )
 from procshap.process_tree import canonical_mask, node_count
 
 from _corpus import random_tree
-from _fold_ref import fold_value
+from _fold_ref import fold_value, verdicts_of_masks
 from test_monotone_rounds import UNUSED, StandIn, silent_third
 
 BACKENDS = ("oracle", "prover")
@@ -74,11 +75,13 @@ def test_shared_cache_matches_model(data):
     cache = ValueCache()
     get_or_compute = ValueCache.get_or_compute
     model: dict[tuple, dict[int, int]] = {suffix(*job): {} for job in jobs}
+    folded: dict[tuple, set[int]] = {suffix(*job): set() for job in jobs}  # oracle rows
     warnings: list[str] = []
     asked = 0
 
     # Entries stored through get_or_compute, with the verdict flipped, are
-    # what evaluate_masks must return for them: it reads them, not a fold.
+    # what the prover's evaluate_rows must return for them: it reads them,
+    # not the stand-in.  The oracle folds them like any other row.
     for backend, spec in jobs:
         for mask in data.draw(st.lists(st.sampled_from(pool), max_size=3)):
             stored = 1 - fold_value(tree, spec, mask)
@@ -88,7 +91,7 @@ def test_shared_cache_matches_model(data):
             asked += 1
 
     def refuse(*args):
-        raise AssertionError("evaluate_masks called ValueCache.get_or_compute")
+        raise AssertionError("evaluate_rows called ValueCache.get_or_compute")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ValueCache, "get_or_compute", refuse)
@@ -101,6 +104,12 @@ def test_shared_cache_matches_model(data):
         for batch in batches:
             for current in data.draw(st.permutations(jobs)):
                 backend, spec = current
+                if backend == "oracle":
+                    folded[suffix(*current)].update(batch)
+                    got = verdicts_of_masks(tree, batch, spec, cache, backend)
+                    assert got == [fold_value(tree, spec, mask) for mask in batch]
+                    asked += len(batch)
+                    continue
                 table = model[suffix(*current)]
                 for form in dict.fromkeys(key(backend, mask) for mask in batch):
                     if form not in table:
@@ -108,12 +117,14 @@ def test_shared_cache_matches_model(data):
                                        else fold_value(tree, spec, form))
                         if silent(backend, spec, form):
                             warnings.append(f"no verdict on {form:#x}")
-                got = evaluate_masks(tree, batch, spec, cache, backend, UNUSED)
+                got = verdicts_of_masks(tree, batch, spec, cache, backend, UNUSED)
                 assert got == [table[key(backend, mask)] for mask in batch], current
                 asked += len(batch)
 
     assert cache.total_queries == asked
-    assert cache.distinct_queries == len(cache) == sum(map(len, model.values()))
+    assert cache.distinct_queries == len(cache) == sum(map(len, model.values())) + sum(
+        map(len, folded.values())
+    )
     for job in jobs:
         assert cache.table(suffix(*job)) == model[suffix(*job)], job
         handed = stand_ins[job].handed

@@ -23,7 +23,7 @@ from procshap.oracle import (
     PropertySpec,
     TauMode,
     ValueCache,
-    evaluate_masks,
+    row_masks,
 )
 from procshap.process_tree import (
     assign_node_ids,
@@ -37,7 +37,7 @@ from procshap.process_tree import (
 from procshap.shapley import canonical_form_count, rooted_shapley, tree_shapley
 
 from _corpus import corpus, random_tree
-from _fold_ref import fold_value
+from _fold_ref import fold_value, verdicts_of_masks
 
 UNUSED = ProverConfig(executable="unused")  # the stand-in starts no prover
 MONOTONE = [
@@ -87,13 +87,13 @@ class StandIn:
 
 
 def prove(tree, masks, spec, silent=lambda mask: False):
-    """``evaluate_masks`` on the prover backend over a ``StandIn``: the
+    """``evaluate_rows`` on the prover backend, asked with int masks, over a ``StandIn``: the
     values, the cache and the stand-in."""
     prover = StandIn(tree, silent)
     cache = ValueCache()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logic_encoder, "values_via_prover", prover)
-        values = evaluate_masks(tree, masks, spec, cache, "prover", UNUSED)
+        values = verdicts_of_masks(tree, masks, spec, cache, "prover", UNUSED)
     return values, cache, prover
 
 
@@ -116,7 +116,7 @@ def check_handed(tree, masks, prover) -> None:
 def canonical_forms(tree) -> list[int]:
     """Every canonical form of *tree*, as ``rooted_shapley`` asks for them."""
     forms: list[int] = []
-    rooted_shapley(tree, lambda masks: forms.extend(masks) or [0] * len(masks))
+    rooted_shapley(tree, lambda rows: forms.extend(row_masks(rows)) or [0] * len(rows))
     return forms
 
 
@@ -160,7 +160,7 @@ def test_rounds_give_the_oracles_verdicts(tree, data):
             assert prover.rounds == [[0, full]]
 
         via_rounds = rooted_shapley(
-            tree, lambda forms: prove(tree, forms, spec)[0]
+            tree, lambda rows: prove(tree, row_masks(rows), spec)[0]
         )
         assert via_rounds.phi_exact == tree_shapley(tree, spec).phi_exact, spec
 

@@ -11,7 +11,6 @@ from procshap.oracle import (
     TauMode,
     ValueCache,
     evaluate,
-    evaluate_masks,
 )
 from procshap.process_tree import (
     Coalition,
@@ -27,7 +26,7 @@ from procshap.process_tree import (
 )
 
 from _corpus import commitment_run, corpus, iter_commitments
-from _fold_ref import fold_value
+from _fold_ref import fold_value, verdicts_of_masks
 from _language import trace_language
 
 SAT = PropertySpec(Property.SAT)
@@ -123,15 +122,15 @@ def test_skip_mode_degeneracy():
         masks = list(range(1 << node_count(tree)))
         for prop in (Property.SAT, Property.LIV):
             spec = PropertySpec(prop, mode=TauMode.SKIP)
-            assert evaluate_masks(tree, masks, spec) == [1] * len(masks)
+            assert verdicts_of_masks(tree, masks, spec) == [1] * len(masks)
 
 
 def test_liv_at_most_sat_everywhere():
     for tree in corpus(15, seed=32):
         masks = list(range(1 << node_count(tree)))
         for mode in TauMode:
-            sat = evaluate_masks(tree, masks, PropertySpec(Property.SAT, mode=mode))
-            liv = evaluate_masks(tree, masks, PropertySpec(Property.LIV, mode=mode))
+            sat = verdicts_of_masks(tree, masks, PropertySpec(Property.SAT, mode=mode))
+            liv = verdicts_of_masks(tree, masks, PropertySpec(Property.LIV, mode=mode))
             for s, l in zip(sat, liv, strict=True):
                 assert l <= s
 
@@ -146,7 +145,7 @@ def test_values_match_commitment_enumeration():
     for tree in corpus(25, max_nodes=8, seed=33):
         n = node_count(tree)
         masks = list(range(1 << n))
-        oracle = {spec: evaluate_masks(tree, masks, spec) for spec in specs}
+        oracle = {spec: verdicts_of_masks(tree, masks, spec) for spec in specs}
         for mask in masks:
             coalition = Coalition(n, mask)
             cut = substitute(tree, coalition)
@@ -175,8 +174,8 @@ def test_blocked_monotonicity_exhaustive():
     for tree in corpus(20, seed=35):
         n = node_count(tree)
         masks = list(range(1 << n))
-        sat_of = dict(zip(masks, evaluate_masks(tree, masks, SAT)))
-        saf_of = dict(zip(masks, evaluate_masks(tree, masks, saf())))
+        sat_of = dict(zip(masks, verdicts_of_masks(tree, masks, SAT)))
+        saf_of = dict(zip(masks, verdicts_of_masks(tree, masks, saf())))
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i

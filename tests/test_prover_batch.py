@@ -30,7 +30,7 @@ from procshap.oracle import (
     PropertySpec,
     ValueCache,
     evaluate,
-    evaluate_masks,
+    evaluate_rows,
 )
 from procshap.process_tree import (
     Coalition,
@@ -56,6 +56,7 @@ from procshap.shapley import (
 
 from _corpus import corpus
 from _sampling_ref import verdicts_of
+from _fold_ref import verdicts_of_masks
 from test_logic_encoder import FAKE_PROVER, fake_prover_config
 from test_monotone_rounds import present_mask
 
@@ -136,7 +137,7 @@ def test_rooted_equals_enumeration_through_fake_prover():
             cache = ValueCache()
             via_prover = rooted_shapley(
                 tree,
-                lambda masks: evaluate_masks(tree, masks, spec, cache, "prover", config),
+                lambda rows: evaluate_rows(tree, rows, spec, cache, "prover", config),
             )
             reference = exact_shapley(Game(n, lambda c: evaluate(tree, c, spec)))
             assert via_prover.phi_exact == reference.phi_exact, (tree, spec)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import shutil
 import threading
 from collections import Counter
@@ -347,6 +348,35 @@ def test_cli_report_rejects_json_that_is_not_a_report(tmp_path, capsys, text, me
     captured = capsys.readouterr()
     assert captured.err == f"error: not a report: {message}\n" and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda records: records[1].pop("class_counts"),
+     "configuration 1 key 'class_counts' is missing"),
+    (lambda records: records.__setitem__(1, 5), "configuration 1 is not an object"),
+    (lambda records: records[1]["cache"].pop("distinct_queries"),
+     "configuration 1 cache key 'distinct_queries' is missing"),
+    (lambda records: records[1].update(noise="0"),
+     "configuration 1 key 'noise' is mistyped"),
+    (lambda records: records[1].update(top_k=["nowhere"]),
+     "configuration 1 top_k names 'nowhere', which phi lacks"),
+    (lambda records: records[1].update(classification={}),
+     "configuration 1 classification key '[^']+' is missing"),
+    (lambda records: records[1].update(id=None, error="mining failed"),
+     "configuration 1 key 'id' is mistyped"),
+])
+def test_cli_report_checks_each_record(tmp_path, capsys, running_example_file,
+                                       edit, message):
+    payload = json.loads(run_matrix(small_config(running_example_file)).to_json())
+    assert not payload["configurations"][1]["error"]
+    edit(payload["configurations"])
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["report", "--in", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"error: not a report: {message}\n", captured.err), captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_report_from_json_checks_the_keys_the_summary_reads(running_example_file):

@@ -2,14 +2,17 @@
 (``_fold_ref.fold_value`` over ``oracle._rules``): equal verdicts for every
 property, tau mode and loop bound, on trees with removed taus and trees
 of more than 64 nodes, for batches with repeated masks; equal cache
-counters; no compiling or folding for a batch the cache answers whole;
-and the tables compiled once per spec, not once per batch."""
+counters; the node program compiled once per cache and the tables once
+per spec, not once per batch; and malformed coalition matrices
+refused."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +22,9 @@ from procshap.oracle import (
     PropertySpec,
     TauMode,
     ValueCache,
-    evaluate_masks,
+    coalition_rows,
+    evaluate,
+    evaluate_rows,
 )
 from procshap.process_tree import (
     Coalition,
@@ -34,7 +39,7 @@ from procshap.process_tree import (
 from procshap.reports import RunConfig, run_single
 
 from _corpus import random_tree
-from _fold_ref import fold_value
+from _fold_ref import fold_value, verdicts_of_masks
 
 SPECS = [
     PropertySpec(prop, safety_pair=("a", "b") if prop is Property.SAF else None,
@@ -94,8 +99,8 @@ def test_batch_fold_equals_reference_fold(tree, data):
     for spec in SPECS:
         expected = [fold_value(tree, spec, mask) for mask in masks]
         cache = ValueCache()
-        assert evaluate_masks(tree, first, spec, cache) == expected[: len(first)]
-        assert evaluate_masks(tree, masks, spec, cache) == expected, spec
+        assert verdicts_of_masks(tree, first, spec, cache) == expected[: len(first)]
+        assert verdicts_of_masks(tree, masks, spec, cache) == expected, spec
         assert cache.total_queries == len(first) + len(masks)
         assert cache.distinct_queries == len(set(masks))
 
@@ -109,31 +114,64 @@ def test_batch_fold_beyond_64_nodes():
     masks = [full, 0, full >> 1, full & ~1, *(rng.getrandbits(n) for _ in range(200))]
     masks += [full ^ (1 << i) for i in range(n)]  # the top bits matter here
     for spec in SPECS:
-        assert evaluate_masks(tree, masks, spec) == [
+        assert verdicts_of_masks(tree, masks, spec) == [
             fold_value(tree, spec, mask) for mask in masks
         ], spec
 
 
-def test_cached_batch_compiles_and_folds_nothing(monkeypatch, running_example_tree):
+def test_program_compiled_once_per_cache(monkeypatch, running_example_tree):
     tree = running_example_tree
     n = node_count(tree)
     rng = random.Random(3)
     masks = [rng.getrandbits(n) for _ in range(50)]
+    fold = oracle._fold
     for spec in RUNNING_SPECS:
         cache = ValueCache()
-        expected = evaluate_masks(tree, masks, spec, cache)
+        expected = verdicts_of_masks(tree, masks, spec, cache)
         with monkeypatch.context() as patch:
             def refuse(*args):
-                raise AssertionError("compiled or folded a batch the cache held")
+                raise AssertionError("compiled again for a cache that holds the program")
 
+            folds = []
             patch.setattr(oracle, "_automaton", refuse)
-            patch.setattr(oracle, "_fold", refuse)
+            patch.setattr(oracle, "_compile", refuse)
+            patch.setattr(oracle, "_fold",
+                          lambda program, rows: folds.append(len(rows)) or fold(program, rows))
             again = masks[::-1] + masks[:5]
-            assert evaluate_masks(tree, again, spec, cache) == [
+            assert verdicts_of_masks(tree, again, spec, cache) == [
                 expected[masks.index(mask)] for mask in again
             ]
+            assert folds == [len(again)]  # every row folded, repeats too
         assert cache.total_queries == 2 * len(masks) + 5
         assert cache.distinct_queries == len(set(masks))
+
+
+@pytest.mark.parametrize("backend", ["oracle", "prover"])
+def test_malformed_coalition_matrix_refused(running_example_tree, backend):
+    tree = running_example_tree
+    n = node_count(tree)
+    spec = RUNNING_SPECS[0]
+    bad = [
+        np.ones((2, n - 1), dtype=np.uint8),  # too narrow
+        np.ones((2, n + 1), dtype=np.uint8),  # too wide
+        np.ones(n, dtype=np.uint8),  # rank 1
+        np.ones((1, 2, n), dtype=np.uint8),  # rank 3
+        np.full((2, n), 2, dtype=np.uint8),  # not 0/1
+        -np.ones((2, n), dtype=np.int64),
+        np.full((2, n), 0.5),
+    ]
+    for rows in bad:
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(rows.shape))}"):
+            evaluate_rows(tree, rows, spec, None, backend, object())
+    cache = ValueCache()
+    assert evaluate_rows(tree, np.ones((2, n), dtype=bool), spec, cache).tolist() == [1, 1]
+    # An int mask with a bit past the tree is refused, not cut to the tree.
+    for mask in (1 << n, -1):
+        with pytest.raises(ValueError, match="past player"):
+            coalition_rows([mask], n)
+    with pytest.raises(ValueError, match=rf"shape \(1, {n + 1}\)"):
+        evaluate(tree, Coalition.full(n + 1), spec)
+    assert cache.total_queries == 2
 
 
 @pytest.mark.parametrize("spec", RUNNING_SPECS,

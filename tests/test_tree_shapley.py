@@ -20,7 +20,8 @@ from procshap.oracle import (
     PropertySpec,
     TauMode,
     evaluate,
-    evaluate_masks,
+    evaluate_rows,
+    row_masks,
 )
 from procshap.process_tree import (
     Coalition,
@@ -45,6 +46,7 @@ from procshap.shapley import (
 )
 
 from _corpus import corpus, random_tree
+from _fold_ref import verdicts_of_masks
 
 BUNDLED_PAIR = ("pay compensation", "reject request")
 
@@ -64,7 +66,7 @@ def enumerated(tree, spec_list):
     masks = list(range(1 << n))
     return {
         spec: exact_shapley(Game(
-            n, lambda c, table=evaluate_masks(tree, masks, spec): table[c.mask]
+            n, lambda c, table=verdicts_of_masks(tree, masks, spec): table[c.mask]
         ))
         for spec in spec_list
     }
@@ -74,9 +76,9 @@ def assert_dp_matches(tree, spec_list):
     for spec, reference in enumerated(tree, spec_list).items():
         asked = []
 
-        def verdicts(masks, spec=spec):
-            asked.append(list(masks))
-            return evaluate_masks(tree, masks, spec)
+        def verdicts(rows, spec=spec):
+            asked.append(row_masks(rows))
+            return evaluate_rows(tree, rows, spec)
 
         for estimate in (
             tree_shapley(tree, spec),
@@ -115,7 +117,7 @@ def test_rooted_shapley_refuses_before_any_verdict():
     tree = assign_node_ids(seq(*(activity(f"a{i}") for i in range(21))))
     assert canonical_form_count(tree) == (1 << 21) + 1
 
-    def no_verdicts(masks):
+    def no_verdicts(rows):
         raise AssertionError("a verdict was asked for")
 
     with pytest.raises(ValueError, match="exact computation refused"):
