@@ -2,29 +2,29 @@
 
 Each tree node is a player; the game value is the satisfiability verdict
 of the coalition-reduced model.  Exact values come two ways: counting
-winning coalitions over the tree is polynomial in n, enumerating all 2^n
-coalitions of a black-box game is exponential.  Monte Carlo permutations
-are unbiased; random subsets are cheaper but biased toward mid-sized
-coalitions.  Both samplers ask a verdict function for batches of
-coalitions, as the report pipeline does: a 0/1 coalition matrix, one
-row per coalition and one column per node.
+winning coalitions over the tree asks no verdict at all, and asking a
+verdict function for every canonical form (rooted subtree or empty set),
+as the prover backend does, needs far fewer than 2^n verdicts.  Monte
+Carlo permutations are unbiased; random subsets are cheaper but biased
+toward mid-sized coalitions.  Every estimator but the counting one asks
+a verdict function for batches of coalitions, as the report pipeline
+does: a 0/1 coalition matrix, one row per coalition and one column per
+node.
 """
 
 import time
 
 from procshap import (
-    Game,
     MinerConfig,
     Property,
     PropertySpec,
     ValueCache,
     discover,
-    evaluate,
     evaluate_rows,
-    exact_shapley,
     iter_nodes,
     mc_permutation_shapley,
     node_count,
+    rooted_shapley,
     rs_subset_shapley,
     tree_shapley,
 )
@@ -35,12 +35,17 @@ n = node_count(tree)
 names = {i: node.node_id.text for i, node in enumerate(iter_nodes(tree))}
 spec = PropertySpec(Property.SAT)
 cache = ValueCache()
-game = Game(n=n, value=lambda c: evaluate(tree, c, spec, cache))
+
+
+# Every estimator's one query path: coalition rows in, verdicts out, in order.
+def verdicts(rows):
+    return evaluate_rows(tree, rows, spec, cache)
+
 
 t0 = time.time()
-exact = exact_shapley(game)
-print(f"exact over 2^{n} coalitions: {time.time() - t0:.2f}s, "
-      f"{cache.distinct_queries} distinct verdicts")
+exact = rooted_shapley(tree, verdicts)
+print(f"exact over the canonical forms: {time.time() - t0:.3f}s, "
+      f"{cache.distinct_queries} distinct verdicts instead of 2^{n}")
 t0 = time.time()
 counted = tree_shapley(tree, spec)
 print(f"exact by counting coalitions over the tree: {time.time() - t0:.3f}s, "
@@ -49,11 +54,6 @@ print(f"exact by counting coalitions over the tree: {time.time() - t0:.3f}s, "
 print(f"{'node':<28} {'exact':>9}")
 for i in sorted(exact.phi, key=lambda i: -exact.phi[i]):
     print(f"{names[i]:<28} {exact.phi[i]:>+9.4f}")
-
-# The samplers' one query path: coalition rows in, verdicts out, in order.
-def verdicts(rows):
-    return evaluate_rows(tree, rows, spec, cache)
-
 
 # Monte Carlo: unbiased, converges smoothly; the convergence report
 # tracks the largest per-node movement between checkpoints.
@@ -70,11 +70,7 @@ print(f"worst |RS - exact| = {worst:.4f}")
 
 # The bias is structural.  On a pure unanimity game (value 1 only for the
 # full coalition) the uniform-subset estimator lands near 1/2^(n-1)
-# instead of 1/n:
-full = (1 << 6) - 1
-unanimity = Game(n=6, value=lambda c: int(c.mask == full))
-
-
+# instead of 1/n, each player's exact share by symmetry:
 def unanimous(rows):
     return rows.all(axis=1)  # 1 only for the row that holds every player
 
@@ -82,7 +78,7 @@ def unanimous(rows):
 mc_unanimity, _ = mc_permutation_shapley(6, unanimous, 3000, seed=1,
                                          min_permutations=3000)
 print("\n6-player unanimity game:")
-print(f"  exact phi      = {exact_shapley(unanimity).phi[0]:.4f}")
+print(f"  exact phi      = {1 / 6:.4f}")
 print(f"  RS estimate    = {rs_subset_shapley(6, unanimous, 3000, seed=1).phi[0]:.4f}"
       "   <- biased low")
 print(f"  MC estimate    = {mc_unanimity.phi[0]:.4f}")

@@ -279,7 +279,7 @@ def cmd_verify(args) -> int:
     prover_memo: dict = {}  # liv's sat gate reuses sat's status
     results = {}
     for spec in specs:
-        value = evaluate(tree, coalition, spec, cache, args.backend, prover, prover_memo)
+        value = evaluate(tree, coalition, spec, cache, prover, prover_memo)
         results[spec.prop.value] = value
         print(f"{spec.prop.value}: {value}")
     for message in cache.warnings:
@@ -297,7 +297,6 @@ def _run_config_from_args(args, noise_levels) -> RunConfig:
         permutations=args.permutations,
         samples_per_player=args.samples,
         seed=args.seed,
-        backend=args.backend,
         prover=_prover_config(args),
         diagnostics=DiagnosticsConfig(
             critical_threshold=args.critical_threshold,

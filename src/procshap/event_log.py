@@ -70,14 +70,6 @@ class DirectlyFollowsGraph:
     end_freq: dict[str, int] = field(default_factory=dict)
     activity_freq: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def activities(self) -> frozenset[str]:
-        acts = set(self.activity_freq)
-        for a, b in self.edge_freq:
-            acts.add(a)
-            acts.add(b)
-        return frozenset(acts)
-
 
 def _open_source(source: Source, stack: ExitStack) -> BinaryIO:
     """Return a binary stream over *source*, gunzipped if it starts with the

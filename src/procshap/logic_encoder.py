@@ -249,23 +249,16 @@ class ProverNotFoundError(EnvironmentError):
     pass
 
 
-class ProverUnknownError(RuntimeError):
-    """Raised under the abort policy when the prover gives no verdict."""
-
-
 @dataclass(frozen=True)
 class ProverConfig:
     executable: str
     timeout_s: float = 2.0
     extra_args: tuple[str, ...] = ()
-    unknown_policy: str = "zero"  # or "abort"
     dump_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.timeout_s <= 0:
             raise ValueError("prover timeout must be positive")
-        if self.unknown_policy not in ("zero", "abort"):
-            raise ValueError("unknown_policy must be 'zero' or 'abort'")
 
 
 def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
@@ -297,16 +290,13 @@ def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
 
 
 def _status_to_value(
-    status: SZSStatus,
-    prop: Property,
-    config: ProverConfig,
-    warn: Callable[[str], None],
+    status: SZSStatus, prop: Property, warn: Callable[[str], None]
 ) -> int:
     """The game value a *prop* problem's status stands for.
 
     sat: Satisfiable -> 1, Unsatisfiable -> 0.
     liv and saf: Theorem -> 1, CounterSatisfiable -> 0.
-    Anything else follows the unknown policy (default: 0 plus a warning).
+    Anything else (Timeout, Unknown, GaveUp, ...) counts 0 and warns.
     """
     if prop is Property.SAT:
         positive, negative = SZSStatus.SATISFIABLE, SZSStatus.UNSATISFIABLE
@@ -316,10 +306,7 @@ def _status_to_value(
         return 1
     if status is negative:
         return 0
-    message = f"prover returned {status.value} for {prop.value}; treating as 0"
-    if config.unknown_policy == "abort":
-        raise ProverUnknownError(message)
-    warn(message)
+    warn(f"prover returned {status.value} for {prop.value}; treating as 0")
     return 0
 
 
@@ -336,12 +323,10 @@ def _decide(
     The calls overlap on one pool of min(calls, cpu count) threads, shut
     down before this returns; with one worker they run on the calling
     thread.  The memo is written on the calling thread, in the order of
-    *problems*.  An error, such as ``ProverNotFoundError``, or
-    ``ProverUnknownError`` under the abort policy, which each call
-    raises on a status that is neither of *prop*'s verdicts, propagates
+    *problems*.  An error, such as ``ProverNotFoundError``, propagates
     once the running calls finish: the calls not yet started are
     cancelled, and the memo keeps the statuses decided before the
-    failing problem, so under abort it holds verdicts only."""
+    failing problem."""
 
     missing = [p for p in dict.fromkeys(problems) if p not in memo]
 
@@ -353,10 +338,7 @@ def _decide(
             if not os.path.exists(dump_path):
                 with open(dump_path, "w") as fh:
                     fh.write(problem)
-        status = run_prover(problem, config)
-        if config.unknown_policy == "abort":  # raise on neither verdict
-            _status_to_value(status, prop, config, [].append)
-        return status
+        return run_prover(problem, config)
 
     workers = min(len(missing), os.cpu_count() or 1)
     if workers <= 1:
@@ -387,48 +369,30 @@ def values_via_prover(
     decide each tree's problem in one round.  liv is gated by sat (an
     inconsistent premise set would entail anything), so it takes two
     rounds: the sat problems of every tree, then the liv problems of the
-    trees whose sat status is Satisfiable.
+    trees whose sat status is Satisfiable.  The gate also saves calls: a
+    sat verdict of 0 already in the memo settles liv.
 
     The memo holds statuses, not values: each use turns its status into
     a value, so each caller records its own warnings, sat's before liv's
-    for each tree.  Under the abort policy the first tree, in order,
-    whose status is neither verdict raises ``ProverUnknownError``, and
-    the calls after it that have not started are not made; since
-    ``oracle.evaluate_rows`` asks for sat and liv in rounds, that is the
-    first failing form, in mask order, of the first round that fails."""
+    for each tree.  A status that is neither verdict counts 0 with a
+    warning."""
 
     memo = {} if memo is None else memo
     gate = replace(spec, prop=Property.SAT) if spec.prop is Property.LIV else spec
     first = [_problem(tree_c, gate) for tree_c in trees_c]
-
-    def gated(upto: int) -> dict[int, str]:
-        """The liv problems of the trees before *upto* that pass the gate."""
-        if spec.prop is not Property.LIV:
-            return {}
-        return {
-            i: _problem(trees_c[i], spec)
-            for i in range(upto)
-            if memo[first[i]] is SZSStatus.SATISFIABLE
-        }
-
-    try:
-        _decide(first, gate.prop, config, memo)
-    except ProverUnknownError:
-        # A tree before the one whose sat call failed may fail its liv call.
-        failed = next(i for i, problem in enumerate(first) if problem not in memo)
-        _decide(list(gated(failed).values()), spec.prop, config, memo)
-        raise
-    second = gated(len(trees_c))
+    _decide(first, gate.prop, config, memo)
+    second = {
+        i: _problem(tree_c, spec)
+        for i, tree_c in enumerate(trees_c)
+        if spec.prop is Property.LIV and memo[first[i]] is SZSStatus.SATISFIABLE
+    }
     _decide(list(second.values()), spec.prop, config, memo)
 
     results = []
     for i, problem in enumerate(first):
         warnings: list[str] = []
-        value = _status_to_value(memo[problem], gate.prop, config, warnings.append)
+        value = _status_to_value(memo[problem], gate.prop, warnings.append)
         if i in second:
-            value = _status_to_value(
-                memo[second[i]], spec.prop, config, warnings.append
-            )
+            value = _status_to_value(memo[second[i]], spec.prop, warnings.append)
         results.append((value, warnings))
     return results
-

@@ -53,14 +53,6 @@ def filter_dfg(dfg: DirectlyFollowsGraph, noise: float) -> DirectlyFollowsGraph:
 
     if not 0.0 <= noise <= 1.0:
         raise ValueError("noise threshold must lie in [0, 1]")
-    if noise == 0.0:
-        return DirectlyFollowsGraph(
-            edge_freq=dict(dfg.edge_freq),
-            start_freq=dict(dfg.start_freq),
-            end_freq=dict(dfg.end_freq),
-            activity_freq=dict(dfg.activity_freq),
-        )
-
     max_out: dict[str, int] = {}
     for (a, _), f in dfg.edge_freq.items():
         max_out[a] = max(max_out.get(a, 0), f)

@@ -21,10 +21,11 @@ batch evaluation run that one compiled automaton.
 Everything that asks for the verdicts of particular coalitions asks
 ``evaluate_rows`` for a batch, the package's one coalition evaluator: a
 0/1 coalition matrix, one row per coalition and one column per node id.
-The oracle folds every row of the batch in one numpy step per node
+Passing a ``logic_encoder.ProverConfig`` selects the prover; without one
+the oracle folds every row of the batch in one numpy step per node
 (``_fold``), through a node program compiled once per configuration's
 tree and spec (``ValueCache.program``), and stores no verdict.  The
-prover backend decides the substituted trees' encodings, one per
+prover decides the substituted trees' encodings, one per
 distinct canonical form; sat and liv grow with the coalition, so it asks
 for them in rounds from the largest forms down and infers the verdicts
 that a real verdict on a larger or smaller form settles.  A
@@ -385,7 +386,6 @@ def evaluate(
     coalition: Coalition,
     spec: PropertySpec,
     cache: ValueCache | None = None,
-    backend: str = "oracle",
     prover_config=None,
     prover_memo: dict | None = None,
 ) -> int:
@@ -393,9 +393,7 @@ def evaluate(
     ``evaluate_rows`` on a batch of one."""
 
     rows = coalition_rows([coalition.mask], coalition.n)
-    return int(
-        evaluate_rows(tree, rows, spec, cache, backend, prover_config, prover_memo)[0]
-    )
+    return int(evaluate_rows(tree, rows, spec, cache, prover_config, prover_memo)[0])
 
 
 def evaluate_rows(
@@ -403,7 +401,6 @@ def evaluate_rows(
     rows: np.ndarray,
     spec: PropertySpec,
     cache: ValueCache | None = None,
-    backend: str = "oracle",
     prover_config=None,
     prover_memo: dict | None = None,
 ) -> np.ndarray:
@@ -415,14 +412,14 @@ def evaluate_rows(
     ``total_queries`` and every distinct one once per (backend,
     property, mode, bound, pair) in ``distinct_queries``.
 
-    The oracle folds every row, repeats included, in one bottom-up pass
-    of table lookups (``_fold``) through the node program that *cache*
-    compiled for *tree* and *spec* (``_compile``, from ``_rules``
-    compiled to integer tables once per spec by ``_automaton``), and
-    stores no verdict.  The prover keys *cache*'s table of the
-    (backend, spec) by canonical mask, since coalitions with one
-    canonical form substitute to one tree, and decides the distinct
-    canonical forms the table lacks through
+    Without a *prover_config* the oracle folds every row, repeats
+    included, in one bottom-up pass of table lookups (``_fold``) through
+    the node program that *cache* compiled for *tree* and *spec*
+    (``_compile``, from ``_rules`` compiled to integer tables once per
+    spec by ``_automaton``), and stores no verdict.  With one, the prover
+    keys *cache*'s table of the (backend, spec) by canonical mask, since
+    coalitions with one canonical form substitute to one tree, and
+    decides the distinct canonical forms the table lacks through
     ``logic_encoder.values_via_prover`` (``_prove``): saf as one batch,
     sat and liv, which are monotone, in rounds from the maximal forms
     down, inferring a form's verdict from a real verdict on a larger or
@@ -433,25 +430,18 @@ def evaluate_rows(
     round is done, the forms' warnings are recorded in the cache on the
     calling thread, in row order, so the cache's contents and warnings
     do not depend on which prover call finished first; a form whose
-    verdict was inferred raises none.  Under the abort policy the error
-    comes from the first failing form, in row order, of the first round
-    that fails."""
+    verdict was inferred raises none."""
 
-    if backend not in ("oracle", "prover"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "prover" and prover_config is None:
-        raise ValueError("prover backend requires a prover_config")
     if cache is None:
         cache = ValueCache()
-    suffix = (backend,) + spec.cache_key()
-    if backend == "oracle":
+    if prover_config is None:
         program = cache.program(tree, spec)
         rows = _checked(rows, program[0])
-        cache.record_rows(suffix, rows)
+        cache.record_rows(("oracle",) + spec.cache_key(), rows)
         return _fold(program, rows)
     rows = _checked(rows, _span(tree))
     masks = [canonical_mask(tree, mask) for mask in row_masks(rows)]
-    table = cache.table(suffix)
+    table = cache.table(("prover",) + spec.cache_key())
     batch = [mask for mask in dict.fromkeys(masks) if mask not in table]
     if batch:
         results = _prove(tree, batch, spec, prover_config, prover_memo)
@@ -481,8 +471,7 @@ def _prove(
     itself.  A form counts as maximal when none of its one-node frontier
     extensions is undecided, which may ask a form that a larger
     undecided one contains, never skip one.  Within a round the forms
-    keep the order of *batch*, so under the abort policy the error comes
-    from the first failing form of the first round that fails."""
+    keep the order of *batch*."""
 
     from .logic_encoder import values_via_prover
 

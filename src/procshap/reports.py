@@ -72,10 +72,8 @@ class RunConfig:
     min_permutations: int = 1000
     samples_per_player: int = 200
     seed: int | None = None
-    backend: str = "oracle"  # oracle | prover
-    prover: ProverConfig | None = None
+    prover: ProverConfig | None = None  # None: the oracle
     diagnostics: DiagnosticsConfig = DiagnosticsConfig()
-    max_depth: int = 64
 
     def __post_init__(self) -> None:
         if not self.noise_levels:
@@ -89,10 +87,6 @@ class RunConfig:
                 f"method {self.method!r} requires an explicit seed for "
                 f"reproducibility"
             )
-        if self.backend not in ("oracle", "prover"):
-            raise ValueError("backend must be oracle or prover")
-        if self.backend == "prover" and self.prover is None:
-            raise ValueError("prover backend requires a ProverConfig")
         if self.permutations < 1:
             raise ValueError("permutations must be at least 1")
         if self.samples_per_player < 1:
@@ -103,6 +97,11 @@ class RunConfig:
         duplicates = [i for i in dict.fromkeys(ids) if ids.count(i) > 1]
         if duplicates:
             raise ValueError(f"duplicate configurations: {', '.join(duplicates)}")
+
+    @property
+    def backend(self) -> str:
+        """"prover" when a ``ProverConfig`` is set, else "oracle"."""
+        return "oracle" if self.prover is None else "prover"
 
 
 @dataclass
@@ -258,12 +257,10 @@ def run_single(
     warn_if_degenerate(spec, cache)
 
     def verdicts(rows: np.ndarray) -> np.ndarray:
-        return evaluate_rows(
-            tree, rows, spec, cache, config.backend, config.prover, prover_memo
-        )
+        return evaluate_rows(tree, rows, spec, cache, config.prover, prover_memo)
 
     convergence = None
-    if config.method == "exact" and config.backend == "oracle":
+    if config.method == "exact" and config.prover is None:
         estimate = tree_shapley(tree, spec)
     elif config.method == "exact":
         estimate = rooted_shapley(tree, verdicts)
@@ -347,9 +344,7 @@ def run_matrix(config: RunConfig) -> AttributionReport:
     mining_errors: dict[float, str] = {}
     for noise in config.noise_levels:
         try:
-            trees[noise] = discover(
-                log, MinerConfig(noise=noise, max_depth=config.max_depth)
-            )
+            trees[noise] = discover(log, MinerConfig(noise=noise))
         except Exception as exc:  # recorded per configuration below
             mining_errors[noise] = f"{type(exc).__name__}: {exc}"
 

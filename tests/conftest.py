@@ -28,7 +28,7 @@ def running_example_tree(running_example_log):
 
 @pytest.fixture
 def tiny_log_file(tmp_path):
-    # mines to seq(a, xor(b, c)): 5 nodes, small enough for the fake prover
+    # mines to seq(a, xor(b, c)): 5 nodes and 11 canonical forms
     log = EventLog(Counter([("a", "b"), ("a", "c")]))
     path = tmp_path / "tiny.xes"
     path.write_bytes(dump_xes(log))

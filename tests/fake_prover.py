@@ -1,8 +1,9 @@
 """Test double for a TPTP prover.
 
 Parses the FOF subset our emitter produces, decides the problem by
-exhaustive assignment enumeration (independent of the package's own
-satisfiability code), and prints an SZS status line:
+backtracking with unit propagation over a Tseitin CNF (independent of
+the package's own code: it imports only the standard library), and
+prints an SZS status line:
 
 * with a conjecture: Theorem / CounterSatisfiable
 * without:           Satisfiable / Unsatisfiable
@@ -12,7 +13,6 @@ Usage: python fake_prover.py PROBLEM.p
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 
@@ -79,51 +79,132 @@ class Parser:
         return ("var", [self.take()])
 
 
-def evaluate(node, env) -> bool:
-    op, args = node
-    if op == "var":
-        return env[args[0]]
-    if op == "$true":
-        return True
-    if op == "$false":
-        return False
-    if op == "~":
-        return not evaluate(args[0], env)
-    if op == "&":
-        return all(evaluate(a, env) for a in args)
-    if op == "|":
-        return any(evaluate(a, env) for a in args)
-    if op == "=>":
-        return not evaluate(args[0], env) or evaluate(args[1], env)
-    if op == "<=>":
-        return evaluate(args[0], env) == evaluate(args[1], env)
-    raise ValueError(op)
+class Cnf:
+    """Tseitin clauses of a conjunction of parsed formulas: one variable
+    per named variable (numbered first-seen) and one per compound
+    subformula, literals as signed variable numbers."""
 
+    def __init__(self, formulas) -> None:
+        self.names: dict[str, int] = {}
+        self.count = 0
+        self.clauses: list[list[int]] = []
+        for formula in formulas:
+            self.add([self.literal(formula)])
 
-def variables(node, out):
-    op, args = node
-    if op == "var":
-        out.add(args[0])
-    else:
-        for a in args:
-            if isinstance(a, tuple):
-                variables(a, out)
+    def add(self, clause: list[int]) -> None:
+        """Keep *clause* with each literal once, unless it holds both a
+        literal and its negation: propagation counts free literals."""
+        clause = list(dict.fromkeys(clause))
+        if not any(-lit in clause for lit in clause):
+            self.clauses.append(clause)
+
+    def fresh(self) -> int:
+        self.count += 1
+        return self.count
+
+    def literal(self, node) -> int:
+        op, args = node
+        if op == "var":
+            if args[0] not in self.names:
+                self.names[args[0]] = self.fresh()
+            return self.names[args[0]]
+        if op in ("$true", "$false"):
+            g = self.fresh()
+            self.add([g if op == "$true" else -g])
+            return g
+        if op == "~":
+            return -self.literal(args[0])
+        if op == "=>":
+            return self.literal(("|", [("~", [args[0]]), args[1]]))
+        parts = [self.literal(a) for a in args]
+        g = self.fresh()
+        if op == "&":  # g <-> all parts
+            clauses = [[-g, p] for p in parts] + [[g] + [-p for p in parts]]
+        elif op == "|":  # g <-> some part
+            clauses = [[g, -p] for p in parts] + [[-g] + parts]
+        elif op == "<=>":
+            a, b = parts
+            clauses = [[-g, -a, b], [-g, a, -b], [g, a, b], [g, -a, -b]]
+        else:
+            raise ValueError(op)
+        for clause in clauses:
+            self.add(clause)
+        return g
 
 
 def satisfiable(formulas) -> bool:
-    names = set()
-    for f in formulas:
-        variables(f, names)
-    names = sorted(names)
-    for bits in itertools.product((False, True), repeat=len(names)):
-        env = dict(zip(names, bits))
-        if all(evaluate(f, env) for f in formulas):
-            return True
-    return False
+    """Whether the conjunction of *formulas* has a model: backtracking
+    over the named variables, first-seen first, each choice followed by
+    unit propagation.  Once every named variable is set, propagation
+    sets every Tseitin variable, so the search never branches on one."""
+
+    cnf = Cnf(formulas)
+    clauses = cnf.clauses
+    occurs: dict[int, list[list[int]]] = {}  # literal -> the clauses holding it
+    for clause in clauses:
+        for lit in clause:
+            occurs.setdefault(lit, []).append(clause)
+    value: dict[int, bool] = {}
+    trail: list[int] = []
+
+    def holds(lit: int):
+        v = value.get(abs(lit))
+        return None if v is None else v == (lit > 0)
+
+    def assign(lit: int, queue: list[int]) -> None:
+        value[abs(lit)] = lit > 0
+        trail.append(abs(lit))
+        queue.append(lit)
+
+    def propagate(queue: list[int]) -> bool:
+        """Set every literal the queued ones force; False on a conflict."""
+        while queue:
+            lit = queue.pop()
+            for clause in occurs.get(-lit, ()):
+                free = None
+                for other in clause:
+                    state = holds(other)
+                    if state or (state is None and free is not None):
+                        break  # satisfied, or two literals still free
+                    if state is None:
+                        free = other
+                else:
+                    if free is None:
+                        return False
+                    assign(free, queue)
+        return True
+
+    order = list(cnf.names.values())
+
+    def branch(lit: int) -> bool:
+        mark = len(trail)
+        queue: list[int] = []
+        assign(lit, queue)
+        if propagate(queue):
+            var = next((v for v in order if v not in value), None)
+            if var is None or branch(var) or branch(-var):
+                return True
+        for var in trail[mark:]:
+            del value[var]
+        del trail[mark:]
+        return False
+
+    queue: list[int] = []
+    for clause in clauses:
+        if len(clause) == 1:
+            state = holds(clause[0])
+            if state is False:
+                return False
+            if state is None:
+                assign(clause[0], queue)
+    if not propagate(queue):
+        return False
+    var = next((v for v in order if v not in value), None)
+    return var is None or branch(var) or branch(-var)
 
 
-def main() -> int:
-    text = open(sys.argv[1]).read()
+def status(text: str) -> str:
+    """The SZS status of the FOF problem *text*."""
     axioms = []
     conjecture = None
     for role, body in re.findall(
@@ -135,11 +216,14 @@ def main() -> int:
         else:
             conjecture = formula
     if conjecture is None:
-        status = "Satisfiable" if satisfiable(axioms) else "Unsatisfiable"
-    else:
-        refutable = satisfiable(axioms + [("~", [conjecture])])
-        status = "CounterSatisfiable" if refutable else "Theorem"
-    print(f"% SZS status {status}")
+        return "Satisfiable" if satisfiable(axioms) else "Unsatisfiable"
+    refutable = satisfiable(axioms + [("~", [conjecture])])
+    return "CounterSatisfiable" if refutable else "Theorem"
+
+
+def main() -> int:
+    sys.setrecursionlimit(10_000)  # one frame per branching variable
+    print(f"% SZS status {status(open(sys.argv[1]).read())}")
     return 0
 
 

@@ -208,7 +208,7 @@ def test_run_single_prover_equals_per_query(tmp_path, monkeypatch, method):
         path.write_text(body)
         prover = ProverConfig(executable=sys.executable, extra_args=(str(path),),
                               timeout_s=30)
-        config = RunConfig(log_path="log.xes", method=method, backend="prover",
+        config = RunConfig(log_path="log.xes", method=method,
                            prover=prover, seed=1, permutations=20,
                            min_permutations=20, samples_per_player=6)
         batched, reference = records(config, tree, specs, monkeypatch)

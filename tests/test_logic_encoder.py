@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,6 @@ from procshap.logic_encoder import (
     EncodingSizeError,
     ProverConfig,
     ProverNotFoundError,
-    ProverUnknownError,
     SZSStatus,
     emit_tptp,
     encode,
@@ -18,7 +19,9 @@ from procshap.logic_encoder import (
     run_prover,
     values_via_prover,
 )
+from procshap.miner import MinerConfig, discover
 from procshap.oracle import Property, PropertySpec, evaluate
+from procshap.propositional import conj, disj, iff, implies, neg, to_tptp, var
 from procshap.process_tree import (
     Coalition,
     activity,
@@ -31,6 +34,7 @@ from procshap.process_tree import (
     xor,
 )
 
+import fake_prover
 from _corpus import corpus, random_tree
 from _sat import (
     collect_vars,
@@ -97,29 +101,74 @@ def test_truth_table_agrees_with_dpll():
             assert truth_table_value(pspec) == spec_value(pspec)
 
 
-def test_dpll_agrees_with_truth_table_on_random_formulas():
-    from procshap.propositional import conj, disj, iff, implies, neg, var
+def random_formula(rng: random.Random, names: list[str], depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return var(rng.choice(names))
+    op = rng.randrange(5)
+    if op == 0:
+        return neg(random_formula(rng, names, depth - 1))
+    if op == 1:
+        return conj(*(random_formula(rng, names, depth - 1) for _ in range(rng.randint(2, 3))))
+    if op == 2:
+        return disj(*(random_formula(rng, names, depth - 1) for _ in range(rng.randint(2, 3))))
+    if op == 3:
+        return implies(random_formula(rng, names, depth - 1), random_formula(rng, names, depth - 1))
+    return iff(random_formula(rng, names, depth - 1), random_formula(rng, names, depth - 1))
 
+
+def test_dpll_agrees_with_truth_table_on_random_formulas():
     rng = random.Random(5)
     names = [f"v{i}" for i in range(6)]
-
-    def formula(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return var(rng.choice(names))
-        op = rng.randrange(5)
-        if op == 0:
-            return neg(formula(depth - 1))
-        if op == 1:
-            return conj(*(formula(depth - 1) for _ in range(rng.randint(2, 3))))
-        if op == 2:
-            return disj(*(formula(depth - 1) for _ in range(rng.randint(2, 3))))
-        if op == 3:
-            return implies(formula(depth - 1), formula(depth - 1))
-        return iff(formula(depth - 1), formula(depth - 1))
-
     for _ in range(200):
-        fs = [formula(3) for _ in range(rng.randint(1, 3))]
+        fs = [random_formula(rng, names, 3) for _ in range(rng.randint(1, 3))]
         assert dpll_satisfiable(fs) == truth_table_satisfiable(fs)
+
+
+def fake_value(pspec) -> int:
+    """The value of an encoded problem as ``fake_prover.py`` decides its
+    TPTP text, in process."""
+    return int(fake_prover.status(emit_tptp(pspec)) in ("Satisfiable", "Theorem"))
+
+
+def test_fake_prover_agrees_with_sat_references():
+    # the problems of the two reference cross-checks above
+    rng = random.Random(123)
+    for _ in range(40):
+        tree = random_tree(rng, max_nodes=6)
+        n = node_count(tree)
+        cut = substitute(tree, Coalition(n, rng.getrandbits(n)))
+        for spec in (SAT, LIV, SAF):
+            pspec = encode(cut, spec)
+            assert fake_value(pspec) == spec_value(pspec)
+            if len(collect_vars(list(pspec.axioms))) <= 18:
+                assert fake_value(pspec) == truth_table_value(pspec)
+    rng = random.Random(5)
+    names = [f"v{i}" for i in range(6)]
+    for _ in range(200):
+        fs = [random_formula(rng, names, 3) for _ in range(rng.randint(1, 3))]
+        parsed = [fake_prover.Parser(fake_prover.tokenize(to_tptp(f))).parse() for f in fs]
+        assert fake_prover.satisfiable(parsed) == truth_table_satisfiable(fs)
+
+
+def test_fake_prover_decides_bundled_forms_quickly(running_example_log):
+    # forms of the bundled log's trees, on which deciding by enumerating
+    # every assignment took minutes per call
+    rng = random.Random(3)
+    pair = ("pay compensation", "reject request")
+    specs = (SAT, LIV, PropertySpec(Property.SAF, safety_pair=pair))
+    slowest = 0.0
+    for noise in (0.0, 0.25, 0.5, 1.0):
+        tree = discover(running_example_log, MinerConfig(noise=noise))
+        n = node_count(tree)
+        masks = [(1 << n) - 1] + [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(12)]
+        for mask, spec in itertools.product(masks, specs):
+            coalition = Coalition(n, mask)
+            pspec = encode(substitute(tree, coalition), spec)
+            start = time.perf_counter()
+            value = fake_value(pspec)
+            slowest = max(slowest, time.perf_counter() - start)
+            assert value == evaluate(tree, coalition, spec), (noise, mask, spec.prop)
+    assert slowest < 1.0
 
 
 def test_loop_bound_zero_and_two():
@@ -228,17 +277,17 @@ def test_unknown_policy_zero_warns(tmp_path):
     assert warnings and "Unknown" in warnings[0]
 
 
-def test_unknown_policy_abort(tmp_path):
+def test_no_verdict_counts_zero_for_every_property(tmp_path):
     silent = tmp_path / "silent.py"
     silent.write_text("print('no status')\n")
-    config = ProverConfig(
-        executable=sys.executable,
-        extra_args=(str(silent),),
-        unknown_policy="abort",
-    )
-    tree = assign_node_ids(activity("a"))
-    with pytest.raises(ProverUnknownError):
-        values_via_prover([tree], SAT, config)
+    config = ProverConfig(executable=sys.executable, extra_args=(str(silent),))
+    tree = assign_node_ids(seq(activity("a"), activity("b")))
+    unknown = "prover returned Unknown for {}; treating as 0"
+    for spec in (SAT, LIV, SAF):
+        # liv's sat gate gets no verdict, so liv's own problem is not asked
+        [(value, warnings)] = values_via_prover([tree], spec, config)
+        assert value == 0
+        assert warnings == [unknown.format("sat" if spec is LIV else spec.prop.value)]
 
 
 def test_value_via_prover_agrees_with_oracle():
@@ -272,7 +321,7 @@ def test_evaluate_with_prover_backend_through_cache():
     cache = ValueCache()
     config = fake_prover_config()
     value = evaluate(
-        tree, Coalition.full(n), SAT, cache, backend="prover", prover_config=config
+        tree, Coalition.full(n), SAT, cache, prover_config=config
     )
     assert value == 1
     assert cache.distinct_queries == 1

@@ -106,7 +106,7 @@ def test_shared_cache_matches_model(data):
                 backend, spec = current
                 if backend == "oracle":
                     folded[suffix(*current)].update(batch)
-                    got = verdicts_of_masks(tree, batch, spec, cache, backend)
+                    got = verdicts_of_masks(tree, batch, spec, cache)
                     assert got == [fold_value(tree, spec, mask) for mask in batch]
                     asked += len(batch)
                     continue
@@ -117,7 +117,7 @@ def test_shared_cache_matches_model(data):
                                        else fold_value(tree, spec, form))
                         if silent(backend, spec, form):
                             warnings.append(f"no verdict on {form:#x}")
-                got = verdicts_of_masks(tree, batch, spec, cache, backend, UNUSED)
+                got = verdicts_of_masks(tree, batch, spec, cache, UNUSED)
                 assert got == [table[key(backend, mask)] for mask in batch], current
                 asked += len(batch)
 

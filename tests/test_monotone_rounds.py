@@ -93,7 +93,7 @@ def prove(tree, masks, spec, silent=lambda mask: False):
     cache = ValueCache()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logic_encoder, "values_via_prover", prover)
-        values = verdicts_of_masks(tree, masks, spec, cache, "prover", UNUSED)
+        values = verdicts_of_masks(tree, masks, spec, cache, UNUSED)
     return values, cache, prover
 
 

@@ -20,7 +20,6 @@ from procshap import logic_encoder
 from procshap.cli import main
 from procshap.logic_encoder import (
     ProverConfig,
-    ProverUnknownError,
     emit_tptp,
     encode,
     values_via_prover,
@@ -101,8 +100,7 @@ def call_count(calls: Path) -> int:
 
 
 def exact_config(prover: ProverConfig, **kw) -> RunConfig:
-    return RunConfig(log_path="log.xes", method="exact", backend="prover",
-                     prover=prover, **kw)
+    return RunConfig(log_path="log.xes", method="exact", prover=prover, **kw)
 
 
 def handed_over(monkeypatch) -> list[list[int]]:
@@ -137,7 +135,7 @@ def test_rooted_equals_enumeration_through_fake_prover():
             cache = ValueCache()
             via_prover = rooted_shapley(
                 tree,
-                lambda rows: evaluate_rows(tree, rows, spec, cache, "prover", config),
+                lambda rows: evaluate_rows(tree, rows, spec, cache, config),
             )
             reference = exact_shapley(Game(n, lambda c: evaluate(tree, c, spec)))
             assert via_prover.phi_exact == reference.phi_exact, (tree, spec)
@@ -189,9 +187,9 @@ def raw_keyed_game(tree, spec, prover: ProverConfig) -> Game:
 def test_sampling_on_prover_keys_cache_by_canonical_mask(tmp_path, method):
     tree = tiny_tree()
     prover, calls = counting_prover(tmp_path)
-    config = RunConfig(log_path="log.xes", method=method, backend="prover",
-                       prover=prover, seed=1, permutations=10,
-                       min_permutations=10, samples_per_player=6)
+    config = RunConfig(log_path="log.xes", method=method, prover=prover,
+                       seed=1, permutations=10, min_permutations=10,
+                       samples_per_player=6)
     record = run_single(config, tree, 0.0, SAT, 11)
     canonical_calls = call_count(calls)
 
@@ -218,7 +216,7 @@ def test_prover_cache_key_is_canonical():
     cache = ValueCache()
     # {Seq, b, c} and {Seq} both substitute to seq(a removed, xor removed)
     for mask in (0b11001, 0b00001):
-        evaluate(tree, Coalition(5, mask), SAT, cache, "prover", config)
+        evaluate(tree, Coalition(5, mask), SAT, cache, config)
     assert canonical_mask(tree, 0b11001) == 0b00001
     assert cache.total_queries == 2 and cache.distinct_queries == 1
 
@@ -280,20 +278,28 @@ def test_batch_warnings_follow_mask_order(tmp_path):
         assert record["cache"]["warnings"] == expected
 
 
-def test_abort_policy_fails_one_configuration(tmp_path, tiny_log_file):
-    # garbage for liv problems (those with a conjecture), real verdicts otherwise
-    prover = script(tmp_path, "no_liv.py", (
-        "import runpy, sys\n"
-        "if 'fof(goal, conjecture' in open(sys.argv[1]).read():\n"
-        "    print('no verdict')\n"
-        "    sys.exit(0)\n"
-        f"sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]\n"
-        f"runpy.run_path({FAKE_PROVER!r}, run_name='__main__')\n"
-    ), unknown_policy="abort")
+def self_disabling_prover(tmp_path: Path, kind: str) -> ProverConfig:
+    """``fake_prover.py`` behind a shell wrapper that takes its own execute
+    bit away on its first *kind* problem: that call is answered, and every
+    later call fails to start with ``PermissionError``."""
+    wrapper = tmp_path / f"{kind}_once"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'case "$(head -n 1 "$1")" in "% {kind}:"*) chmod -x "$0";; esac\n'
+        f'exec "{sys.executable}" "{FAKE_PROVER}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    return ProverConfig(executable=str(wrapper), timeout_s=30)
+
+
+def test_prover_error_fails_one_configuration(tmp_path, tiny_log_file, monkeypatch):
+    # real verdicts up to the first liv call, then no prover to start
+    prover = self_disabling_prover(tmp_path, "liv")
+    monkeypatch.setattr("procshap.logic_encoder.os.cpu_count", lambda: 2)
     before = threading.active_count()
     report = run_matrix(RunConfig(
         log_path=str(tiny_log_file), noise_levels=(0.0,), properties=(SAT, LIV),
-        method="exact", backend="prover", prover=prover,
+        method="exact", prover=prover,
     ))
     assert threading.active_count() == before  # no pool thread outlives it
     sat, liv = report.configurations
@@ -302,7 +308,8 @@ def test_abort_policy_fails_one_configuration(tmp_path, tiny_log_file):
         log_path=str(tiny_log_file), noise_levels=(0.0,), properties=(SAT,),
         method="exact",
     )).configurations[0]["phi"]
-    assert liv["error"].startswith("ProverUnknownError: prover returned Unknown for liv")
+    assert liv["error"] == f"PermissionError: [Errno 13] Permission denied: {prover.executable!r}"
+    assert liv["phi"] == {}
 
 
 # --- one prover memo per run ----------------------------------------------
@@ -330,7 +337,7 @@ def sat_fault_prover(tmp_path: Path, fault: str, **kw) -> ProverConfig:
 def tiny_matrix(log: Path, prover: ProverConfig, *specs) -> list[dict]:
     return run_matrix(RunConfig(
         log_path=str(log), noise_levels=(0.0,), properties=specs,
-        method="exact", backend="prover", prover=prover,
+        method="exact", prover=prover,
     )).configurations
 
 
@@ -419,41 +426,49 @@ def test_liv_warnings_keep_sat_then_liv_order_per_form(tmp_path, tiny_log_file):
     assert shared["cache"]["warnings"] == alone["cache"]["warnings"] == expected
 
 
-def test_abort_on_sat_fails_both_configurations_alike(tmp_path, tiny_log_file):
-    prover = sat_fault_prover(tmp_path, "garbage", unknown_policy="abort")
+def test_prover_error_on_sat_fails_both_configurations_alike(tmp_path, tiny_log_file):
+    # the sat configuration fails after its first call; liv's gate asks
+    # for the sat problems the memo lacks, and fails the same way
+    prover = self_disabling_prover(tmp_path, "sat")
     sat, liv = tiny_matrix(tiny_log_file, prover, SAT, LIV)
-    message = "ProverUnknownError: prover returned Unknown for sat; treating as 0"
+    message = f"PermissionError: [Errno 13] Permission denied: {prover.executable!r}"
     assert sat["error"] == liv["error"] == message
     [alone] = tiny_matrix(tiny_log_file, prover, LIV)
     assert alone["error"] == message
 
 
-def test_abort_stops_a_batch_at_the_first_failing_call(tmp_path, monkeypatch):
-    # 257 canonical forms; every call logs itself, then stalls past the timeout
+def test_an_error_stops_a_batch_at_the_first_failing_call(monkeypatch):
+    # saf asks all 257 canonical forms in one batch; every call fails
     tree = assign_node_ids(seq(*(activity(f"a{i}") for i in range(8))))
-    calls = tmp_path / "calls.log"
-    prover = script(tmp_path, "stalling.py", (
-        "import time\n"
-        f"open({str(calls)!r}, 'a').write('call\\n')\n"
-        "time.sleep(30)\n"
-    ), timeout_s=0.3, unknown_policy="abort")
+    spec = PropertySpec(Property.SAF, safety_pair=("a0", "a1"))
+    calls = []
+    run_prover = logic_encoder.run_prover
+
+    def counted(problem, config):
+        calls.append(problem)
+        return run_prover(problem, config)
+
+    monkeypatch.setattr(logic_encoder, "run_prover", counted)
     monkeypatch.setattr("procshap.logic_encoder.os.cpu_count", lambda: 2)
-    with pytest.raises(ProverUnknownError, match="Timeout for sat"):
-        run_single(exact_config(prover), tree, 0.0, SAT, None)
-    # the two running calls, and at most one more each worker took up
-    # before the rest were cancelled
-    assert 1 <= call_count(calls) <= 4
+    missing = ProverConfig(executable=str(Path(__file__).parent / "no_such_prover"))
+    before = threading.active_count()
+    with pytest.raises(logic_encoder.ProverNotFoundError, match="no_such_prover"):
+        run_single(exact_config(missing), tree, 0.0, spec, None)
+    assert threading.active_count() == before  # no pool thread outlives it
+    # the two first calls, and the few more the workers took up before
+    # the rest were cancelled
+    assert canonical_form_count(tree) == 257
+    assert 1 <= len(calls) <= 16
 
 
-def test_abort_error_comes_from_the_first_failing_form(tmp_path, monkeypatch):
+def test_no_verdict_warns_in_mask_order(tmp_path):
     # liv: no verdict; sat: no verdict for the forms with c but without a.
     # The first round asks the empty form (sat 0) and the full tree, which
     # passes the gate; the second {Seq, a, Xor, b}, {Seq, a, Xor, c} (both
     # pass) and {Seq, Xor, b, c} (sat: none); the third {Seq, a, Xor} and
     # {Seq, Xor, b} (sat 0, settling the forms below) and {Seq, Xor, c}
     # (sat: none).  No real verdict settles a form without one, so each of
-    # those warns, in mask order.  Under abort the first round fails, on
-    # the full tree's liv problem, and no later round is asked.
+    # those warns, in mask order.
     body = (
         "import runpy, sys\n"
         "text = open(sys.argv[1]).read()\n"
@@ -463,17 +478,10 @@ def test_abort_error_comes_from_the_first_failing_form(tmp_path, monkeypatch):
         f"sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]\n"
         f"runpy.run_path({FAKE_PROVER!r}, run_name='__main__')\n"
     )
-    tree = tiny_tree()
     warned = script(tmp_path, "warn.py", body)
-    record = run_single(exact_config(warned), tree, 0.0, LIV, None)
+    record = run_single(exact_config(warned), tiny_tree(), 0.0, LIV, None)
     sat, liv = (f"prover returned Unknown for {p}; treating as 0" for p in ("sat", "liv"))
     assert record["cache"]["warnings"] == [liv, sat, liv, sat, liv]
-    aborting = script(tmp_path, "abort.py", body, unknown_policy="abort")
-    rounds = handed_over(monkeypatch)
-    with pytest.raises(ProverUnknownError) as failed:
-        run_single(exact_config(aborting), tree, 0.0, LIV, None)
-    assert str(failed.value) == liv
-    assert rounds == [[0b00000, 0b11111]]
 
 
 def test_mc_liv_on_prover_equals_oracle(tmp_path):
@@ -481,7 +489,7 @@ def test_mc_liv_on_prover_equals_oracle(tmp_path):
     prover, calls = counting_prover(tmp_path)
     mc = dict(log_path="log.xes", method="mc", seed=1, permutations=10,
               min_permutations=10)
-    record = run_single(RunConfig(backend="prover", prover=prover, **mc),
+    record = run_single(RunConfig(prover=prover, **mc),
                         tree, 0.0, LIV, 11)
     oracle = run_single(RunConfig(**mc), tree, 0.0, LIV, 11)
     assert record["phi"] == oracle["phi"]

@@ -13,6 +13,7 @@ import pytest
 from procshap import reports
 from procshap.cli import _apply_config_file, build_parser, main
 from procshap.event_log import EventLog
+from procshap.logic_encoder import ProverConfig
 from procshap.oracle import Property, PropertySpec
 from procshap.process_tree import node_count
 from procshap.reports import (
@@ -53,8 +54,13 @@ def test_run_config_validation(running_example_file):
         RunConfig(log_path=str(running_example_file), method="mc")
     with pytest.raises(ValueError, match="noise"):
         RunConfig(log_path=str(running_example_file), method="exact", noise_levels=())
-    with pytest.raises(ValueError, match="prover"):
+    # the backend is read from the prover config, never given apart from it
+    with pytest.raises(TypeError, match="backend"):
         RunConfig(log_path=str(running_example_file), method="exact", backend="prover")
+    oracle = RunConfig(log_path=str(running_example_file), method="exact")
+    prover = RunConfig(log_path=str(running_example_file), method="exact",
+                       prover=ProverConfig(executable="prover"))
+    assert (oracle.backend, prover.backend) == ("oracle", "prover")
 
 
 def test_configuration_count_arithmetic(running_example_file):
@@ -98,7 +104,7 @@ def test_matrix_prover_equals_oracle(tiny_log_file):
         )
 
     oracle = exact_report()
-    prover = exact_report(backend="prover", prover=fake_prover_config())
+    prover = exact_report(prover=fake_prover_config())
     assert len(prover.configurations) == 2
     for via_oracle, via_prover in zip(oracle.configurations, prover.configurations):
         assert via_prover["error"] is None
@@ -138,7 +144,6 @@ def test_matrix_prover_runs_on_calling_thread(monkeypatch, tiny_log_file):
             noise_levels=(0.0, 1.0),
             properties=(PropertySpec(Property.SAT),),
             method="exact",
-            backend="prover",
             prover=fake_prover_config(),
         )
     )
@@ -766,7 +771,6 @@ def test_cli_prover_backend_and_dump(tmp_path, running_example_file, capsys):
     wrapper.write_text(f'#!/bin/sh\nexec "{sys.executable}" "{FAKE_PROVER}" "$@"\n')
     wrapper.chmod(0o755)
 
-    # small tree: the fake prover decides by exhaustive enumeration
     tree_file = tmp_path / "tree.txt"
     tree_file.write_text("seq\n  act a\n  xor\n    act b\n    act c\n")
     dump_dir = tmp_path / "problems"

@@ -151,6 +151,7 @@ def test_malformed_coalition_matrix_refused(running_example_tree, backend):
     tree = running_example_tree
     n = node_count(tree)
     spec = RUNNING_SPECS[0]
+    prover = object() if backend == "prover" else None  # never called
     bad = [
         np.ones((2, n - 1), dtype=np.uint8),  # too narrow
         np.ones((2, n + 1), dtype=np.uint8),  # too wide
@@ -162,7 +163,7 @@ def test_malformed_coalition_matrix_refused(running_example_tree, backend):
     ]
     for rows in bad:
         with pytest.raises(ValueError, match=rf"shape {re.escape(str(rows.shape))}"):
-            evaluate_rows(tree, rows, spec, None, backend, object())
+            evaluate_rows(tree, rows, spec, None, prover)
     cache = ValueCache()
     assert evaluate_rows(tree, np.ones((2, n), dtype=bool), spec, cache).tolist() == [1, 1]
     # An int mask with a bit past the tree is refused, not cut to the tree.
