@@ -39,12 +39,10 @@ from .oracle import (
     TauMode,
     ValueCache,
     coalition_rows,
-    evaluate,
     evaluate_rows,
     row_masks,
 )
 from .process_tree import (
-    Coalition,
     NodeId,
     Op,
     ProcessTree,
@@ -66,10 +64,8 @@ from .process_tree import (
 from .reports import AttributionReport, RunConfig, emit_report, run_matrix
 from .shapley import (
     ConvergenceReport,
-    Game,
     ShapleyEstimate,
     convergence_delta_max,
-    exact_shapley,
     mc_permutation_shapley,
     rooted_shapley,
     rs_subset_shapley,

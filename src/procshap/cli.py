@@ -20,14 +20,15 @@ from .diagnostics import DiagnosticsConfig
 from .event_log import parse_xes
 from .logic_encoder import ProverConfig
 from .miner import MinerConfig, discover
-from .oracle import Property, PropertySpec, TauMode, ValueCache, evaluate
-from .process_tree import (
-    Coalition,
-    export_dot,
-    node_count,
-    tree_from_text,
-    tree_to_text,
+from .oracle import (
+    Property,
+    PropertySpec,
+    TauMode,
+    ValueCache,
+    coalition_rows,
+    evaluate_rows,
 )
+from .process_tree import export_dot, node_count, tree_from_text, tree_to_text
 from .reports import (
     DEFAULT_NOISE_LEVELS,
     AttributionReport,
@@ -242,13 +243,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     return out
 
 
-def _coalition_from_args(args, n: int) -> Coalition:
-    if args.exclude:
-        drop = Coalition.of(n, (int(x) for x in args.exclude.split(",")))
-        return Coalition(n, Coalition.full(n).mask & ~drop.mask)
-    if args.coalition in (None, "all"):
-        return Coalition.full(n)
-    return Coalition.of(n, (int(x) for x in args.coalition.split(",")))
+def _mask_from_args(args, n: int) -> int:
+    """The mask of the nodes ``verify`` keeps; the first bad index raises."""
+    if not args.exclude and args.coalition in (None, "all"):
+        return (1 << n) - 1
+    mask = 0
+    for index in map(int, (args.exclude or args.coalition).split(",")):
+        if not 0 <= index < n:
+            raise ValueError(f"index {index} outside 0..{n - 1}")
+        mask |= 1 << index
+    return (1 << n) - 1 & ~mask if args.exclude else mask
 
 
 def cmd_mine(args) -> int:
@@ -270,21 +274,23 @@ def cmd_mine(args) -> int:
 def cmd_verify(args) -> int:
     tree = tree_from_text(Path(args.tree).read_text())
     n = node_count(tree)
-    coalition = _coalition_from_args(args, n)
+    mask = _mask_from_args(args, n)
     specs = _build_specs(args)
     cache = ValueCache()
     for spec in specs:
         warn_if_degenerate(spec, cache)
     prover = _prover_config(args)
     prover_memo: dict = {}  # liv's sat gate reuses sat's status
+    rows = coalition_rows([mask], n)
     results = {}
     for spec in specs:
-        value = evaluate(tree, coalition, spec, cache, prover, prover_memo)
+        value = int(evaluate_rows(tree, rows, spec, cache, prover, prover_memo)[0])
         results[spec.prop.value] = value
         print(f"{spec.prop.value}: {value}")
     for message in cache.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    print(json.dumps({"coalition": list(coalition.members()), "values": results}))
+    members = [i for i in range(n) if mask >> i & 1]
+    print(json.dumps({"coalition": members, "values": results}))
     return 0
 
 

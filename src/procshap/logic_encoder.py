@@ -63,7 +63,7 @@ from .propositional import (
 )
 
 
-class EncodingSizeError(RuntimeError):
+class EncodingSizeError(ValueError):
     """Raised when loop unrolling produces too many node instances."""
 
 

@@ -34,8 +34,7 @@ configuration's ``ValueCache`` counts every row asked in
 once per (backend, spec) in ``distinct_queries``.  Rows are only how a
 batch is represented: which coalitions a batch holds, and how the
 estimators split their queries into batches, does not depend on it.
-Callers that hold int masks convert them with ``coalition_rows``;
-``evaluate`` is a batch of one.
+Callers that hold int masks convert them with ``coalition_rows``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .process_tree import (
     TauMode,
     canonical_mask,
     iter_nodes,
-    node_count,
     removed_tau,
     substitute,
     tau,
@@ -67,7 +65,6 @@ __all__ = [
     "PropertySpec",
     "ValueCache",
     "coalition_rows",
-    "evaluate",
     "evaluate_rows",
     "row_masks",
 ]
@@ -319,12 +316,10 @@ class ValueCache:
     The oracle stores no verdict: it keeps the node program it compiled
     for the tree and spec (``program``) and, per (backend, spec) suffix,
     the rows it was asked, packed into uint64 words.  The prover keeps a
-    canonical mask -> verdict dict per suffix (``table``), which
-    ``get_or_compute`` also reaches by key ``(mask, *suffix)``, or ``()``
-    for a key that is no tuple.  ``total_queries`` counts the rows asked;
-    ``distinct_queries``, which is ``len``, counts the distinct rows per
-    suffix plus the tables' entries.  Warnings collect what the
-    computations reported, in order."""
+    canonical mask -> verdict dict per suffix (``table``).  ``total_queries``
+    counts the rows asked; ``distinct_queries``, which is ``len``, counts
+    the distinct rows per suffix plus the tables' entries.  Warnings
+    collect what the computations reported, in order."""
 
     def __init__(self) -> None:
         self._tables: dict[tuple, dict[Hashable, int]] = {}
@@ -351,12 +346,13 @@ class ValueCache:
         self._words.setdefault(suffix, []).append(_pack(rows))
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], int]) -> int:
-        suffix, mask = _split_key(key)
-        table = self.table(suffix)
+        """*key*'s value, computed once and kept in ``table(())``: kept
+        for perfbench's checker/tracer (ROADMAP item 1)."""
+        table = self.table(())
         self.total_queries += 1
-        if mask not in table:
-            table[mask] = compute()
-        return table[mask]
+        if key not in table:
+            table[key] = compute()
+        return table[key]
 
     def add_warning(self, message: str) -> None:
         self.warnings.append(message)
@@ -364,10 +360,6 @@ class ValueCache:
     @property
     def distinct_queries(self) -> int:
         return len(self)
-
-    def __contains__(self, key: Hashable) -> bool:
-        suffix, mask = _split_key(key)
-        return mask in self._tables.get(suffix, ())
 
     def __len__(self) -> int:
         for words in self._words.values():
@@ -377,23 +369,17 @@ class ValueCache:
         )
 
 
-def _split_key(key: Hashable) -> tuple[tuple, Hashable]:  # (suffix, mask)
-    return (key[1:], key[0]) if isinstance(key, tuple) and key else ((), key)
-
-
 def evaluate(
     tree: ProcessTree,
     coalition: Coalition,
     spec: PropertySpec,
     cache: ValueCache | None = None,
-    prover_config=None,
-    prover_memo: dict | None = None,
 ) -> int:
-    """The property's verdict on *coalition* of *tree*'s nodes:
-    ``evaluate_rows`` on a batch of one."""
+    """The oracle's verdict on *coalition* of *tree*'s nodes, by
+    ``evaluate_rows``: kept for perfbench's checker/tracer (ROADMAP item 1)."""
 
     rows = coalition_rows([coalition.mask], coalition.n)
-    return int(evaluate_rows(tree, rows, spec, cache, prover_config, prover_memo)[0])
+    return int(evaluate_rows(tree, rows, spec, cache)[0])
 
 
 def evaluate_rows(
@@ -475,10 +461,8 @@ def _prove(
 
     from .logic_encoder import values_via_prover
 
-    n = node_count(tree)
-
     def ask(masks: list[int]):
-        trees_c = [substitute(tree, Coalition(n, mask)) for mask in masks]
+        trees_c = [substitute(tree, mask) for mask in masks]
         return zip(masks, values_via_prover(trees_c, spec, config, memo), strict=True)
 
     if spec.prop is Property.SAF:

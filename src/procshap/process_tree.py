@@ -1,5 +1,6 @@
-"""Hierarchical process trees: operators, node identities, coalition
-substitution, the debug text format and DOT export.
+"""Hierarchical process trees: operators, node identities, the
+substitution of a coalition (an int mask, bit i keeping the node of
+preorder index i), the debug text format and DOT export.
 
 A tree node is either an operator (Seq, Xor, And, Loop), an activity leaf,
 or a silent tau leaf.  Tau leaves come in two flavors: *mined* taus that
@@ -139,8 +140,8 @@ def node_count(tree: ProcessTree) -> int:
 
 @dataclass(frozen=True)
 class Coalition:
-    """Subset of node indices kept in the model, as a bit mask over the
-    preorder indices 0..n-1."""
+    """A bit mask over the preorder indices 0..n-1, checked against n:
+    kept for perfbench's checker/tracer (ROADMAP item 1)."""
 
     n: int
     mask: int = 0
@@ -157,35 +158,17 @@ class Coalition:
     def empty(cls, n: int) -> "Coalition":
         return cls(n, 0)
 
-    @classmethod
-    def of(cls, n: int, indices) -> "Coalition":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} outside 0..{n - 1}")
-            mask |= 1 << i
-        return cls(n, mask)
 
-    def contains(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-
-def substitute(tree: ProcessTree, coalition: Coalition) -> ProcessTree:
-    """Replace every maximal subtree whose root is not in *coalition* by a
-    single removed-tau leaf.  Surviving nodes keep their node ids."""
+def substitute(tree: ProcessTree, mask: int) -> ProcessTree:
+    """Replace every maximal subtree whose root's bit is clear in *mask*
+    by a single removed-tau leaf.  Surviving nodes keep their node ids."""
 
     if tree.node_id is None:
         raise ValueError("substitute requires an id-assigned tree (assign_node_ids)")
 
     def walk(node: ProcessTree) -> ProcessTree:
         index = node.node_id.index  # type: ignore[union-attr]
-        if not coalition.contains(index):
+        if not mask >> index & 1:
             return removed_tau(NodeId(text=f"tau@{index}", index=index))
         if node.is_leaf:
             return node

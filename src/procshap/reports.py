@@ -123,17 +123,28 @@ class AttributionReport:
         """The report in *text*; ``ValueError`` names the first missing or
         mistyped key among the ones that ``emit_report`` and
         ``render_summary`` read: the top-level, ``meta`` and ``cross``
-        keys, and each configuration record's, by record index."""
+        keys, each label's ``cross`` entries, and each record's by index."""
 
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("not a report: the JSON is not an object")
         for where, types in _REPORT_KEYS.items():
             _check_keys(payload if where == "report" else payload[where], types, where)
+        cross = payload["cross"]
+        for label, pairs in cross["topk_jaccard_across_noise"].items():
+            _check_keys(pairs, dict.fromkeys(pairs, _NUMBER),
+                        f"cross topk_jaccard_across_noise {label!r}")
+        for label, corr in cross["noise_correlation"].items():
+            _check_keys(corr, {"r": _NUMBER, "zero_variance": bool},
+                        f"cross noise_correlation {label!r}")
+        adaptive = cross["adaptive_nodes"]
+        _check_keys(adaptive, dict.fromkeys(adaptive, list), "cross adaptive_nodes")
+        for label, nodes in adaptive.items():
+            for index, entry in enumerate(nodes):
+                _check_keys(entry, {"node": str, "reason": str},
+                            f"cross adaptive_nodes {label!r} entry {index}")
         for index, record in enumerate(payload["configurations"]):
             where = f"configuration {index}"
-            if not isinstance(record, dict):
-                raise ValueError(f"not a report: {where} is not an object")
             _check_keys(record, {"id": str}, where)
             if record.get("error"):
                 continue
@@ -157,7 +168,9 @@ class AttributionReport:
         )
 
 
-def _check_keys(part: dict, types: dict, where: str) -> None:
+def _check_keys(part: object, types: dict, where: str) -> None:
+    if not isinstance(part, dict):
+        raise ValueError(f"not a report: {where} is not an object")
     for key, kind in types.items():
         if key not in part or not isinstance(part[key], kind):
             problem = "mistyped" if key in part else "missing"

@@ -68,8 +68,8 @@ order."""
 @dataclass(frozen=True)
 class Game:
     """A boolean cooperative game over players 0..n-1 (node indices),
-    asked one coalition at a time: the black box ``exact_shapley``
-    enumerates."""
+    asked one coalition at a time, that ``exact_shapley`` enumerates:
+    kept for perfbench's checker/tracer (ROADMAP item 1)."""
 
     n: int
     value: Callable[[Coalition], int]
@@ -323,17 +323,18 @@ def rooted_shapley(tree: ProcessTree, verdicts: Verdicts) -> ShapleyEstimate:
     return _exact_estimate(numerators)
 
 
-def exact_shapley(game: Game, exact_limit: int = 20) -> ShapleyEstimate:
-    """Exact Shapley values over all 2^n coalitions of a black-box game.
+def exact_shapley(game: Game) -> ShapleyEstimate:
+    """Exact Shapley values over all 2^n coalitions of a black-box game of
+    at most 20 players: kept for perfbench's checker/tracer (ROADMAP item 1).
 
     phi_i = sum over S not containing i of
             |S|! (n-|S|-1)! / n! * (v(S+i) - v(S)).
     """
 
     n = game.n
-    if n > exact_limit:
+    if n > 20:
         raise ValueError(
-            f"exact computation refused for n={n} > {exact_limit}; "
+            f"exact computation refused for n={n} > 20; "
             f"use mc_permutation_shapley or rs_subset_shapley"
         )
     values = [game.value_of_mask(mask) for mask in range(1 << n)]

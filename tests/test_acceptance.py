@@ -174,8 +174,7 @@ def test_criterion_oracle_encoder_equivalence():
         masks = list(range(1 << n))
         oracle = {spec: verdicts_of_masks(tree, masks, spec) for spec in (SAT, LIV, SAF)}
         for mask in masks:
-            coalition = Coalition(n, mask)
-            cut = substitute(tree, coalition)
+            cut = substitute(tree, mask)
             for spec in (SAT, LIV, SAF):
                 expected = oracle[spec][mask]
                 got = spec_value(encode(cut, spec))
@@ -342,7 +341,7 @@ def test_criterion_prover_integration():
         masks = {rng.getrandbits(n) for _ in range(50)}
         for mask in masks:
             coalition = Coalition(n, mask)
-            cut = substitute(tree, coalition)
+            cut = substitute(tree, mask)
             for spec in (SAT, LIV, SAF):
                 [(value, _)] = values_via_prover([cut], spec, config)
                 assert value == evaluate(tree, coalition, spec)

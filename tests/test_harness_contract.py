@@ -69,3 +69,30 @@ def test_checker_imports_resolve():
         value = getattr(importlib.import_module(module), name)
         for attribute in attributes:
             assert hasattr(value, attribute), f"{module}.{name}.{attribute}"
+
+
+def test_checker_accepts_a_report_and_rejects_a_perturbed_phi(monkeypatch, tiny_log_file):
+    """Run the checker itself, so that a changed signature or meaning of a
+    name it calls fails here, not only a missing name."""
+    from procshap.oracle import Property, PropertySpec
+    from procshap.reports import RunConfig, run_matrix
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    config = RunConfig(
+        log_path=str(tiny_log_file), noise_levels=(0.0,), method="exact",
+        properties=(PropertySpec(Property.SAT), PropertySpec(Property.LIV),
+                    PropertySpec(Property.SAF, safety_pair=("a", "b"))),
+    )
+    report = json.loads(run_matrix(config).to_json())
+    assert [record["node_count"] for record in report["configurations"]] == [5, 5, 5]
+    workload = workloads.Workload("tiny", [], configs=3, exact=False, compare_oracle=True)
+    checker = workloads.Checker(workload)
+    assert checker.check(report, 0) == []
+
+    record = report["configurations"][1]
+    node = next(iter(record["phi"]))
+    record["phi"][node] += 0.25
+    assert checker.check(report, 0) == [
+        f"{record['id']}: prover phi differs from the oracle's exact phi"]

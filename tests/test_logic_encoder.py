@@ -66,7 +66,7 @@ def test_single_leaf_encoding_is_minimal():
 
 def test_encoding_matches_oracle_example():
     tree = assign_node_ids(xor(activity("a"), activity("b")))
-    cut = substitute(tree, Coalition.of(3, [0, 2]))  # drop a
+    cut = substitute(tree, 0b101)  # drop a
     assert spec_value(encode(cut, LIV)) == 0
     assert spec_value(encode(cut, SAT)) == 1
 
@@ -78,7 +78,7 @@ def test_encoder_oracle_equivalence_all_coalitions():
         n = node_count(tree)
         for mask in range(1 << n):
             coalition = Coalition(n, mask)
-            cut = substitute(tree, coalition)
+            cut = substitute(tree, mask)
             for spec in (SAT, LIV, SAF):
                 assert spec_value(encode(cut, spec)) == evaluate(tree, coalition, spec), (
                     tree,
@@ -93,7 +93,7 @@ def test_truth_table_agrees_with_dpll():
         tree = random_tree(rng, max_nodes=6)
         n = node_count(tree)
         mask = rng.getrandbits(n)
-        cut = substitute(tree, Coalition(n, mask))
+        cut = substitute(tree, mask)
         for spec in (SAT, LIV, SAF):
             pspec = encode(cut, spec)
             if len(collect_vars(list(pspec.axioms))) > 18:
@@ -136,7 +136,7 @@ def test_fake_prover_agrees_with_sat_references():
     for _ in range(40):
         tree = random_tree(rng, max_nodes=6)
         n = node_count(tree)
-        cut = substitute(tree, Coalition(n, rng.getrandbits(n)))
+        cut = substitute(tree, rng.getrandbits(n))
         for spec in (SAT, LIV, SAF):
             pspec = encode(cut, spec)
             assert fake_value(pspec) == spec_value(pspec)
@@ -163,7 +163,7 @@ def test_fake_prover_decides_bundled_forms_quickly(running_example_log):
         masks = [(1 << n) - 1] + [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(12)]
         for mask, spec in itertools.product(masks, specs):
             coalition = Coalition(n, mask)
-            pspec = encode(substitute(tree, coalition), spec)
+            pspec = encode(substitute(tree, mask), spec)
             start = time.perf_counter()
             value = fake_value(pspec)
             slowest = max(slowest, time.perf_counter() - start)
@@ -183,7 +183,7 @@ def test_all_referenced_variables_declared():
     for _ in range(20):
         tree = random_tree(rng, max_nodes=9)
         n = node_count(tree)
-        cut = substitute(tree, Coalition(n, rng.getrandbits(n)))
+        cut = substitute(tree, rng.getrandbits(n))
         for spec in (SAT, LIV, SAF):
             pspec = encode(cut, spec)
             referenced = set(
@@ -298,7 +298,7 @@ def test_value_via_prover_agrees_with_oracle():
         masks = {rng.getrandbits(n) for _ in range(4)} | {0, (1 << n) - 1}
         for mask in masks:
             coalition = Coalition(n, mask)
-            cut = substitute(tree, coalition)
+            cut = substitute(tree, mask)
             for spec in (SAT, LIV, SAF):
                 [(value, warnings)] = values_via_prover([cut], spec, config)
                 assert warnings == []
@@ -314,14 +314,12 @@ def test_value_via_prover_dumps_problems(tmp_path):
 
 
 def test_evaluate_with_prover_backend_through_cache():
-    from procshap.oracle import ValueCache, evaluate
+    from procshap.oracle import ValueCache, coalition_rows, evaluate_rows
 
     tree = assign_node_ids(seq(activity("a"), activity("b")))
     n = node_count(tree)
     cache = ValueCache()
     config = fake_prover_config()
-    value = evaluate(
-        tree, Coalition.full(n), SAT, cache, prover_config=config
-    )
+    [value] = evaluate_rows(tree, coalition_rows([(1 << n) - 1], n), SAT, cache, config)
     assert value == 1
     assert cache.distinct_queries == 1

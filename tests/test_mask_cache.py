@@ -3,11 +3,12 @@ cache serving sat, liv and saf on the oracle and on the prover
 (``StandIn``), asked random batches with repeats and partial hits in
 random sub-batches, gives the reference fold's verdicts, counts every
 coalition asked and every distinct (canonical, on the prover) coalition
-once per spec, keeps warnings in mask order, and on the prover shares
-its table with ``get_or_compute`` both ways, which ``evaluate_rows``
-itself never calls.  The oracle stores no verdict: it folds every row,
-whatever ``get_or_compute`` stored under its suffix, and counts its
-distinct rows apart from those entries."""
+once per spec, and keeps warnings in mask order.  ``get_or_compute``,
+which ``evaluate_rows`` itself never calls, keeps every key in
+``table(())``, apart from the prover's tables: neither backend reads
+what it stored, whatever the key.  The oracle stores no verdict: it
+folds every row and counts its distinct rows apart from those
+entries."""
 
 from __future__ import annotations
 
@@ -76,18 +77,19 @@ def test_shared_cache_matches_model(data):
     get_or_compute = ValueCache.get_or_compute
     model: dict[tuple, dict[int, int]] = {suffix(*job): {} for job in jobs}
     folded: dict[tuple, set[int]] = {suffix(*job): set() for job in jobs}  # oracle rows
+    stored: dict[tuple, int] = {}  # get_or_compute's entries
     warnings: list[str] = []
     asked = 0
 
-    # Entries stored through get_or_compute, with the verdict flipped, are
-    # what the prover's evaluate_rows must return for them: it reads them,
-    # not the stand-in.  The oracle folds them like any other row.
+    # Entries stored through get_or_compute, keyed by the form and suffix
+    # a table would hold and with the verdict flipped, stay in table(()):
+    # evaluate_rows returns the stand-in's and the fold's verdicts.
     for backend, spec in jobs:
         for mask in data.draw(st.lists(st.sampled_from(pool), max_size=3)):
-            stored = 1 - fold_value(tree, spec, mask)
-            value = get_or_compute(cache, (key(backend, mask),) + suffix(backend, spec),
-                                   lambda stored=stored: stored)
-            model[suffix(backend, spec)].setdefault(key(backend, mask), value)
+            flipped = 1 - fold_value(tree, spec, mask)
+            entry = (key(backend, mask),) + suffix(backend, spec)
+            value = get_or_compute(cache, entry, lambda flipped=flipped: flipped)
+            assert stored.setdefault(entry, value) == value
             asked += 1
 
     def refuse(*args):
@@ -122,25 +124,25 @@ def test_shared_cache_matches_model(data):
                 asked += len(batch)
 
     assert cache.total_queries == asked
-    assert cache.distinct_queries == len(cache) == sum(map(len, model.values())) + sum(
-        map(len, folded.values())
-    )
+    assert cache.distinct_queries == len(cache) == len(stored) + sum(
+        map(len, model.values())
+    ) + sum(map(len, folded.values()))
     for job in jobs:
         assert cache.table(suffix(*job)) == model[suffix(*job)], job
         handed = stand_ins[job].handed
         assert len(handed) == len(set(handed))  # no form decided twice
     assert cache.warnings == warnings
-
-    for table_suffix, table in model.items():
-        for mask, value in table.items():
-            assert (mask,) + table_suffix in cache
-            assert get_or_compute(cache, (mask,) + table_suffix, refuse) == value
+    assert cache.table(()) == stored
+    for entry, value in stored.items():
+        assert get_or_compute(cache, entry, refuse) == value
 
 
 def test_bare_keys_live_apart_from_mask_tables():
     cache = ValueCache()
     assert cache.get_or_compute("k", lambda: 1) == 1
     assert cache.get_or_compute(0, lambda: 0) == 0
-    assert "k" in cache and 0 in cache and len(cache) == 2
-    assert (0, "oracle") not in cache
-    assert cache.table(()) == {"k": 1, 0: 0}
+    assert cache.get_or_compute((0, "oracle"), lambda: 1) == 1
+    assert cache.get_or_compute("k", lambda: 0) == 1
+    assert len(cache) == 3 and cache.total_queries == 4
+    assert cache.table(()) == {"k": 1, 0: 0, (0, "oracle"): 1}
+    assert cache.table(("oracle",)) == {}

@@ -41,12 +41,9 @@ def verdict(spec, tree, keep=None, drop=None) -> int:
     tree = assign_node_ids(tree) if tree.node_id is None else tree
     n = node_count(tree)
     if drop is not None:
-        coalition = Coalition.of(n, (i for i in range(n) if i not in set(drop)))
-    elif keep is not None:
-        coalition = Coalition.of(n, keep)
-    else:
-        coalition = Coalition.full(n)
-    return evaluate(tree, coalition, spec)
+        keep = [i for i in range(n) if i not in set(drop)]
+    mask = (1 << n) - 1 if keep is None else sum(1 << i for i in set(keep))
+    return evaluate(tree, Coalition(n, mask), spec)
 
 
 def brute_force(tree_c, spec: PropertySpec) -> int:
@@ -147,8 +144,7 @@ def test_values_match_commitment_enumeration():
         masks = list(range(1 << n))
         oracle = {spec: verdicts_of_masks(tree, masks, spec) for spec in specs}
         for mask in masks:
-            coalition = Coalition(n, mask)
-            cut = substitute(tree, coalition)
+            cut = substitute(tree, mask)
             for spec in specs:
                 assert oracle[spec][mask] == brute_force(cut, spec), (
                     tree,
@@ -163,7 +159,7 @@ def test_sat_equals_language_nonemptiness():
         rng = random.Random(n)
         for mask in [rng.getrandbits(n) for _ in range(8)]:
             coalition = Coalition(n, mask)
-            cut = substitute(tree, coalition)
+            cut = substitute(tree, mask)
             for mode in TauMode:
                 lang = trace_language(cut, bound=1, mode=mode)
                 spec = PropertySpec(Property.SAT, mode=mode)

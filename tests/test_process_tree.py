@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from procshap.oracle import coalition_rows, row_masks
 from procshap.process_tree import (
     Coalition,
     Op,
@@ -64,18 +66,18 @@ def test_malformed_trees_rejected():
 
 def test_substitute_full_is_identity():
     tree = assign_node_ids(seq(activity("a"), xor(activity("b"), activity("c"))))
-    assert substitute(tree, Coalition.full(node_count(tree))) == tree
+    assert substitute(tree, (1 << node_count(tree)) - 1) == tree
 
 
 def test_substitute_empty_gives_removed_root():
     tree = assign_node_ids(seq(activity("a"), activity("b")))
-    reduced = substitute(tree, Coalition.empty(3))
+    reduced = substitute(tree, 0)
     assert reduced.is_leaf and reduced.removed
 
 
 def test_substitute_drops_whole_subtree():
     tree = assign_node_ids(seq(activity("a"), xor(activity("b"), activity("c"))))
-    reduced = substitute(tree, Coalition.of(5, [0, 1, 3, 4]))  # drop the Xor at 2
+    reduced = substitute(tree, 0b11011)  # drop the Xor at 2
     assert reduced.node_id.text == "Seq2@0"
     assert reduced.children[0].node_id.text == "a@1"
     replacement = reduced.children[1]
@@ -87,9 +89,9 @@ def test_substitute_idempotent_on_survivors():
     for tree in corpus(20, seed=5):
         n = node_count(tree)
         rng = random.Random(n)
-        coalition = Coalition(n, rng.getrandbits(n))
-        once = substitute(tree, coalition)
-        twice = substitute(once, coalition)
+        mask = rng.getrandbits(n)
+        once = substitute(tree, mask)
+        twice = substitute(once, mask)
         assert once == twice
 
 
@@ -106,7 +108,7 @@ def test_language_loop_unrolling():
 
 def test_language_removed_tau_modes():
     tree = assign_node_ids(seq(activity("a"), activity("b")))
-    reduced = substitute(tree, Coalition.of(3, [0, 1]))
+    reduced = substitute(tree, 0b011)
     assert trace_language(reduced, mode=TauMode.BLOCKED) == frozenset()
     assert trace_language(reduced, mode=TauMode.SKIP) == {("a",)}
 
@@ -122,8 +124,7 @@ def test_language_skip_mode_never_empty():
     for tree in corpus(20, seed=7):
         n = node_count(tree)
         rng = random.Random(n + 1)
-        coalition = Coalition(n, rng.getrandbits(n))
-        reduced = substitute(tree, coalition)
+        reduced = substitute(tree, rng.getrandbits(n))
         assert trace_language(reduced, mode=TauMode.SKIP) != frozenset()
 
 
@@ -219,15 +220,15 @@ def test_export_dot_golden(running_example_tree):
 @given(st.integers(min_value=1, max_value=12), st.data())
 def test_coalition_mask_roundtrip(n, data):
     members = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
-    coalition = Coalition.of(n, members)
-    assert set(coalition.members()) == members
-    assert len(coalition) == len(members)
-    for i in range(n):
-        assert coalition.contains(i) == (i in members)
+    mask = sum(1 << i for i in members)
+    [row] = coalition_rows([mask], n)
+    assert set(np.flatnonzero(row)) == members
+    assert row.sum() == len(members)
+    assert row_masks(row[None]) == [mask]
 
 
 def test_coalition_bounds():
     with pytest.raises(ValueError):
         Coalition(2, 0b100)
     with pytest.raises(ValueError):
-        Coalition.of(2, [2])
+        coalition_rows([0b100], 2)

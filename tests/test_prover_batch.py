@@ -28,6 +28,7 @@ from procshap.oracle import (
     Property,
     PropertySpec,
     ValueCache,
+    coalition_rows,
     evaluate,
     evaluate_rows,
 )
@@ -180,7 +181,7 @@ def raw_keyed_game(tree, spec, prover: ProverConfig) -> Game:
     """The prover game as it was keyed before: one cache entry per raw mask."""
     cache = ValueCache()
     return Game(node_count(tree), lambda c: cache.get_or_compute(
-        c.mask, lambda: values_via_prover([substitute(tree, c)], spec, prover)[0][0]))
+        c.mask, lambda: values_via_prover([substitute(tree, c.mask)], spec, prover)[0][0]))
 
 
 @pytest.mark.parametrize("method", ["mc", "rs"])
@@ -216,7 +217,7 @@ def test_prover_cache_key_is_canonical():
     cache = ValueCache()
     # {Seq, b, c} and {Seq} both substitute to seq(a removed, xor removed)
     for mask in (0b11001, 0b00001):
-        evaluate(tree, Coalition(5, mask), SAT, cache, config)
+        evaluate_rows(tree, coalition_rows([mask], 5), SAT, cache, config)
     assert canonical_mask(tree, 0b11001) == 0b00001
     assert cache.total_queries == 2 and cache.distinct_queries == 1
 
@@ -269,7 +270,7 @@ def test_batch_warnings_follow_mask_order(tmp_path):
     expected = []
     masks = sorted({canonical_mask(tree, mask) for mask in range(1 << n)})
     for mask in masks:
-        problem = emit_tptp(encode(substitute(tree, Coalition(n, mask)), SAT), "sat")
+        problem = emit_tptp(encode(substitute(tree, mask), SAT), "sat")
         status = "Timeout" if hashlib.sha1(problem.encode()).digest()[0] % 2 else "Unknown"
         expected.append(f"prover returned {status} for sat; treating as 0")
     assert len(set(expected)) == 2  # both answers occur
@@ -417,7 +418,7 @@ def test_liv_warnings_keep_sat_then_liv_order_per_form(tmp_path, tiny_log_file):
             # second round's sat verdict 0 on {Seq, Xor, b, c} settles it
             continue
         coalition = Coalition(n, mask)
-        problem = emit_tptp(encode(substitute(tree, coalition), SAT), "sat")
+        problem = emit_tptp(encode(substitute(tree, mask), SAT), "sat")
         if hashlib.sha1(problem.encode()).digest()[0] % 2:
             expected.append("prover returned Unknown for sat; treating as 0")
         elif evaluate(tree, coalition, SAT):

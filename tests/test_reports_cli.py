@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shutil
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -384,6 +385,36 @@ def test_cli_report_checks_each_record(tmp_path, capsys, running_example_file,
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("part, value, message", [
+    ("noise_correlation", {"sat": 1}, "cross noise_correlation 'sat' is not an object"),
+    ("noise_correlation", {"sat": {"r": 0.5}},
+     "cross noise_correlation 'sat' key 'zero_variance' is missing"),
+    ("noise_correlation", {"sat": {"r": "high", "zero_variance": False}},
+     "cross noise_correlation 'sat' key 'r' is mistyped"),
+    ("adaptive_nodes", {"sat": [5]}, "cross adaptive_nodes 'sat' entry 0 is not an object"),
+    ("adaptive_nodes", {"sat": 5}, "cross adaptive_nodes key 'sat' is mistyped"),
+    ("adaptive_nodes", {"sat": [{"node": "a@1"}]},
+     "cross adaptive_nodes 'sat' entry 0 key 'reason' is missing"),
+    ("topk_jaccard_across_noise", {"sat": {"0 vs 1": "0.5"}},
+     "cross topk_jaccard_across_noise 'sat' key '0 vs 1' is mistyped"),
+    ("topk_jaccard_across_noise", {"sat": [0.5]},
+     "cross topk_jaccard_across_noise 'sat' is not an object"),
+])
+def test_cli_report_checks_the_cross_entries(tmp_path, capsys, running_example_file,
+                                             part, value, message):
+    payload = json.loads(run_matrix(small_config(running_example_file,
+                                                 method="exact")).to_json())
+    assert set(payload["cross"][part]) == {"sat", "saf:" + ",".join(SAF_PAIR)}
+    payload["cross"][part] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["report", "--in", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: not a report: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_report_from_json_checks_the_keys_the_summary_reads(running_example_file):
     payload = json.loads(run_matrix(small_config(running_example_file)).to_json())
     for part, key in [("meta", "seed"), ("cross", "baseline_noise")]:
@@ -426,6 +457,8 @@ def test_cli_verify_full_and_cut(tmp_path, running_example_file, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "sat: 1" in out and "liv: 0" in out
+    assert json.loads(out.splitlines()[-1]) == {
+        "coalition": [i for i in range(14) if i != 10], "values": {"sat": 1, "liv": 0}}
 
     rc = main(["verify", "--tree", tree_file, "--property", "saf",
                "--safety-pair", "pay compensation,reject request"])
@@ -443,6 +476,37 @@ def test_cli_verify_rejects_excluded_index_out_of_range(
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err == "error: index 99 outside 0..13\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, indices, message", [
+    ("--coalition", "0,99,-1", "index 99 outside 0..13"),
+    ("--coalition", "99,x", "index 99 outside 0..13"),
+    ("--coalition", "x,99", "invalid literal for int() with base 10: 'x'"),
+    ("--exclude", "3,-1", "index -1 outside 0..13"),
+])
+def test_cli_verify_names_the_first_bad_index(
+    tmp_path, running_example_file, capsys, flag, indices, message
+):
+    main(["mine", "--log", str(running_example_file), "--out", str(tmp_path)])
+    capsys.readouterr()
+    rc = main(["verify", "--tree", str(tmp_path / "tree.txt"), "--property", "sat",
+               flag, indices])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_cli_verify_rejects_an_oversized_unrolling(tmp_path, capsys):
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text("loop\n  seq\n    act a\n    act b\n  loop\n    act c\n    act d\n")
+    rc = main(["verify", "--tree", str(tree_file), "--property", "sat",
+               "--backend", "prover", "--prover-path", sys.executable,
+               "--loop-bound", "200"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: encoding exceeds 10000 node instances; lower the loop bound\n")
     assert captured.out == ""
 
 

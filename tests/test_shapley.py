@@ -104,9 +104,8 @@ def test_exact_on_blocked_sat_tree_game():
 
 
 def test_exact_limit_refused():
-    game = or_game(6)
-    with pytest.raises(ValueError, match="exact computation refused"):
-        exact_shapley(game, exact_limit=5)
+    with pytest.raises(ValueError, match="exact computation refused for n=21 > 20"):
+        exact_shapley(or_game(21))
 
 
 @given(

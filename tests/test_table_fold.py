@@ -81,7 +81,7 @@ def trees(draw):
     if cut != "none":
         n = node_count(tree)
         kept = rng.getrandbits(n) | 1  # the root stays, so a tree remains
-        tree = substitute(tree, Coalition(n, kept))
+        tree = substitute(tree, kept)
         if cut == "renumber":
             tree = assign_node_ids(tree)
     return tree

@@ -107,9 +107,7 @@ def test_canonical_masks_are_the_rooted_subtrees():
         for mask in range(1 << n):
             form = canonical_mask(tree, mask)
             assert form & mask == form and canonical_mask(tree, form) == form
-            assert substitute(tree, Coalition(n, mask)) == substitute(
-                tree, Coalition(n, form)
-            )
+            assert substitute(tree, mask) == substitute(tree, form)
 
 
 def test_rooted_shapley_refuses_before_any_verdict():
