@@ -244,11 +244,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 
 def _mask_from_args(args, n: int) -> int:
-    """The mask of the nodes ``verify`` keeps; the first bad index raises."""
+    """The mask of the nodes ``verify`` keeps; the first bad entry raises."""
     if not args.exclude and args.coalition in (None, "all"):
         return (1 << n) - 1
+    flag = "--exclude" if args.exclude else "--coalition"
     mask = 0
-    for index in map(int, (args.exclude or args.coalition).split(",")):
+    for entry in (args.exclude or args.coalition).split(","):
+        try:
+            index = int(entry)
+        except ValueError:
+            raise ValueError(f"{flag}: {entry!r} is not a node index") from None
         if not 0 <= index < n:
             raise ValueError(f"index {index} outside 0..{n - 1}")
         mask |= 1 << index

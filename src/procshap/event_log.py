@@ -68,7 +68,6 @@ class DirectlyFollowsGraph:
     edge_freq: dict[tuple[str, str], int] = field(default_factory=dict)
     start_freq: dict[str, int] = field(default_factory=dict)
     end_freq: dict[str, int] = field(default_factory=dict)
-    activity_freq: dict[str, int] = field(default_factory=dict)
 
 
 def _open_source(source: Source, stack: ExitStack) -> BinaryIO:
@@ -158,7 +157,7 @@ def parse_xes(source: Source, classifier_key: str = "concept:name") -> EventLog:
 
 
 def build_dfg(log: EventLog) -> DirectlyFollowsGraph:
-    """Count adjacent activity pairs, trace starts/ends and totals."""
+    """Count adjacent activity pairs and trace starts/ends."""
     return dfg_from_sequences(log.variants)
 
 
@@ -168,18 +167,14 @@ def dfg_from_sequences(sequences: Mapping[tuple[str, ...], int]) -> DirectlyFoll
     edges: Counter = Counter()
     starts: Counter = Counter()
     ends: Counter = Counter()
-    acts: Counter = Counter()
     for seq, count in sequences.items():
         if seq:
             starts[seq[0]] += count
             ends[seq[-1]] += count
-        for a in seq:
-            acts[a] += count
         for pair in zip(seq, seq[1:]):
             edges[pair] += count
     return DirectlyFollowsGraph(
         edge_freq=dict(edges),
         start_freq=dict(starts),
         end_freq=dict(ends),
-        activity_freq=dict(acts),
     )

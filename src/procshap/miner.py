@@ -13,6 +13,26 @@ Every split hands a piece the count of the variant it came from, and
 pieces that coincide merge, so each distinct sequence is handled once per
 sub-log while every frequency, and so the noise filter and the tree, is
 what the trace-by-trace log would give.
+
+The cuts read one bitset graph: bit i is the i-th activity of the sorted
+alphabet, ``succ[i]`` and ``pred[i]`` its successors and predecessors
+(self-loops dropped), and ``_closure`` the bits reachable from i, i itself
+included.  Each cut takes the components of a symmetric graph, listed by
+lowest bit, so groups and their members come out sorted:
+
+* xor: the components of ``succ | pred``.
+* sequence: i and j share a group when both or neither reaches the other.
+  Reachability partially orders the strongly connected components, and
+  the components of a partial order's incomparability graph are linearly
+  ordered, each wholly before the next (Gallai, 1967).  A member of an
+  earlier group thus reaches every later activity, so the groups sort by
+  how much one member reaches, most first.
+* parallel: the components of ``~(succ & pred)``; each needs a start and
+  an end activity.
+* loop: the starts and ends form the do part; the other activities split
+  into the components of ``succ | pred`` among themselves.  A component
+  is a redo part when its ``pred`` bits outside it lie within the ends
+  and its ``succ`` bits within the starts; else it joins the do part.
 """
 
 from __future__ import annotations
@@ -48,8 +68,7 @@ class MinerConfig:
 def filter_dfg(dfg: DirectlyFollowsGraph, noise: float) -> DirectlyFollowsGraph:
     """Drop, per source activity, every outgoing edge whose frequency is
     below ``noise`` times the strongest outgoing edge; start and end
-    multisets are filtered the same way against their own maxima.
-    Activity totals are left untouched."""
+    multisets are filtered the same way against their own maxima."""
 
     if not 0.0 <= noise <= 1.0:
         raise ValueError("noise threshold must lie in [0, 1]")
@@ -63,16 +82,13 @@ def filter_dfg(dfg: DirectlyFollowsGraph, noise: float) -> DirectlyFollowsGraph:
     }
 
     def filter_multiset(freq: dict[str, int]) -> dict[str, int]:
-        if not freq:
-            return {}
-        m = max(freq.values())
+        m = max(freq.values(), default=0)
         return {a: f for a, f in freq.items() if f >= noise * m}
 
     return DirectlyFollowsGraph(
         edge_freq=edges,
         start_freq=filter_multiset(dfg.start_freq),
         end_freq=filter_multiset(dfg.end_freq),
-        activity_freq=dict(dfg.activity_freq),
     )
 
 
@@ -104,15 +120,11 @@ def _discover(variants: Variants, config: MinerConfig, depth: int) -> ProcessTre
         parts = _xor_split(variants, groups)
         return xor(*(_discover(p, config, depth + 1) for p in parts))
 
-    groups = _sequence_cut(alphabet, dfg)
-    if groups:
-        parts = [_project(variants, set(g)) for g in groups]
-        return seq(*(_discover(p, config, depth + 1) for p in parts))
-
-    groups = _parallel_cut(alphabet, dfg)
-    if groups:
-        parts = [_project(variants, set(g)) for g in groups]
-        return par(*(_discover(p, config, depth + 1) for p in parts))
+    for cut, op in ((_sequence_cut, seq), (_parallel_cut, par)):
+        groups = cut(alphabet, dfg)
+        if groups:
+            parts = [_project(variants, set(g)) for g in groups]
+            return op(*(_discover(p, config, depth + 1) for p in parts))
 
     cut = _loop_cut(alphabet, dfg)
     if cut:
@@ -133,38 +145,72 @@ def _flower(alphabet: list[str]) -> ProcessTree:
     return loop(body, tau())
 
 
-def _sorted_groups(groups: list[set[str]]) -> list[list[str]]:
-    return sorted((sorted(g) for g in groups), key=lambda g: g[0])
+def _bits(mask: int):
+    """The indices of the set bits of *mask*, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _undirected_components(alphabet: list[str], edges) -> list[set[str]]:
-    adjacent: dict[str, set[str]] = {a: set() for a in alphabet}
+def _mask(alphabet: list[str], names) -> int:
+    return sum(1 << i for i, a in enumerate(alphabet) if a in names)
+
+
+def _names(alphabet: list[str], mask: int) -> list[str]:
+    return [alphabet[i] for i in _bits(mask)]
+
+
+def _graph(alphabet: list[str], edges) -> tuple[list[int], list[int]]:
+    """Successor and predecessor bitsets of the directly-follows graph,
+    self-loops dropped."""
+    index = {a: i for i, a in enumerate(alphabet)}
+    succ, pred = [0] * len(alphabet), [0] * len(alphabet)
     for a, b in edges:
         if a != b:
-            adjacent[a].add(b)
-            adjacent[b].add(a)
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in alphabet:
-        if start in seen:
-            continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            for nxt in adjacent[frontier.pop()]:
-                if nxt not in component:
-                    component.add(nxt)
-                    frontier.append(nxt)
-        seen |= component
-        components.append(component)
-    return components
+            i, j = index[a], index[b]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+    return succ, pred
+
+
+def _closure(adjacent: list[int], start: int, known: list[int]) -> int:
+    """The bits reachable from *start*, itself included, recorded in
+    ``known[start]``.  A nonzero ``known[i]`` must be i's whole closure: the
+    walk takes it as is and does not step out of i again."""
+    reached = frontier = 1 << start
+    while frontier:
+        step = 0
+        for i in _bits(frontier):
+            if known[i]:
+                reached |= known[i]
+            else:
+                step |= adjacent[i]
+        frontier = step & ~reached
+        reached |= frontier
+    known[start] = reached
+    return reached
+
+
+def _components(adjacent: list[int], among: int) -> list[int]:
+    """The components of a symmetric graph whose edges stay inside
+    *among*, ordered by lowest bit."""
+    known = [0] * len(adjacent)
+    groups = []
+    while among:
+        group = _closure(adjacent, (among & -among).bit_length() - 1, known)
+        groups.append(group)
+        among &= ~group
+    return groups
 
 
 def _xor_cut(alphabet: list[str], dfg: DirectlyFollowsGraph) -> list[list[str]] | None:
-    components = _undirected_components(alphabet, dfg.edge_freq)
-    if len(components) < 2:
+    succ, pred = _graph(alphabet, dfg.edge_freq)
+    linked = [s | p for s, p in zip(succ, pred)]
+    groups = _components(linked, (1 << len(alphabet)) - 1)
+    if len(groups) < 2:
         return None
-    return _sorted_groups(components)
+    return [_names(alphabet, g) for g in groups]
 
 
 def _xor_split(variants: Variants, groups: list[list[str]]) -> list[Variants]:
@@ -177,188 +223,61 @@ def _xor_split(variants: Variants, groups: list[list[str]]) -> list[Variants]:
     return parts
 
 
-def _strongly_connected_components(
-    alphabet: list[str], edges
-) -> list[set[str]]:
-    # Iterative Tarjan, nodes visited in lexicographic order for determinism.
-    succ: dict[str, list[str]] = {a: [] for a in alphabet}
-    for a, b in edges:
-        if a != b:
-            succ[a].append(b)
-    for a in succ:
-        succ[a].sort()
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[set[str]] = []
-    counter = 0
-
-    for root in alphabet:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
-
-
 def _sequence_cut(alphabet: list[str], dfg: DirectlyFollowsGraph) -> list[list[str]] | None:
-    sccs = _strongly_connected_components(alphabet, dfg.edge_freq)
-    if len(sccs) < 2:
+    n = len(alphabet)
+    succ, pred = _graph(alphabet, dfg.edge_freq)
+    after, before = [0] * n, [0] * n  # filled with each bit's closures
+    for i in range(n):
+        _closure(succ, i, after)
+        _closure(pred, i, before)
+    full = (1 << n) - 1
+    # i and j share a group when both or neither reaches the other.
+    alike = [full & ~(a ^ b) for a, b in zip(after, before)]
+    groups = _components(alike, full)
+    if len(groups) < 2:
         return None
-    comp_of = {a: i for i, scc in enumerate(sccs) for a in scc}
-    k = len(sccs)
-    succ: list[set[int]] = [set() for _ in range(k)]
-    for a, b in dfg.edge_freq:
-        ca, cb = comp_of[a], comp_of[b]
-        if ca != cb:
-            succ[ca].add(cb)
-
-    reach: list[set[int]] = [set() for _ in range(k)]
-    for i in range(k):
-        frontier = list(succ[i])
-        while frontier:
-            j = frontier.pop()
-            if j not in reach[i]:
-                reach[i].add(j)
-                frontier.extend(succ[j])
-
-    # Merge pairwise-unreachable components until the groups form a chain.
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    changed = True
-    while changed:
-        changed = False
-        group_reach: dict[int, set[int]] = {}
-        for i in range(k):
-            group_reach.setdefault(find(i), set()).update(
-                find(j) for j in reach[i]
-            )
-        roots = sorted(group_reach)
-        for x in roots:
-            for y in roots:
-                if x < y and y not in group_reach[x] and x not in group_reach[y]:
-                    parent[find(y)] = find(x)
-                    changed = True
-
-    merged: dict[int, set[str]] = {}
-    for i, scc in enumerate(sccs):
-        merged.setdefault(find(i), set()).update(scc)
-    if len(merged) < 2:
-        return None
-
-    group_list = list(merged.values())
-    rep = {id(g): next(iter(g)) for g in group_list}
-
-    def reaches(g1: set[str], g2: set[str]) -> bool:
-        c2 = {comp_of[a] for a in g2}
-        return any(bool(reach[comp_of[a]] & c2) for a in g1)
-
-    # Total order now holds; sort by how many groups reach this one.
-    order = sorted(
-        group_list,
-        key=lambda g: sum(1 for other in group_list if other is not g and reaches(other, g)),
-    )
-    for first, second in zip(order, order[1:]):
-        if not reaches(first, second):
-            return None  # defensive: ordering was not total
-    return [sorted(g) for g in order]
+    # The groups form a chain; an earlier group's members reach more.
+    groups.sort(key=lambda g: -after[(g & -g).bit_length() - 1].bit_count())
+    return [_names(alphabet, g) for g in groups]
 
 
 def _parallel_cut(alphabet: list[str], dfg: DirectlyFollowsGraph) -> list[list[str]] | None:
     if not dfg.start_freq or not dfg.end_freq:
         return None
-    edges = set(dfg.edge_freq)
-    pairs_requiring_merge = [
-        (a, b)
-        for i, a in enumerate(alphabet)
-        for b in alphabet[i + 1 :]
-        if (a, b) not in edges or (b, a) not in edges
-    ]
-    components = _undirected_components(alphabet, pairs_requiring_merge)
-    if len(components) < 2:
+    succ, pred = _graph(alphabet, dfg.edge_freq)
+    full = (1 << len(alphabet)) - 1
+    apart = [full & ~(s & p) for s, p in zip(succ, pred)]
+    groups = _components(apart, full)
+    if len(groups) < 2:
         return None
-    starts, ends = set(dfg.start_freq), set(dfg.end_freq)
-    for component in components:
-        if not (component & starts) or not (component & ends):
-            return None
-    return _sorted_groups(components)
+    starts, ends = _mask(alphabet, dfg.start_freq), _mask(alphabet, dfg.end_freq)
+    if not all(g & starts and g & ends for g in groups):
+        return None
+    return [_names(alphabet, g) for g in groups]
 
 
 def _loop_cut(
     alphabet: list[str], dfg: DirectlyFollowsGraph
 ) -> tuple[list[str], list[list[str]]] | None:
-    starts, ends = set(dfg.start_freq), set(dfg.end_freq)
-    if not starts or not ends:
+    if not dfg.start_freq or not dfg.end_freq:
         return None
-    body = starts | ends
-    residual = [a for a in alphabet if a not in body]
+    starts, ends = _mask(alphabet, dfg.start_freq), _mask(alphabet, dfg.end_freq)
+    do_group = starts | ends
+    residual = (1 << len(alphabet)) - 1 & ~do_group
     if not residual:
         return None
-    residual_set = set(residual)
-    residual_edges = [
-        (a, b) for a, b in dfg.edge_freq if a in residual_set and b in residual_set
-    ]
-    components = _undirected_components(residual, residual_edges)
-
-    do_extra: set[str] = set()
-    redo_groups: list[set[str]] = []
-    for component in components:
-        valid = True
-        for a, b in dfg.edge_freq:
-            if b in component and a not in component and a not in ends:
-                valid = False
-                break
-            if a in component and b not in component and b not in starts:
-                valid = False
-                break
-        if valid:
-            redo_groups.append(component)
+    succ, pred = _graph(alphabet, dfg.edge_freq)
+    linked = [(s | p) & residual for s, p in zip(succ, pred)]
+    redo_groups = []
+    for group in _components(linked, residual):
+        if any(pred[i] & ~group & ~ends or succ[i] & ~group & ~starts
+               for i in _bits(group)):
+            do_group |= group
         else:
-            do_extra |= component
+            redo_groups.append(group)
     if not redo_groups:
         return None
-    do_group = sorted(body | do_extra)
-    return do_group, _sorted_groups(redo_groups)
+    return _names(alphabet, do_group), [_names(alphabet, g) for g in redo_groups]
 
 
 def _project(variants: Variants, keep: set[str]) -> Variants:

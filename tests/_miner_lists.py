@@ -46,18 +46,15 @@ def dfg_of_traces(sequences: Sequences) -> DirectlyFollowsGraph:
     edges: Counter = Counter()
     starts: Counter = Counter()
     ends: Counter = Counter()
-    acts: Counter = Counter()
     for seq in sequences:
         if seq:
             starts[seq[0]] += 1
             ends[seq[-1]] += 1
-        acts.update(seq)
         edges.update(zip(seq, seq[1:]))
     return DirectlyFollowsGraph(
         edge_freq=dict(edges),
         start_freq=dict(starts),
         end_freq=dict(ends),
-        activity_freq=dict(acts),
     )
 
 

@@ -164,7 +164,6 @@ def test_build_dfg_weighted_counts():
     assert dfg.edge_freq == {("a", "b"): 3}
     assert dfg.start_freq == {"a": 5}
     assert dfg.end_freq == {"b": 3, "a": 2}
-    assert dfg.activity_freq == {"a": 5, "b": 3}
 
 
 def test_build_dfg_counts():
@@ -172,7 +171,6 @@ def test_build_dfg_counts():
     assert dfg.edge_freq == {("a", "b"): 1, ("a", "c"): 1}
     assert dfg.start_freq == {"a": 2}
     assert dfg.end_freq == {"b": 1, "c": 1}
-    assert dfg.activity_freq == {"a": 2, "b": 1, "c": 1}
 
 
 def test_build_dfg_empty_log():

@@ -57,12 +57,6 @@ def test_filter_applies_to_start_end_multisets():
     assert out.end_freq == {"x": 3}
 
 
-def test_filter_preserves_activity_totals():
-    dfg = dfg_from_sequences(Counter([("a", "b"), ("a", "c")]))
-    out = filter_dfg(dfg, 1.0)
-    assert out.activity_freq == dfg.activity_freq
-
-
 def test_discover_sequence():
     tree = discover(log_of(("a", "b"), ("a", "b")))
     assert trace_language(tree) == {("a", "b")}

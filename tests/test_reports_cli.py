@@ -482,8 +482,10 @@ def test_cli_verify_rejects_excluded_index_out_of_range(
 @pytest.mark.parametrize("flag, indices, message", [
     ("--coalition", "0,99,-1", "index 99 outside 0..13"),
     ("--coalition", "99,x", "index 99 outside 0..13"),
-    ("--coalition", "x,99", "invalid literal for int() with base 10: 'x'"),
+    ("--coalition", "x,99", "--coalition: 'x' is not a node index"),
+    ("--coalition", "", "--coalition: '' is not a node index"),
     ("--exclude", "3,-1", "index -1 outside 0..13"),
+    ("--exclude", "x", "--exclude: 'x' is not a node index"),
 ])
 def test_cli_verify_names_the_first_bad_index(
     tmp_path, running_example_file, capsys, flag, indices, message
