@@ -4,8 +4,19 @@ An ``EventLog`` is a multiset of activity sequences: each distinct
 sequence (variant) with its number of traces.  That is all the miner
 reads, so case ids, timestamps and trace order are not kept.
 
-``parse_xes`` reads the document in one ``xml.parsers.expat`` pass; no
-element tree is built.  The XES subset it reads:
+``parse_xes`` builds no element tree.  It reads a document in the plain
+layout without per-element callbacks: 64 KiB chunks go to a handler-free
+``xml.parsers.expat`` parser, which checks every byte, and a bytes scan,
+cut after each ``</trace>``, takes each event's activity from a first
+child ``<string key="KEY" value="..."/>``.  Guards send anything outside
+that layout (entity or character references, comments, CDATA, a DOCTYPE,
+processing instructions, non-UTF-8 encodings, prefixed elements, an
+``<event>`` with attributes or without its classifier string first, and
+others listed on ``_scan_plain``) to the handler pass, one ``expat``
+pass with start and end handlers, from the document's start; so such a
+document costs one extra read of what the scan read before it gave up.
+Errors always come from the handler pass, so their messages, lines and
+columns do not depend on the scan.  The XES subset both passes read:
 
 - ``<trace>`` and ``<event>`` elements, at any depth and under any
   namespace (default or prefixed); other elements are skipped.
@@ -22,9 +33,11 @@ mapping, so the miner handles each distinct variant once.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import os
+import re
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -70,18 +83,20 @@ class DirectlyFollowsGraph:
     end_freq: dict[str, int] = field(default_factory=dict)
 
 
-def _open_source(source: Source, stack: ExitStack) -> BinaryIO:
-    """Return a binary stream over *source*, gunzipped if it starts with the
-    gzip magic bytes.  Whatever is opened here is registered on *stack*; a
-    caller-supplied stream is left open."""
+def _binary(source: Source, stack: ExitStack) -> BinaryIO:
+    """A seekable binary stream over *source*.  A path is opened and
+    registered on *stack*; a caller-supplied stream is left open."""
     if isinstance(source, bytes):
-        stream: BinaryIO = io.BytesIO(source)
-    elif isinstance(source, (str, os.PathLike)):
-        stream = stack.enter_context(open(source, "rb"))
-    else:
-        stream = source
-        if not stream.seekable():
-            stream = io.BytesIO(stream.read())
+        return io.BytesIO(source)
+    if isinstance(source, (str, os.PathLike)):
+        return stack.enter_context(open(source, "rb"))
+    if not source.seekable():
+        return io.BytesIO(source.read())
+    return source
+
+
+def _gunzip(stream: BinaryIO, stack: ExitStack) -> BinaryIO:
+    """*stream*, gunzipped if it starts with the gzip magic bytes."""
     head = stream.read(2)
     stream.seek(-len(head), io.SEEK_CUR)
     if head == GZIP_MAGIC:
@@ -89,6 +104,12 @@ def _open_source(source: Source, stack: ExitStack) -> BinaryIO:
         unzipped = gzip.GzipFile(fileobj=stream, mode="rb")
         return stack.enter_context(unzipped)  # type: ignore[return-value]
     return stream
+
+
+def _open_source(source: Source, stack: ExitStack) -> BinaryIO:
+    """A binary stream over *source*, gunzipped if it starts with the gzip
+    magic bytes.  Whatever is opened here is registered on *stack*."""
+    return _gunzip(_binary(source, stack), stack)
 
 
 def _localname(tag: str) -> str:
@@ -103,7 +124,132 @@ def parse_xes(source: Source, classifier_key: str = "concept:name") -> EventLog:
     Events missing that attribute are rejected.  A path is opened and
     closed here; a stream passed in is left open.
     """
+    with ExitStack() as stack:
+        stream = _binary(source, stack)
+        origin = stream.tell()
+        variants = _scan_plain(_gunzip(stream, stack), classifier_key)
+        if variants is None:
+            stream.seek(origin)
+            variants = _parse_handlers(_gunzip(stream, stack), classifier_key)
+    return EventLog(variants)
 
+
+CHUNK = 1 << 16  # bytes per read of the plain scan
+CARRY_LIMIT = 1 << 20  # the most bytes the scan holds without a </trace>
+
+_PLAIN_KEY = re.compile(r"[\w:.-]+", re.ASCII)
+_ENCODING = re.compile(rb"""encoding\s*=\s*["']([^"']*)""")
+
+
+def _declaration_end(head: bytes) -> int | None:
+    """Where the plain scan starts in a document beginning with *head*: past
+    a UTF-8 byte order mark and an XML declaration.  None for a document
+    declared in another encoding, or one expat may read as UTF-16: its
+    first character, after any byte order mark, is ASCII, so a NUL shows
+    in the first four bytes."""
+    if b"\0" in head[:4]:
+        return None
+    start = 3 if head.startswith(b"\xef\xbb\xbf") else 0
+    if not head.startswith(b"<?xml", start):
+        return start
+    end = head.find(b"?>", start)
+    if end < 0:
+        return None
+    declared = _ENCODING.search(head, start, end)
+    if declared and declared[1].lower() != b"utf-8":
+        return None
+    return end + 2
+
+
+def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
+    """The variants of a plain-layout document, read without per-element
+    callbacks; None as soon as the document leaves that layout or expat
+    rejects it, and the handler pass must decide.
+
+    A handler-free expat parser checks every byte, while a bytes scan cut
+    after each ``</trace>`` reads each event's activity from a first child
+    ``<string key="KEY" value="..."/>``.  The guards keep the scan to
+    documents where that equals the handler pass: UTF-8; no entity or
+    character reference, comment, CDATA, DOCTYPE, processing instruction,
+    closing ``</string>``, prefixed element, single-quoted classifier key
+    or empty activity; each trace one ``<trace>`` holding all its events,
+    each event ``<event>...</event>`` closed before the next opens, with
+    one classifier string and no tab or line break in its value; and at
+    most ``CARRY_LIMIT`` bytes without a ``</trace>``.  The classifier key
+    must be ASCII letters, digits and ``_:.-``: with no quote, ``=`` or
+    space in it, a count of the quoted key misses no classifier string.
+    """
+    if not _PLAIN_KEY.fullmatch(classifier_key):
+        return None
+    key = classifier_key.encode()
+    event = re.compile(
+        rb'<event>[ \t\r\n]*<string key="%s" value="([^"\t\n\r]+)"/>'
+        rb"[^<]*(?:<(?!/event>)[^<]*)*</event>" % re.escape(key)
+    )
+    quoted = b'"%s"' % key
+    # The last byte first: a memchr for a rare "!" or "?" spares the
+    # slower search for "<!" and "<?", since "<" is everywhere.
+    hazards = [(h[-1:], h) for h in (
+        b"&", b"<!", b"<?", b"</string", b"xmlns:", b"<xml:", b"'%s'" % key)]
+    decode = functools.cache(bytes.decode)  # one str per distinct activity
+    checker = expat.ParserCreate(namespace_separator="}")
+    found: Variants = Counter()
+    carry = b""
+    head = True
+    while True:
+        chunk = stream.read(CHUNK)
+        try:
+            checker.Parse(chunk, not chunk)
+        except expat.ExpatError:
+            return None
+        segment = carry + chunk
+        if chunk:
+            cut = segment.rfind(b"</trace>") + len(b"</trace>")
+            if cut < len(b"</trace>"):
+                if len(segment) > CARRY_LIMIT:
+                    return None
+                carry = segment
+                continue
+            segment, carry = segment[:cut], segment[cut:]
+        if head:
+            start = _declaration_end(segment)
+            if start is None:
+                return None
+            segment = segment[start:]
+            head = False
+        if any(last in segment and hazard in segment for last, hazard in hazards):
+            return None
+        *traces, tail = segment.split(b"</trace>")
+        if segment.count(b"<trace") != len(traces):
+            return None
+        # Each trace holds one "<trace", and the matches from its first
+        # "<event" on.  A match runs to the first "</event>" after it and
+        # holds one "<event" and one quoted key, so the totals below hold
+        # only if every "<event" in the segment opens a match (none before
+        # a trace, after the last, nested or unmatched), and no event holds
+        # a second classifier string.
+        events = 0
+        keys = tail.count(quoted)
+        for trace in traces:
+            opening = trace.find(b"<trace>")
+            if opening < 0:
+                return None
+            first = trace.find(b"<event", opening)
+            if first < 0:
+                first = len(trace)
+            activities = event.findall(trace, first)
+            events += len(activities)
+            keys += trace.count(quoted, 0, first)
+            found[tuple(map(decode, activities))] += 1
+        if segment.count(b"<event") != events or segment.count(quoted) != events + keys:
+            return None
+        if not chunk:
+            return found
+
+
+def _parse_handlers(stream: BinaryIO, classifier_key: str) -> Variants:
+    """The variants of any XES document, by one expat pass with start and
+    end handlers; raises ``XesParseError`` with expat's line and column."""
     variants: Variants = Counter()
     events: list[str] = []
     activity: str | None = None
@@ -145,15 +291,13 @@ def parse_xes(source: Source, classifier_key: str = "concept:name") -> EventLog:
     parser = expat.ParserCreate(namespace_separator="}")
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    with ExitStack() as stack:
-        stream = _open_source(source, stack)
-        try:
-            parser.ParseFile(stream)
-        except expat.ExpatError as exc:
-            raise XesParseError(
-                f"malformed XES XML: {expat.ErrorString(exc.code)}", exc.lineno, exc.offset
-            ) from exc
-    return EventLog(variants)
+    try:
+        parser.ParseFile(stream)
+    except expat.ExpatError as exc:
+        raise XesParseError(
+            f"malformed XES XML: {expat.ErrorString(exc.code)}", exc.lineno, exc.offset
+        ) from exc
+    return variants
 
 
 def build_dfg(log: EventLog) -> DirectlyFollowsGraph:

@@ -177,15 +177,19 @@ def _graph(alphabet: list[str], edges) -> tuple[list[int], list[int]]:
 def _closure(adjacent: list[int], start: int, known: list[int]) -> int:
     """The bits reachable from *start*, itself included, recorded in
     ``known[start]``.  A nonzero ``known[i]`` must be i's whole closure: the
-    walk takes it as is and does not step out of i again."""
+    walk takes it as is, and steps out of no bit inside it."""
     reached = frontier = 1 << start
     while frontier:
         step = 0
-        for i in _bits(frontier):
+        while frontier:  # lowest bit first, dropping the bits a closure covers
+            low = frontier & -frontier
+            i = low.bit_length() - 1
             if known[i]:
                 reached |= known[i]
+                frontier &= ~known[i]
             else:
                 step |= adjacent[i]
+                frontier ^= low
         frontier = step & ~reached
         reached |= frontier
     known[start] = reached

@@ -5,7 +5,9 @@ import gzip
 import io
 import warnings
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -304,3 +306,195 @@ def test_parse_xes_equals_etree_reference_on_bundled_log(running_example_file):
     assert _outcome(parse_xes, running_example_file) == _outcome(
         parse_xes_etree, running_example_file
     )
+
+
+# --- the plain scan against the handler pass ------------------------------
+
+
+@contextmanager
+def _scan_limits(chunk: int = event_log.CHUNK, carry: int = event_log.CARRY_LIMIT):
+    with mock.patch.object(event_log, "CHUNK", chunk), \
+            mock.patch.object(event_log, "CARRY_LIMIT", carry):
+        yield
+
+
+def _parse_noting_pass(source, key: str = "concept:name"):
+    """``parse_xes``'s outcome on *source*, and the pass that produced it."""
+    calls = []
+    handlers = event_log._parse_handlers
+
+    def recording(stream, classifier_key):
+        calls.append(classifier_key)
+        return handlers(stream, classifier_key)
+
+    with mock.patch.object(event_log, "_parse_handlers", recording):
+        outcome = _outcome(lambda s: parse_xes(s, key), source)
+    return outcome, "handlers" if calls else "plain"
+
+
+def _handler_outcome(source, key: str = "concept:name"):
+    def parse(src):
+        with ExitStack() as stack:
+            return EventLog(event_log._parse_handlers(event_log._open_source(src, stack), key))
+    return _outcome(parse, source)
+
+
+def _etree_outcome(source, key: str = "concept:name"):
+    return _outcome(lambda s: parse_xes_etree(s, key), source)
+
+
+_plain_values = st.text(alphabet=st.sampled_from("ab z>/é中"), min_size=1, max_size=5)
+
+
+@st.composite
+def plain_documents(draw) -> tuple[bytes, str]:
+    """Documents inside the plain layout, with their classifier key: each
+    event's classifier string first, every attribute self-closing, values
+    without references, quotes, tabs or line breaks; an optional
+    declaration, byte order mark, default namespace and
+    ``<global>``/``<classifier>`` header, and case ids before the events."""
+    key = draw(st.sampled_from(["concept:name", "action"]))
+    sep = draw(st.sampled_from(["", "\n", "\n  ", "\r\n\t"]))
+    namespace = draw(st.sampled_from(["", f' xmlns="{XES_NS}"']))
+    body = []
+    if draw(st.booleans()):
+        body.append('<global scope="event"><string key="concept:name" value="UNKNOWN"/>'
+                    '<date key="time:timestamp" value="1970-01-01"/></global>')
+    if draw(st.booleans()):
+        body.append(f'<classifier name="Activity" keys="{key}"/>')
+    if draw(st.booleans()):
+        body.append('<string key="concept:name" value="log"/>')
+    for case in range(draw(st.integers(0, 5))):
+        items = []
+        if draw(st.booleans()):
+            items.append(f'<string key="concept:name" value="{case}"/>')
+        for _ in range(draw(st.integers(0, 4))):
+            extra = draw(st.sampled_from([
+                "", '<string key="lifecycle:transition" value="complete"/>',
+                '<date key="time:timestamp" value="2024-01-01T00:00:00"/>',
+                '<list key="l"><int key="n" value="3"/></list>']))
+            if key != "concept:name" and draw(st.booleans()):
+                extra += '<string key="concept:name" value="other"/>'
+            value = draw(_plain_values)
+            items.append(f'<event>{draw(st.sampled_from(["", sep]))}'
+                         f'<string key="{key}" value="{value}"/>{extra}</event>')
+        body.append(f"<trace>{sep.join(items)}</trace>")
+    declaration = draw(st.sampled_from([
+        "", '<?xml version="1.0"?>\n', '<?xml version="1.0" encoding="UTF-8"?>\n',
+        "<?xml version='1.0' encoding='utf-8'?>"]))
+    bom = draw(st.sampled_from(["", "﻿"]))
+    doc = f'{bom}{declaration}<log xes.version="1.0"{namespace}>{sep}{sep.join(body)}</log>\n'
+    return doc.encode("utf-8"), key
+
+
+@given(plain_documents(), st.sampled_from([5, 64, 1 << 16]), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_plain_documents_take_the_scan(case, chunk, compress, data):
+    doc, key = case
+    source = gzip.compress(doc) if compress else doc
+    with _scan_limits(chunk=chunk):
+        outcome, used = _parse_noting_pass(source, key)
+        assert used == "plain"
+        assert outcome == _etree_outcome(source, key) == _handler_outcome(source, key)
+        cut = doc[:data.draw(st.integers(0, len(doc) - 1))]
+        assert _parse_noting_pass(cut, key)[0] == _handler_outcome(cut, key)
+
+
+PLAIN = b"""<?xml version="1.0" encoding="UTF-8"?>
+<log xes.version="1.0">
+  <trace>
+    <string key="concept:name" value="1"/>
+    <event>
+      <string key="concept:name" value="a"/>
+      <date key="time:timestamp" value="2024-01-01T00:00:00"/>
+    </event>
+    <event><string key="concept:name" value="b"/></event>
+  </trace>
+  <trace><event><string key="concept:name" value="c"/></event></trace>
+</log>
+"""
+A = b'<string key="concept:name" value="a"/>'
+B = b'<event><string key="concept:name" value="b"/></event>'
+PLAIN_BODY = PLAIN.split(b"?>\n", 1)[1].decode()
+
+
+def _swap(old: bytes, new: bytes, doc: bytes = PLAIN) -> bytes:
+    assert old in doc
+    return doc.replace(old, new, 1)
+
+
+# One document per guard of the plain scan; each must take the handler pass.
+PERTURBED = {
+    "utf-16 with byte order mark": PLAIN_BODY.encode("utf-16"),
+    "utf-16 without byte order mark": PLAIN_BODY.encode("utf-16-be"),
+    "declared latin-1": _swap(b'encoding="UTF-8"', b'encoding="ISO-8859-1"',
+                              _swap(b'value="a"', 'value="Ã©"'.encode("latin-1"))),
+    "comment": _swap(B, b'<!-- <event><string key="concept:name" value="x"/></event> -->' + B),
+    "CDATA": _swap(A, A + b'<![CDATA[</event><event><string key="concept:name" value="x"/>]]>'),
+    "DOCTYPE": _swap(b"<log", b'<!DOCTYPE log [<!ATTLIST string key CDATA "concept:name">]>\n<log',
+                     _swap(A, A + b'<string value="z"/>')),
+    "processing instruction": _swap(B, b'<?pi <event><string key="concept:name" value="x"/>'
+                                       b'</event>?>' + B),
+    "reference": _swap(b'value="a"', b'value="a&amp;&#98;"'),
+    "closing string tag": _swap(A, A + b'<string key="org:resource" value="r"></string>'),
+    "prefixed elements": PLAIN.replace(b"<log ", b'<x:log xmlns:x="urn:x" ').replace(
+        b"</log", b"</x:log").replace(b"trace>", b"x:trace>").replace(b"<event>", b"<x:event>"
+    ).replace(b"</event>", b"</x:event>"),
+    "xml: prefix": _swap(b"</log>", b"<xml:trace></xml:trace></log>"),
+    "tab in value": _swap(b'value="a"', b'value="a\tb"'),
+    "line feed in value": _swap(b'value="a"', b'value="a\nb"'),
+    "carriage return in value": _swap(b'value="a"', b'value="a\rb"'),
+    "empty activity": _swap(b'value="a"', b'value=""'),
+    "event with an attribute": _swap(b"<event>", b'<event id="1">'),
+    "classifier string not first": _swap(A, b'<int key="n" value="1"/>' + A),
+    "nested events": _swap(B, b'<event><string key="concept:name" value="x"/>' + B + b"</event>"),
+    "second classifier string": _swap(A, A + b'<string key="concept:name" value="z"/>'),
+    "single-quoted classifier key": _swap(A, A + b"<string key='concept:name' value='z'/>"),
+    "event before the first trace": _swap(b"<trace>", B + b"<trace>"),
+    "event after the last trace": _swap(b"</log>", B + b"</log>"),
+    "empty-element trace": _swap(b"</log>", b"<trace/></log>"),
+    "nested traces": _swap(b"<trace><event>", b"<trace><trace><event>").replace(
+        b"</trace>\n</log>", b"</trace></trace>\n</log>"),
+    "last trace closed with a space": _swap(b"</trace>\n</log>", b"</trace >\n</log>"),
+}
+
+
+@pytest.mark.parametrize("doc", PERTURBED.values(), ids=PERTURBED.keys())
+def test_documents_outside_the_plain_layout_take_the_handler_pass(doc):
+    outcome, used = _parse_noting_pass(doc)
+    assert used == "handlers"
+    assert outcome == _etree_outcome(doc) == _handler_outcome(doc)
+    assert _parse_noting_pass(gzip.compress(doc)) == (outcome, "handlers")
+
+
+def test_plain_document_takes_the_scan():
+    outcome, used = _parse_noting_pass(PLAIN)
+    assert used == "plain"
+    assert outcome == [(("a", "b"), 1), (("c",), 1)] == _handler_outcome(PLAIN)
+
+
+def test_classifier_key_outside_the_plain_subset_takes_the_handler_pass():
+    doc = PLAIN.replace(b"concept:name", b"concept name")
+    outcome, used = _parse_noting_pass(doc, "concept name")
+    assert used == "handlers"
+    assert outcome == [(("a", "b"), 1), (("c",), 1)]
+
+
+def test_first_segment_ending_inside_a_processing_instruction_takes_the_handler_pass():
+    doc = b'<?xml-stylesheet type="<trace></trace>"?>' + PLAIN_BODY.encode()
+    assert _parse_noting_pass(doc)[1] == "plain"
+    with _scan_limits(chunk=5):
+        outcome, used = _parse_noting_pass(doc)
+    assert used == "handlers"
+    assert outcome == _handler_outcome(doc) == [(("a", "b"), 1), (("c",), 1)]
+
+
+def test_a_trace_past_the_carry_bound_takes_the_handler_pass():
+    long_trace = b"<trace>" + B * 12 + b"</trace>"
+    doc = _swap(b"</log>", long_trace + b"</log>")
+    assert len(long_trace) > 512
+    with _scan_limits(chunk=16, carry=512):
+        assert _parse_noting_pass(PLAIN)[1] == "plain"
+        outcome, used = _parse_noting_pass(doc)
+    assert used == "handlers"
+    assert outcome == _handler_outcome(doc) == [(("a", "b"), 1), (("c",), 1), (("b",) * 12, 1)]
