@@ -204,12 +204,13 @@ def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
             return None
         segment = carry + chunk
         if chunk:
-            cut = segment.rfind(b"</trace>") + len(b"</trace>")
-            if cut < len(b"</trace>"):
+            cut = segment.rfind(b"</trace>")
+            if cut < 0:
                 if len(segment) > CARRY_LIMIT:
                     return None
                 carry = segment
                 continue
+            cut += len(b"</trace>")
             segment, carry = segment[:cut], segment[cut:]
         if head:
             start = _declaration_end(segment)
