@@ -320,20 +320,26 @@ def _run_config_from_args(args, noise_levels) -> RunConfig:
 def cmd_attribute(args) -> int:
     config = _run_config_from_args(args, (args.noise,))
     report = run_matrix(config)
-    record = report.configurations[0]
-    if record.get("error"):
-        print(f"error: {record['error']}", file=sys.stderr)
+    failed = False
+    for record in report.configurations:
+        # With several properties, stderr lines name their configuration.
+        tag = f"{record['id']}: " if len(report.configurations) > 1 else ""
+        if record.get("error"):
+            print(f"error: {tag}{record['error']}", file=sys.stderr)
+            failed = True
+            continue
+        print(f"configuration {record['id']}: {record['node_count']} nodes, "
+              f"{record['cache']['total_queries']} queries "
+              f"({record['cache']['distinct_queries']} distinct)")
+        phi = record["phi"]
+        for node in sorted(phi, key=lambda k: -abs(phi[k])):
+            cls = record["classification"][node]
+            print(f"  {node:<28} {phi[node]:+.4f}  {cls['class']}"
+                  + ("  harmful" if cls["harmful"] else ""))
+        for message in record["cache"]["warnings"]:
+            print(f"warning: {tag}{message}", file=sys.stderr)
+    if failed:
         return 1
-    print(f"configuration {record['id']}: {record['node_count']} nodes, "
-          f"{record['cache']['total_queries']} queries "
-          f"({record['cache']['distinct_queries']} distinct)")
-    phi = record["phi"]
-    for node in sorted(phi, key=lambda k: -abs(phi[k])):
-        cls = record["classification"][node]
-        print(f"  {node:<28} {phi[node]:+.4f}  {cls['class']}"
-              + ("  harmful" if cls["harmful"] else ""))
-    for message in record["cache"]["warnings"]:
-        print(f"warning: {message}", file=sys.stderr)
     if args.out:
         paths = emit_report(report, args.out)
         print(f"wrote {len(paths)} files to {args.out}")

@@ -106,12 +106,6 @@ def _gunzip(stream: BinaryIO, stack: ExitStack) -> BinaryIO:
     return stream
 
 
-def _open_source(source: Source, stack: ExitStack) -> BinaryIO:
-    """A binary stream over *source*, gunzipped if it starts with the gzip
-    magic bytes.  Whatever is opened here is registered on *stack*."""
-    return _gunzip(_binary(source, stack), stack)
-
-
 def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 

@@ -14,11 +14,13 @@ pieces that coincide merge, so each distinct sequence is handled once per
 sub-log while every frequency, and so the noise filter and the tree, is
 what the trace-by-trace log would give.
 
-The cuts read one bitset graph: bit i is the i-th activity of the sorted
-alphabet, ``succ[i]`` and ``pred[i]`` its successors and predecessors
-(self-loops dropped), and ``_closure`` the bits reachable from i, i itself
-included.  Each cut takes the components of a symmetric graph, listed by
-lowest bit, so groups and their members come out sorted:
+Each sub-log's filtered graph is built once, as a ``Graph`` of bitsets:
+bit i is the i-th activity of the sorted alphabet, ``succ[i]`` and
+``pred[i]`` its successors and predecessors (self-loops dropped), and
+``starts`` and ``ends`` the start and end activities.  ``_closure`` gives
+the bits reachable from i, i itself included.  Every cut takes the graph
+and returns bitset groups, each from the components of a symmetric graph
+listed by lowest bit, so groups and their members come out sorted:
 
 * xor: the components of ``succ | pred``.
 * sequence: i and j share a group when both or neither reaches the other.
@@ -29,16 +31,24 @@ lowest bit, so groups and their members come out sorted:
   how much one member reaches, most first.
 * parallel: the components of ``~(succ & pred)``; each needs a start and
   an end activity.
-* loop: the starts and ends form the do part; the other activities split
-  into the components of ``succ | pred`` among themselves.  A component
-  is a redo part when its ``pred`` bits outside it lie within the ends
-  and its ``succ`` bits within the starts; else it joins the do part.
+* loop: the do part first, then the redo parts.  The starts and ends form
+  the do part; the other activities split into the components of
+  ``succ | pred`` among themselves.  A component is a redo part when its
+  ``pred`` bits outside it lie within the ends and its ``succ`` bits
+  within the starts; else it joins the do part.
+
+The applied cut's groups become one part map, activity -> group index,
+which its split reads: exclusive choice sends each variant to the group
+holding most of its events, sequence and parallel send each variant's
+events to all groups in one pass, and loop cuts each variant into runs of
+one part.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .event_log import DirectlyFollowsGraph, EventLog, Variants, dfg_from_sequences
 from .process_tree import (
@@ -113,28 +123,18 @@ def _discover(variants: Variants, config: MinerConfig, depth: int) -> ProcessTre
     if depth >= config.max_depth:
         return _flower(alphabet)
 
-    dfg = filter_dfg(dfg_from_sequences(variants), config.noise)
-
-    groups = _xor_cut(alphabet, dfg)
-    if groups:
-        parts = _xor_split(variants, groups)
-        return xor(*(_discover(p, config, depth + 1) for p in parts))
-
-    for cut, op in ((_sequence_cut, seq), (_parallel_cut, par)):
-        groups = cut(alphabet, dfg)
+    graph = _graph(alphabet, filter_dfg(dfg_from_sequences(variants), config.noise))
+    for cut, split, op in (
+        (_xor_cut, _xor_split, xor),
+        (_sequence_cut, _split, seq),
+        (_parallel_cut, _split, par),
+        (_loop_cut, _loop_split, _loop_tree),
+    ):
+        groups = cut(graph)
         if groups:
-            parts = [_project(variants, set(g)) for g in groups]
-            return op(*(_discover(p, config, depth + 1) for p in parts))
-
-    cut = _loop_cut(alphabet, dfg)
-    if cut:
-        do_group, redo_groups = cut
-        do_log, redo_logs = _loop_split(variants, do_group, redo_groups)
-        do_tree = _discover(do_log, config, depth + 1)
-        redo_trees = [_discover(r, config, depth + 1) for r in redo_logs]
-        redo_tree = redo_trees[0] if len(redo_trees) == 1 else xor(*redo_trees)
-        return loop(do_tree, redo_tree)
-
+            part_of = {alphabet[i]: k for k, group in enumerate(groups) for i in _bits(group)}
+            return op(*(_discover(p, config, depth + 1)
+                        for p in split(variants, part_of, len(groups))))
     return _flower(alphabet)
 
 
@@ -145,6 +145,10 @@ def _flower(alphabet: list[str]) -> ProcessTree:
     return loop(body, tau())
 
 
+def _loop_tree(do_tree: ProcessTree, *redo_trees: ProcessTree) -> ProcessTree:
+    return loop(do_tree, redo_trees[0] if len(redo_trees) == 1 else xor(*redo_trees))
+
+
 def _bits(mask: int):
     """The indices of the set bits of *mask*, lowest first."""
     while mask:
@@ -153,25 +157,27 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _mask(alphabet: list[str], names) -> int:
-    return sum(1 << i for i, a in enumerate(alphabet) if a in names)
+class Graph(NamedTuple):
+    """A directly-follows graph as bitsets over the sorted alphabet."""
+
+    succ: list[int]
+    pred: list[int]
+    starts: int
+    ends: int
 
 
-def _names(alphabet: list[str], mask: int) -> list[str]:
-    return [alphabet[i] for i in _bits(mask)]
-
-
-def _graph(alphabet: list[str], edges) -> tuple[list[int], list[int]]:
-    """Successor and predecessor bitsets of the directly-follows graph,
-    self-loops dropped."""
+def _graph(alphabet: list[str], dfg: DirectlyFollowsGraph) -> Graph:
+    """*dfg* as bitsets over *alphabet*, self-loops dropped."""
     index = {a: i for i, a in enumerate(alphabet)}
     succ, pred = [0] * len(alphabet), [0] * len(alphabet)
-    for a, b in edges:
+    for a, b in dfg.edge_freq:
         if a != b:
             i, j = index[a], index[b]
             succ[i] |= 1 << j
             pred[j] |= 1 << i
-    return succ, pred
+    starts = sum(1 << index[a] for a in dfg.start_freq)
+    ends = sum(1 << index[a] for a in dfg.end_freq)
+    return Graph(succ, pred, starts, ends)
 
 
 def _closure(adjacent: list[int], start: int, known: list[int]) -> int:
@@ -208,32 +214,21 @@ def _components(adjacent: list[int], among: int) -> list[int]:
     return groups
 
 
-def _xor_cut(alphabet: list[str], dfg: DirectlyFollowsGraph) -> list[list[str]] | None:
-    succ, pred = _graph(alphabet, dfg.edge_freq)
-    linked = [s | p for s, p in zip(succ, pred)]
-    groups = _components(linked, (1 << len(alphabet)) - 1)
-    if len(groups) < 2:
-        return None
-    return [_names(alphabet, g) for g in groups]
+def _xor_cut(graph: Graph) -> list[int] | None:
+    linked = [s | p for s, p in zip(graph.succ, graph.pred)]
+    groups = _components(linked, (1 << len(linked)) - 1)
+    return groups if len(groups) > 1 else None
 
 
-def _xor_split(variants: Variants, groups: list[list[str]]) -> list[Variants]:
-    group_sets = [set(g) for g in groups]
-    parts: list[Variants] = [Counter() for _ in groups]
-    for s, count in variants.items():
-        overlaps = [sum(1 for a in s if a in g) for g in group_sets]
-        best = max(range(len(groups)), key=lambda i: (overlaps[i], -i))
-        parts[best][tuple(a for a in s if a in group_sets[best])] += count
-    return parts
-
-
-def _sequence_cut(alphabet: list[str], dfg: DirectlyFollowsGraph) -> list[list[str]] | None:
-    n = len(alphabet)
-    succ, pred = _graph(alphabet, dfg.edge_freq)
+def _sequence_cut(graph: Graph) -> list[int] | None:
+    n = len(graph.succ)
     after, before = [0] * n, [0] * n  # filled with each bit's closures
     for i in range(n):
-        _closure(succ, i, after)
-        _closure(pred, i, before)
+        _closure(graph.pred, i, before)
+    # The most reached first, so that each walk meets the closures of the
+    # activities it reaches.
+    for i in sorted(range(n), key=lambda i: -before[i].bit_count()):
+        _closure(graph.succ, i, after)
     full = (1 << n) - 1
     # i and j share a group when both or neither reaches the other.
     alike = [full & ~(a ^ b) for a, b in zip(after, before)]
@@ -242,35 +237,26 @@ def _sequence_cut(alphabet: list[str], dfg: DirectlyFollowsGraph) -> list[list[s
         return None
     # The groups form a chain; an earlier group's members reach more.
     groups.sort(key=lambda g: -after[(g & -g).bit_length() - 1].bit_count())
-    return [_names(alphabet, g) for g in groups]
+    return groups
 
 
-def _parallel_cut(alphabet: list[str], dfg: DirectlyFollowsGraph) -> list[list[str]] | None:
-    if not dfg.start_freq or not dfg.end_freq:
+def _parallel_cut(graph: Graph) -> list[int] | None:
+    succ, pred, starts, ends = graph
+    if not starts or not ends:
         return None
-    succ, pred = _graph(alphabet, dfg.edge_freq)
-    full = (1 << len(alphabet)) - 1
-    apart = [full & ~(s & p) for s, p in zip(succ, pred)]
-    groups = _components(apart, full)
-    if len(groups) < 2:
-        return None
-    starts, ends = _mask(alphabet, dfg.start_freq), _mask(alphabet, dfg.end_freq)
-    if not all(g & starts and g & ends for g in groups):
-        return None
-    return [_names(alphabet, g) for g in groups]
+    full = (1 << len(succ)) - 1
+    groups = _components([full & ~(s & p) for s, p in zip(succ, pred)], full)
+    if len(groups) > 1 and all(g & starts and g & ends for g in groups):
+        return groups
+    return None
 
 
-def _loop_cut(
-    alphabet: list[str], dfg: DirectlyFollowsGraph
-) -> tuple[list[str], list[list[str]]] | None:
-    if not dfg.start_freq or not dfg.end_freq:
+def _loop_cut(graph: Graph) -> list[int] | None:
+    succ, pred, starts, ends = graph
+    if not starts or not ends:
         return None
-    starts, ends = _mask(alphabet, dfg.start_freq), _mask(alphabet, dfg.end_freq)
     do_group = starts | ends
-    residual = (1 << len(alphabet)) - 1 & ~do_group
-    if not residual:
-        return None
-    succ, pred = _graph(alphabet, dfg.edge_freq)
+    residual = (1 << len(succ)) - 1 & ~do_group
     linked = [(s | p) & residual for s, p in zip(succ, pred)]
     redo_groups = []
     for group in _components(linked, residual):
@@ -279,28 +265,39 @@ def _loop_cut(
             do_group |= group
         else:
             redo_groups.append(group)
-    if not redo_groups:
-        return None
-    return _names(alphabet, do_group), [_names(alphabet, g) for g in redo_groups]
+    return [do_group, *redo_groups] if redo_groups else None
 
 
-def _project(variants: Variants, keep: set[str]) -> Variants:
-    projected: Variants = Counter()
+def _xor_split(variants: Variants, part_of: dict[str, int], k: int) -> list[Variants]:
+    """Each variant to the group holding most of its events, the first on a
+    tie, kept to that group's events."""
+    logs: list[Variants] = [Counter() for _ in range(k)]
     for s, count in variants.items():
-        projected[tuple(a for a in s if a in keep)] += count
-    return projected
+        overlaps = [0] * k
+        for a in s:
+            overlaps[part_of[a]] += 1
+        best = overlaps.index(max(overlaps))
+        logs[best][tuple(a for a in s if part_of[a] == best)] += count
+    return logs
 
 
-def _loop_split(
-    variants: Variants, do_group: list[str], redo_groups: list[list[str]]
-) -> tuple[Variants, list[Variants]]:
-    """Cut each variant into maximal runs of do activities and of one redo
-    group's activities; each run goes, with the variant's count, to the do
-    log or to that redo group's log."""
-    part_of = dict.fromkeys(do_group, 0)
-    for i, group in enumerate(redo_groups, 1):
-        part_of.update(dict.fromkeys(group, i))
-    logs: list[Variants] = [Counter() for _ in range(len(redo_groups) + 1)]
+def _split(variants: Variants, part_of: dict[str, int], k: int) -> list[Variants]:
+    """Each variant to every group, kept to that group's events; one pass
+    over its events."""
+    logs: list[Variants] = [Counter() for _ in range(k)]
+    for s, count in variants.items():
+        pieces: list[list[str]] = [[] for _ in range(k)]
+        for a in s:
+            pieces[part_of[a]].append(a)
+        for log, piece in zip(logs, pieces):
+            log[tuple(piece)] += count
+    return logs
+
+
+def _loop_split(variants: Variants, part_of: dict[str, int], k: int) -> list[Variants]:
+    """Cut each variant into maximal runs of one part's activities; each run
+    goes, with the variant's count, to that part's log."""
+    logs: list[Variants] = [Counter() for _ in range(k)]
     for s, count in variants.items():
         begin = 0
         for i in range(1, len(s)):
@@ -308,4 +305,4 @@ def _loop_split(
                 logs[part_of[s[begin]]][s[begin:i]] += count
                 begin = i
         logs[part_of[s[begin]]][s[begin:]] += count
-    return logs[0], logs[1:]
+    return logs

@@ -5,7 +5,9 @@ is checked against.
 Every sub-log is a plain list holding one sequence per trace, duplicates
 included, and ``dfg_of_traces`` counts it one trace at a time.  The cuts,
 the noise filter and the flower fallback are the package's own, so the two
-differ only in how sub-logs are carried.
+differ only in how sub-logs are carried.  The cuts are reached through
+``named_cut``, which ``test_cuts`` also uses: the graph goes in, and the
+bitset groups come back as lists of names.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from collections import Counter
 from procshap.event_log import DirectlyFollowsGraph
 from procshap.miner import (
     MinerConfig,
+    _bits,
     _flower,
+    _graph,
     _loop_cut,
     _parallel_cut,
     _sequence_cut,
@@ -34,6 +38,17 @@ from procshap.process_tree import (
 )
 
 Sequences = list[tuple[str, ...]]
+
+
+def named_cut(cut, alphabet: list[str], dfg: DirectlyFollowsGraph):
+    """*cut*, one of ``miner``'s cuts, on *dfg* in the form ``_cuts_ref``
+    gives: groups as sorted lists of names, the loop cut as (do part, redo
+    parts), and None where the cut does not apply."""
+    groups = cut(_graph(alphabet, dfg))
+    if groups is None:
+        return None
+    names = [[alphabet[i] for i in _bits(group)] for group in groups]
+    return (names[0], names[1:]) if cut is _loop_cut else names
 
 
 def discover_lists(sequences: Sequences, config: MinerConfig = MinerConfig()) -> ProcessTree:
@@ -77,22 +92,22 @@ def _discover(sequences: Sequences, config: MinerConfig, depth: int) -> ProcessT
 
     dfg = filter_dfg(dfg_of_traces(nonempty), config.noise)
 
-    groups = _xor_cut(alphabet, dfg)
+    groups = named_cut(_xor_cut, alphabet, dfg)
     if groups:
         parts = _xor_split(nonempty, groups)
         return xor(*(_discover(p, config, depth + 1) for p in parts))
 
-    groups = _sequence_cut(alphabet, dfg)
+    groups = named_cut(_sequence_cut, alphabet, dfg)
     if groups:
         parts = [_project(nonempty, set(g)) for g in groups]
         return seq(*(_discover(p, config, depth + 1) for p in parts))
 
-    groups = _parallel_cut(alphabet, dfg)
+    groups = named_cut(_parallel_cut, alphabet, dfg)
     if groups:
         parts = [_project(nonempty, set(g)) for g in groups]
         return par(*(_discover(p, config, depth + 1) for p in parts))
 
-    cut = _loop_cut(alphabet, dfg)
+    cut = named_cut(_loop_cut, alphabet, dfg)
     if cut:
         do_group, redo_groups = cut
         do_log, redo_logs = _loop_split(nonempty, do_group, redo_groups)

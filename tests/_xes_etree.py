@@ -3,7 +3,8 @@ checked against, and ``dump_xes``, which writes a log back as plain XES.
 
 It walks ``ET.iterparse`` start/end events and reads each ``<string>``
 attribute when its element ends.  Sources are opened by the package's
-``_open_source``, so the two readers differ only in how the XML is walked.
+``_binary`` and ``_gunzip``, so the two readers differ only in how the XML
+is walked.
 Errors carry the line and column of the ElementTree ``ParseError``.
 """
 
@@ -19,8 +20,9 @@ from procshap.event_log import (
     EventLog,
     Source,
     XesParseError,
+    _binary,
+    _gunzip,
     _localname,
-    _open_source,
 )
 
 
@@ -32,7 +34,7 @@ def parse_xes_etree(source: Source, classifier_key: str = "concept:name") -> Eve
     in_event = False
 
     with ExitStack() as stack:
-        stream = _open_source(source, stack)
+        stream = _gunzip(_binary(source, stack), stack)
         try:
             for action, elem in ET.iterparse(stream, events=("start", "end")):
                 tag = _localname(elem.tag)

@@ -1,6 +1,8 @@
 """The miner's bitset cuts against the graph-traversal reference in
 ``_cuts_ref``, on random directly-follows graphs and on every sub-log
-graph that mining the corpus and the bundled log meets."""
+graph that mining the corpus and the bundled log meets.  The cuts are
+reached through ``_miner_lists.named_cut``, which builds the bitset graph
+and names the groups."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from procshap.miner import MinerConfig, discover
 import _cuts_ref
 from _corpus import corpus
 from _language import trace_language
+from _miner_lists import named_cut
 from test_miner import NOISE_LEVELS
 
 CUTS = ("_xor_cut", "_sequence_cut", "_parallel_cut", "_loop_cut")
@@ -60,9 +63,9 @@ def reaches(dfg: DirectlyFollowsGraph, a: str, b: str) -> bool:
 
 def assert_cuts_match_reference(alphabet: list[str], dfg: DirectlyFollowsGraph) -> None:
     for name in CUTS:
-        assert getattr(miner, name)(alphabet, dfg) == getattr(_cuts_ref, name)(
-            alphabet, dfg
-        ), (name, alphabet, dfg)
+        assert named_cut(getattr(miner, name), alphabet, dfg) == getattr(
+            _cuts_ref, name
+        )(alphabet, dfg), (name, alphabet, dfg)
 
 
 @given(dfgs())
@@ -75,7 +78,7 @@ def test_cuts_match_reference_on_random_graphs(graph):
 @settings(max_examples=300, deadline=None)
 def test_sequence_groups_form_a_chain(graph):
     alphabet, dfg = graph
-    groups = miner._sequence_cut(alphabet, dfg)
+    groups = named_cut(miner._sequence_cut, alphabet, dfg)
     if groups is None:
         return
     for i, earlier in enumerate(groups):
@@ -89,26 +92,32 @@ def mined_graphs(log: EventLog) -> list[tuple[list[str], DirectlyFollowsGraph]]:
     """Every (alphabet, filtered graph) that ``discover`` tries cuts on,
     at each of ``NOISE_LEVELS``."""
     seen = []
-    xor_cut = miner._xor_cut
+    graph = miner._graph
 
     def record(alphabet, dfg):
         seen.append((alphabet, dfg))
-        return xor_cut(alphabet, dfg)
+        return graph(alphabet, dfg)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(miner, "_xor_cut", record)
+        patch.setattr(miner, "_graph", record)
         for noise in NOISE_LEVELS:
             discover(log, MinerConfig(noise=noise))
     return seen
 
 
-def test_cuts_match_reference_on_corpus_sub_logs():
+def corpus_logs() -> list[EventLog]:
     # Each corpus tree's bounded language, every trace repeated a random
     # number of times so that the noise filter has work.
     rng = random.Random(7)
+    logs = []
     for tree in corpus(60, max_nodes=12):
         language = sorted(trace_language(tree, bound=1, guard=10**4))
-        log = EventLog(Counter({s: rng.randint(1, 6) for s in language}))
+        logs.append(EventLog(Counter({s: rng.randint(1, 6) for s in language})))
+    return logs
+
+
+def test_cuts_match_reference_on_corpus_sub_logs():
+    for log in corpus_logs():
         for graph in mined_graphs(log):
             assert_cuts_match_reference(*graph)
 
@@ -118,3 +127,26 @@ def test_cuts_match_reference_on_bundled_sub_logs(running_example_log):
     assert graphs
     for graph in graphs:
         assert_cuts_match_reference(*graph)
+
+
+def test_one_graph_per_sub_log(running_example_log):
+    # Every sub-log that reaches the cuts counts its graph once and builds
+    # its bitset graph once; no cut builds another.
+    calls: Counter = Counter()
+
+    def counting(name):
+        real = getattr(miner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("dfg_from_sequences", "_graph", "_xor_cut", "_loop_cut"):
+            patch.setattr(miner, name, counting(name))
+        for log in [running_example_log, *corpus_logs()]:
+            for noise in NOISE_LEVELS:
+                discover(log, MinerConfig(noise=noise))
+    assert calls["_graph"] == calls["dfg_from_sequences"] == calls["_xor_cut"] > 0
+    assert calls["_loop_cut"] > 0

@@ -335,7 +335,8 @@ def _parse_noting_pass(source, key: str = "concept:name"):
 def _handler_outcome(source, key: str = "concept:name"):
     def parse(src):
         with ExitStack() as stack:
-            return EventLog(event_log._parse_handlers(event_log._open_source(src, stack), key))
+            stream = event_log._gunzip(event_log._binary(src, stack), stack)
+            return EventLog(event_log._parse_handlers(stream, key))
     return _outcome(parse, source)
 
 

@@ -4,9 +4,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procshap.event_log import EventLog, dfg_from_sequences
+from procshap import miner
 from procshap.miner import MinerConfig, discover, filter_dfg
 from procshap.process_tree import (
     Op,
@@ -18,6 +19,7 @@ from procshap.process_tree import (
 from _corpus import distinct_label_tree, random_tree
 from _language import trace_language
 from _miner_lists import discover_lists
+import _split_ref
 
 NOISE_LEVELS = (0.0, 0.1, 0.25, 0.5, 1.0)
 
@@ -226,3 +228,39 @@ def test_variant_counts_mine_like_trace_lists_on_tree_logs(seed, traces):
 
 def test_variant_counts_mine_like_trace_lists_on_bundled_log(running_example_log):
     assert_mines_like_trace_lists(list(running_example_log.variants.elements()))
+
+
+# --- the part-map splits against the per-group reference ------------------
+
+
+@st.composite
+def partitioned_variants(draw) -> tuple[Counter, dict[str, int], int]:
+    """A variant multiset over up to six activities, the empty trace among
+    the possible variants, and a part map into k groups, some of which may
+    hold no activity or none that a variant uses."""
+    alphabet = "abcdef"[: draw(st.integers(1, 6))]
+    k = draw(st.integers(1, 4))
+    part_of = {a: draw(st.integers(0, k - 1)) for a in alphabet}
+    traces = st.lists(st.sampled_from(alphabet), max_size=8).map(tuple)
+    variants = draw(st.dictionaries(traces, st.integers(1, 5), max_size=8))
+    return Counter(variants), part_of, k
+
+
+def as_items(logs: list[Counter]) -> list[list]:
+    # The order variants first occur in counts too: it is the order the
+    # sub-logs are read in.
+    return [list(log.items()) for log in logs]
+
+
+@given(partitioned_variants())
+@example((Counter({(): 2, ("a",): 1}), {"a": 1}, 3))
+@settings(max_examples=400, deadline=None)
+def test_part_map_splits_match_per_group_reference(case):
+    variants, part_of, k = case
+    groups = [[a for a in sorted(part_of) if part_of[a] == i] for i in range(k)]
+    assert as_items(miner._split(variants, part_of, k)) == as_items(
+        [_split_ref.project(variants, set(g)) for g in groups]
+    )
+    assert as_items(miner._xor_split(variants, part_of, k)) == as_items(
+        _split_ref.xor_split(variants, groups)
+    )

@@ -567,6 +567,36 @@ def test_cli_attribute_exact(running_example_file, capsys):
     assert "Seq3@0" in out and "+0.1072" in out
 
 
+def test_cli_attribute_prints_and_checks_every_configuration(
+    monkeypatch, tmp_path, running_example_file, capsys
+):
+    args = ["attribute", "--log", str(running_example_file), "--noise", "0",
+            "--method", "exact"]
+    assert main([*args, "--property", "sat,liv"]) == 0
+    out = capsys.readouterr().out
+    assert "configuration noise0_sat:" in out and "configuration noise0_liv:" in out
+    assert out.index("noise0_sat") < out.index("noise0_liv")
+
+    def refusing_liv(tree, spec):
+        if spec.prop is Property.LIV:
+            raise ValueError("refused")
+        return tree_shapley(tree, spec)
+
+    monkeypatch.setattr(reports, "tree_shapley", refusing_liv)
+    out_dir = tmp_path / "out"
+    assert main([*args, "--property", "sat,liv", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("configuration noise0_sat:")
+    assert "noise0_liv" not in captured.out
+    assert captured.err == "error: noise0_liv: ValueError: refused\n"
+    assert not out_dir.exists()
+    # One property: the error line names no configuration, as before.
+    assert main([*args, "--property", "liv", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: ValueError: refused\n")
+    assert not out_dir.exists()
+
+
 def test_cli_matrix_and_outputs(tmp_path, running_example_file, capsys):
     rc = main([
         "matrix", "--log", str(running_example_file),
