@@ -281,6 +281,10 @@ def cmd_verify(args) -> int:
     n = node_count(tree)
     mask = _mask_from_args(args, n)
     specs = _build_specs(args)
+    names = [spec.prop.value for spec in specs]
+    repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if repeated:
+        raise ValueError(f"duplicate properties: {', '.join(repeated)}")
     cache = ValueCache()
     for spec in specs:
         warn_if_degenerate(spec, cache)

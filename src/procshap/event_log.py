@@ -5,14 +5,17 @@ sequence (variant) with its number of traces.  That is all the miner
 reads, so case ids, timestamps and trace order are not kept.
 
 ``parse_xes`` builds no element tree.  It reads a document in the plain
-layout without per-element callbacks: 64 KiB chunks go to a handler-free
-``xml.parsers.expat`` parser, which checks every byte, and a bytes scan,
-cut after each ``</trace>``, takes each event's activity from a first
-child ``<string key="KEY" value="..."/>``.  Guards send anything outside
-that layout (entity or character references, comments, CDATA, a DOCTYPE,
-processing instructions, non-UTF-8 encodings, prefixed elements, an
+layout without per-element callbacks: 64 KiB chunks go to an
+``xml.parsers.expat`` parser without element handlers, which checks
+every byte, and a bytes scan, cut after each ``</trace>``, takes each
+event's activity from a first child ``<string key="KEY" value="..."/>``.
+Guards send anything outside that layout to the handler pass.  That
+expat parser reports comments, processing instructions, CDATA, a
+DOCTYPE, prefixed namespaces and declared encodings other than UTF-8;
+the scan searches the bytes for a NUL (UTF-16), ``&`` (a reference),
+``<xml:`` and a single-quoted classifier key; and its counts catch an
 ``<event>`` with attributes or without its classifier string first, and
-others listed on ``_scan_plain``) to the handler pass, one ``expat``
+the rest listed on ``_scan_plain``.  The handler pass is one ``expat``
 pass with start and end handlers, from the document's start; so such a
 document costs one extra read of what the scan read before it gave up.
 Errors always come from the handler pass, so their messages, lines and
@@ -132,27 +135,12 @@ CHUNK = 1 << 16  # bytes per read of the plain scan
 CARRY_LIMIT = 1 << 20  # the most bytes the scan holds without a </trace>
 
 _PLAIN_KEY = re.compile(r"[\w:.-]+", re.ASCII)
-_ENCODING = re.compile(rb"""encoding\s*=\s*["']([^"']*)""")
 
 
-def _declaration_end(head: bytes) -> int | None:
-    """Where the plain scan starts in a document beginning with *head*: past
-    a UTF-8 byte order mark and an XML declaration.  None for a document
-    declared in another encoding, or one expat may read as UTF-16: its
-    first character, after any byte order mark, is ASCII, so a NUL shows
-    in the first four bytes."""
-    if b"\0" in head[:4]:
-        return None
-    start = 3 if head.startswith(b"\xef\xbb\xbf") else 0
-    if not head.startswith(b"<?xml", start):
-        return start
-    end = head.find(b"?>", start)
-    if end < 0:
-        return None
-    declared = _ENCODING.search(head, start, end)
-    if declared and declared[1].lower() != b"utf-8":
-        return None
-    return end + 2
+def _refuse(*_: object) -> None:
+    """An expat handler for a construct the bytes scan cannot read: it
+    stops the checker, so the handler pass reads the document."""
+    raise expat.ExpatError("outside the plain layout")
 
 
 def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
@@ -160,18 +148,24 @@ def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
     callbacks; None as soon as the document leaves that layout or expat
     rejects it, and the handler pass must decide.
 
-    A handler-free expat parser checks every byte, while a bytes scan cut
-    after each ``</trace>`` reads each event's activity from a first child
-    ``<string key="KEY" value="..."/>``.  The guards keep the scan to
-    documents where that equals the handler pass: UTF-8; no entity or
-    character reference, comment, CDATA, DOCTYPE, processing instruction,
-    closing ``</string>``, prefixed element, single-quoted classifier key
-    or empty activity; each trace one ``<trace>`` holding all its events,
-    each event ``<event>...</event>`` closed before the next opens, with
-    one classifier string and no tab or line break in its value; and at
-    most ``CARRY_LIMIT`` bytes without a ``</trace>``.  The classifier key
-    must be ASCII letters, digits and ``_:.-``: with no quote, ``=`` or
-    space in it, a count of the quoted key misses no classifier string.
+    An expat parser without element handlers checks every byte, while a
+    bytes scan cut after each ``</trace>`` reads each event's activity
+    from a first child ``<string key="KEY" value="..."/>``.  The guards
+    keep the scan to documents where that equals the handler pass.  Expat
+    reports a comment, processing instruction, CDATA section, DOCTYPE,
+    prefixed namespace declaration or declared encoding other than UTF-8;
+    it calls none of these handlers for a plain-layout element, so they
+    cost nothing per element.  The scan refuses a chunk holding a NUL (a
+    UTF-16 document) and a segment holding ``&`` (a reference), ``<xml:``
+    (the one prefix bound without a declaration) or the single-quoted
+    classifier key.  Its counts ask for each trace one ``<trace>`` holding
+    all its events, and each event ``<event>...</event>`` closed before
+    the next opens, with its classifier string as a self-closing first
+    child, the only one in the event, whose value is non-empty with no tab
+    or line break.  At most ``CARRY_LIMIT`` bytes may come without a
+    ``</trace>``.  The classifier key must be ASCII letters, digits and
+    ``_:.-``: with no quote, ``=`` or space in it, a count of the quoted
+    key misses no classifier string.
     """
     if not _PLAIN_KEY.fullmatch(classifier_key):
         return None
@@ -181,20 +175,23 @@ def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
         rb"[^<]*(?:<(?!/event>)[^<]*)*</event>" % re.escape(key)
     )
     quoted = b'"%s"' % key
-    # The last byte first: a memchr for a rare "!" or "?" spares the
-    # slower search for "<!" and "<?", since "<" is everywhere.
-    hazards = [(h[-1:], h) for h in (
-        b"&", b"<!", b"<?", b"</string", b"xmlns:", b"<xml:", b"'%s'" % key)]
+    hazards = (b"&", b"<xml:", b"'%s'" % key)
     decode = functools.cache(bytes.decode)  # one str per distinct activity
     checker = expat.ParserCreate(namespace_separator="}")
+    checker.CommentHandler = checker.ProcessingInstructionHandler = _refuse
+    checker.StartCdataSectionHandler = checker.StartDoctypeDeclHandler = _refuse
+    checker.StartNamespaceDeclHandler = lambda prefix, uri: prefix and _refuse()
+    checker.XmlDeclHandler = lambda version, encoding, standalone: (
+        encoding and encoding.lower() != "utf-8" and _refuse())
     found: Variants = Counter()
     carry = b""
-    head = True
     while True:
         chunk = stream.read(CHUNK)
         try:
             checker.Parse(chunk, not chunk)
-        except expat.ExpatError:
+        except expat.ExpatError:  # malformed, or a _refuse handler ran
+            return None
+        if b"\0" in chunk:  # UTF-16: no NUL is well-formed in UTF-8
             return None
         segment = carry + chunk
         if chunk:
@@ -206,13 +203,7 @@ def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
                 continue
             cut += len(b"</trace>")
             segment, carry = segment[:cut], segment[cut:]
-        if head:
-            start = _declaration_end(segment)
-            if start is None:
-                return None
-            segment = segment[start:]
-            head = False
-        if any(last in segment and hazard in segment for last, hazard in hazards):
+        if any(hazard in segment for hazard in hazards):
             return None
         *traces, tail = segment.split(b"</trace>")
         if segment.count(b"<trace") != len(traces):

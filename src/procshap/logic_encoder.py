@@ -99,9 +99,6 @@ def encode(
         variables.append(name)
         return name
 
-    def exec_formula(context: tuple[Formula, ...]) -> Formula:
-        return conj(*context) if context else TRUE
-
     def walk(node: ProcessTree, context: tuple[Formula, ...]) -> str:
         """Emit axioms for one instance of *node*; returns its done var."""
         nonlocal instances
@@ -120,7 +117,7 @@ def encode(
             if node.is_activity:
                 occ = new_var(f"occ_{_slug(node.label)}_n{index}_{ordinal}")
                 occ_vars.setdefault(node.label, []).append(occ)
-                axioms.append(iff(var(occ), exec_formula(context)))
+                axioms.append(iff(var(occ), conj(*context)))
                 axioms.append(iff(var(done), var(occ)))
             elif node.removed:
                 value = TRUE if spec.mode is TauMode.SKIP else FALSE
@@ -366,11 +363,12 @@ def values_via_prover(
     it is the one place where prover calls are deduplicated, so a
     problem asked again, by this batch or a later one sharing the memo,
     costs no call.  Use one memo per ``ProverConfig``.  sat and saf
-    decide each tree's problem in one round.  liv is gated by sat (an
-    inconsistent premise set would entail anything), so it takes two
-    rounds: the sat problems of every tree, then the liv problems of the
-    trees whose sat status is Satisfiable.  The gate also saves calls: a
-    sat verdict of 0 already in the memo settles liv.
+    decide each tree's problem in one round.  liv is gated by sat, so it
+    takes two rounds: the sat problems of every tree, then the liv
+    problems of the trees whose sat status is Satisfiable.  The gate
+    saves calls, not soundness: liv's premises define each variable from
+    its children, so they are always satisfiable, and liv implies sat, so
+    a sat verdict of 0, often already in the memo, settles liv.
 
     The memo holds statuses, not values: each use turns its status into
     a value, so each caller records its own warnings, sat's before liv's

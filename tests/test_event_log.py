@@ -401,6 +401,65 @@ def test_plain_documents_take_the_scan(case, chunk, compress, data):
         assert _parse_noting_pass(cut, key)[0] == _handler_outcome(cut, key)
 
 
+_nested_values = _plain_values | st.just("xmlns:x")
+
+
+@st.composite
+def _nested_attributes(draw, keys: list[str], depth: int = 0) -> str:
+    """Attribute elements keyed from *keys*, as exporters nest them:
+    strings self-closing or holding children, ``<list>`` and
+    ``<container>`` with children."""
+    parts = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["string", "string", "list", "container"]))
+        key = draw(st.sampled_from(keys))
+        inner = draw(_nested_attributes(keys, depth + 1)) if depth < 2 else ""
+        if kind != "string":
+            parts.append(f'<{kind} key="{key}">{inner}</{kind}>')
+            continue
+        string = f'<string key="{key}" value="{draw(_nested_values)}"'
+        closed = not inner and draw(st.booleans())
+        parts.append(f"{string}/>" if closed else f"{string}>{inner}</string>")
+    return "".join(parts)
+
+
+@st.composite
+def nested_documents(draw) -> tuple[bytes, bool, str]:
+    """Plain-layout documents whose traces and events also carry nested and
+    non-self-closing attribute elements, with their classifier key.  In
+    the risky ones some of those hold the classifier key, and an event's
+    classifier string may hold children; the others the plain scan must
+    read."""
+    key = draw(st.sampled_from(["concept:name", "action"]))
+    risky = draw(st.booleans())
+    keys = ["org:resource", "lifecycle:transition", "cost", "concept:name"]
+    keys = [k for k in keys if k != key] + [key] * risky
+    sep = draw(st.sampled_from(["", "\n  "]))
+    body = [draw(_nested_attributes(keys))]
+    for _ in range(draw(st.integers(0, 4))):
+        items = [draw(_nested_attributes(keys))]
+        for _ in range(draw(st.integers(0, 3))):
+            value = draw(_plain_values)
+            inner = draw(_nested_attributes(keys)) if risky and draw(st.booleans()) else ""
+            string = f'<string key="{key}" value="{value}"'
+            string += f">{inner}</string>" if inner else "/>"
+            items.append(f"<event>{string}{draw(_nested_attributes(keys))}</event>")
+        body.append(f"<trace>{sep.join(items)}</trace>")
+    doc = f'<?xml version="1.0" encoding="UTF-8"?>\n<log>{sep}{sep.join(body)}</log>\n'
+    return doc.encode("utf-8"), risky, key
+
+
+@given(nested_documents(), st.sampled_from([5, 64, 1 << 16]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_nested_attributes_read_alike(case, chunk, compress):
+    doc, risky, key = case
+    source = gzip.compress(doc) if compress else doc
+    with _scan_limits(chunk=chunk):
+        outcome, used = _parse_noting_pass(source, key)
+    assert outcome == _etree_outcome(source, key) == _handler_outcome(source, key)
+    assert risky or used == "plain"
+
+
 PLAIN = b"""<?xml version="1.0" encoding="UTF-8"?>
 <log xes.version="1.0">
   <trace>
@@ -436,8 +495,9 @@ PERTURBED = {
                      _swap(A, A + b'<string value="z"/>')),
     "processing instruction": _swap(B, b'<?pi <event><string key="concept:name" value="x"/>'
                                        b'</event>?>' + B),
+    "comment after the declaration": _swap(b"?>\n", b"?>\n<!-- exported -->\n"),
     "reference": _swap(b'value="a"', b'value="a&amp;&#98;"'),
-    "closing string tag": _swap(A, A + b'<string key="org:resource" value="r"></string>'),
+    "prefixed namespace declared, not used": _swap(b"<log ", b'<log xmlns:x="urn:x" '),
     "prefixed elements": PLAIN.replace(b"<log ", b'<x:log xmlns:x="urn:x" ').replace(
         b"</log", b"</x:log").replace(b"trace>", b"x:trace>").replace(b"<event>", b"<x:event>"
     ).replace(b"</event>", b"</x:event>"),
@@ -468,6 +528,24 @@ def test_documents_outside_the_plain_layout_take_the_handler_pass(doc):
     assert _parse_noting_pass(gzip.compress(doc)) == (outcome, "handlers")
 
 
+# Documents the plain scan reads, though they look like a guard's case.
+SCANNED = {
+    "closing string tag": _swap(A, A + b'<string key="org:resource" value="r"></string>'),
+    "nested attributes": _swap(A, A + b'<container key="c"><list key="l"><string key="r" '
+                                   b'value="v"><int key="n" value="1"/></string></list>'
+                                   b'</container>'),
+    "xmlns: in a value": _swap(A, A + b'<string key="note" value="xmlns:x"/>'),
+}
+
+
+@pytest.mark.parametrize("doc", SCANNED.values(), ids=SCANNED.keys())
+def test_plain_layout_variants_take_the_scan(doc):
+    outcome, used = _parse_noting_pass(doc)
+    assert used == "plain"
+    assert outcome == _etree_outcome(doc) == _handler_outcome(doc)
+    assert outcome == [(("a", "b"), 1), (("c",), 1)]
+
+
 def test_plain_document_takes_the_scan():
     outcome, used = _parse_noting_pass(PLAIN)
     assert used == "plain"
@@ -483,11 +561,11 @@ def test_classifier_key_outside_the_plain_subset_takes_the_handler_pass():
 
 def test_first_segment_ending_inside_a_processing_instruction_takes_the_handler_pass():
     doc = b'<?xml-stylesheet type="<trace></trace>"?>' + PLAIN_BODY.encode()
-    assert _parse_noting_pass(doc)[1] == "plain"
-    with _scan_limits(chunk=5):
-        outcome, used = _parse_noting_pass(doc)
-    assert used == "handlers"
-    assert outcome == _handler_outcome(doc) == [(("a", "b"), 1), (("c",), 1)]
+    for chunk in (5, event_log.CHUNK):
+        with _scan_limits(chunk=chunk):
+            outcome, used = _parse_noting_pass(doc)
+        assert used == "handlers"
+        assert outcome == _handler_outcome(doc) == [(("a", "b"), 1), (("c",), 1)]
 
 
 def test_a_trace_past_the_carry_bound_takes_the_handler_pass():

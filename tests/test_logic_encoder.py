@@ -29,6 +29,7 @@ from procshap.process_tree import (
     loop,
     node_count,
     seq,
+    TauMode,
     substitute,
     tau,
     xor,
@@ -176,6 +177,23 @@ def test_loop_bound_zero_and_two():
     for bound in (0, 1, 2):
         spec = PropertySpec(Property.SAF, safety_pair=("a", "b"), loop_bound=bound)
         assert spec_value(encode(tree, spec)) == evaluate(tree, Coalition.full(3), spec)
+
+
+def test_liv_premises_are_always_satisfiable():
+    # liv's sat gate saves prover calls, not soundness: its premises define
+    # every variable from its children, so no coalition, tau mode or loop
+    # bound makes them inconsistent, and liv implies sat.
+    rng = random.Random(5)
+    for tree in corpus(120):
+        n = node_count(tree)
+        for _ in range(6):
+            cut = substitute(tree, rng.getrandbits(n))
+            for mode, bound in itertools.product(TauMode, (0, 1, 2)):
+                liv = encode(cut, PropertySpec(Property.LIV, mode=mode, loop_bound=bound))
+                assert dpll_satisfiable(liv.axioms), (tree, mode, bound)
+                if spec_value(liv):
+                    sat = encode(cut, PropertySpec(Property.SAT, mode=mode, loop_bound=bound))
+                    assert spec_value(sat) == 1
 
 
 def test_all_referenced_variables_declared():

@@ -499,6 +499,20 @@ def test_cli_verify_names_the_first_bad_index(
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("properties, message", [
+    ("sat,sat", "duplicate properties: sat"),
+    ("liv,sat,saf,liv,sat", "duplicate properties: liv, sat"),
+])
+def test_cli_verify_rejects_a_repeated_property(tmp_path, capsys, properties, message):
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text("seq\n  act a\n  act b\n")
+    rc = main(["verify", "--tree", str(tree_file), "--property", properties,
+               "--safety-pair", "a,b"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_cli_verify_rejects_an_oversized_unrolling(tmp_path, capsys):
     tree_file = tmp_path / "tree.txt"
     tree_file.write_text("loop\n  seq\n    act a\n    act b\n  loop\n    act c\n    act d\n")
