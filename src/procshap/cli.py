@@ -38,28 +38,6 @@ from .reports import (
     warn_if_degenerate,
 )
 
-CONFIG_KEYS = {
-    "log": str,
-    "noise": str,
-    "property": str,
-    "safety-pair": str,
-    "method": str,
-    "permutations": int,
-    "samples": int,
-    "seed": int,
-    "backend": str,
-    "prover-path": str,
-    "timeout-ms": int,
-    "tau": str,
-    "loop-bound": int,
-    "out": str,
-    "dump-tptp": str,
-    "top-k": int,
-    "critical-threshold": float,
-    "redundant-threshold": float,
-}
-
-
 def _parse_noise(text: str) -> float:
     try:
         level = float(text)
@@ -187,26 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subcommand_flags(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
-    """The option strings of the subcommand named in *argv* (none when
-    no subcommand is named)."""
-
-    (commands,) = (
-        action for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    name = next((arg for arg in argv if not arg.startswith("-")), None)
-    subparser = commands.choices.get(name)
-    return set(subparser._option_string_actions) if subparser else set()
-
-
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Take ``--config FILE`` (or ``--config=FILE``) out of *argv*, before
     or after the subcommand, and append the file's value for every flag
     the subcommand defines and the command line does not give, whether
-    written ``--key value`` or ``--key=value``.  Unknown keys are an
-    error; known keys that the subcommand lacks are skipped, so one file
-    can serve several subcommands."""
+    written ``--key value`` or ``--key=value``.  A key is the name of
+    any subcommand's long flag without its dashes; other keys are an
+    error, and known keys that the subcommand lacks are skipped, so one
+    file can serve several subcommands."""
 
     given = [arg.split("=", 1)[0] for arg in argv]
     if "--config" not in given:
@@ -224,6 +190,15 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         text = Path(path).read_text()
     except OSError as exc:
         parser.error(f"argument --config: {exc}")
+    (commands,) = (
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    subparsers = commands.choices
+    known = {
+        flag for sub in subparsers.values() for flag in sub._option_string_actions
+        if flag.startswith("--") and flag != "--help"
+    }
     defaults = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -232,12 +207,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         if "=" not in line:
             parser.error(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if f"--{key}" not in known:
             parser.error(f"{path}:{lineno}: unknown config key {key!r}")
-        defaults[key] = value
-    flags = _subcommand_flags(parser, out)
-    for key, value in defaults.items():
-        flag = f"--{key}"
+        defaults[f"--{key}"] = value
+    name = next((arg for arg in out if not arg.startswith("-")), None)
+    flags = subparsers[name]._option_string_actions if name in subparsers else {}
+    for flag, value in defaults.items():
         if flag in flags and flag not in given:
             out += [flag, value]
     return out

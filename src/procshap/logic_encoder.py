@@ -69,11 +69,8 @@ class EncodingSizeError(ValueError):
 
 @dataclass(frozen=True)
 class PropositionalSpec:
-    variables: tuple[str, ...]
     axioms: tuple[Formula, ...]
     conjecture: Formula | None
-    done_root: str
-    occ_vars: tuple[tuple[str, tuple[str, ...]], ...]  # label -> instance vars
 
 
 def _slug(label: str) -> str:
@@ -88,19 +85,14 @@ def encode(
     if tree_c.node_id is None:
         raise ValueError("encode requires an id-assigned tree")
 
-    variables: list[str] = []
     axioms: list[Formula] = []
     occ_vars: dict[str, list[str]] = {}
     instance_counters: dict[int, int] = {}
-    nodes_with_static_axioms: set[int] = set()
     instances = 0
 
-    def new_var(name: str) -> str:
-        variables.append(name)
-        return name
-
     def walk(node: ProcessTree, context: tuple[Formula, ...]) -> str:
-        """Emit axioms for one instance of *node*; returns its done var."""
+        """Emit axioms for one instance of *node*; returns its done var.
+        A node's choice and redo axioms go with its first instance."""
         nonlocal instances
         instances += 1
         if instances > max_instances:
@@ -111,11 +103,11 @@ def encode(
         index = node.node_id.index  # type: ignore[union-attr]
         ordinal = instance_counters.get(index, 0)
         instance_counters[index] = ordinal + 1
-        done = new_var(f"done_n{index}_{ordinal}")
+        done = f"done_n{index}_{ordinal}"
 
         if node.is_leaf:
             if node.is_activity:
-                occ = new_var(f"occ_{_slug(node.label)}_n{index}_{ordinal}")
+                occ = f"occ_{_slug(node.label)}_n{index}_{ordinal}"
                 occ_vars.setdefault(node.label, []).append(occ)
                 axioms.append(iff(var(occ), conj(*context)))
                 axioms.append(iff(var(done), var(occ)))
@@ -128,10 +120,7 @@ def encode(
 
         if node.op is Op.XOR:
             choices = [f"choice_n{index}_{pos}" for pos in range(len(node.children))]
-            if index not in nodes_with_static_axioms:
-                nodes_with_static_axioms.add(index)
-                for c in choices:
-                    new_var(c)
+            if ordinal == 0:
                 exactly_one = [disj(*(var(c) for c in choices))]
                 exactly_one += [
                     neg(conj(var(a), var(b)))
@@ -148,15 +137,12 @@ def encode(
 
         if node.op is Op.LOOP:
             redos = [f"redo_n{index}_{j}" for j in range(1, spec.loop_bound + 1)]
-            if index not in nodes_with_static_axioms:
-                nodes_with_static_axioms.add(index)
-                for r in redos:
-                    new_var(r)
+            if ordinal == 0:
                 for prev, nxt in zip(redos, redos[1:]):
                     axioms.append(implies(var(nxt), var(prev)))
             do, redo = node.children
             parts = [var(walk(do, context))]
-            for j, r in enumerate(redos, start=1):
+            for r in redos:
                 gated = context + (var(r),)
                 redo_done = walk(redo, gated)
                 do_done = walk(do, gated)
@@ -177,23 +163,13 @@ def encode(
     elif spec.prop is Property.LIV:
         conjecture = var(done_root)
     else:
-        if spec.safety_pair is None:
-            raise ValueError("safety encoding requires a safety_pair (A, B)")
         axioms.append(var(done_root))
-        a, b = spec.safety_pair
+        a, b = spec.safety_pair  # type: ignore[misc]
         occ_a = disj(*(var(v) for v in occ_vars.get(a, [])))
         occ_b = disj(*(var(v) for v in occ_vars.get(b, [])))
         conjecture = neg(conj(occ_a, occ_b))
 
-    return PropositionalSpec(
-        variables=tuple(variables),
-        axioms=tuple(axioms),
-        conjecture=conjecture,
-        done_root=done_root,
-        occ_vars=tuple(
-            (label, tuple(vs)) for label, vs in sorted(occ_vars.items())
-        ),
-    )
+    return PropositionalSpec(axioms=tuple(axioms), conjecture=conjecture)
 
 
 def emit_tptp(pspec: PropositionalSpec, name: str = "problem") -> str:

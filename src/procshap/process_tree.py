@@ -229,8 +229,17 @@ def tree_to_text(tree: ProcessTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The deepest node ``tree_from_text`` accepts, the root being at depth 0.
+# The recursive walks over a tree (``assign_node_ids``, ``substitute`` and
+# ``logic_encoder.encode`` take two frames per level) then stay inside
+# Python's default recursion limit of 1000, and trees mined at the default
+# ``max_depth`` of 64 are far shallower.
+MAX_TEXT_DEPTH = 256
+
+
 def tree_from_text(text: str) -> ProcessTree:
-    """Parse the ``tree_to_text`` format back into an id-assigned tree."""
+    """Parse the ``tree_to_text`` format back into an id-assigned tree;
+    a node deeper than ``MAX_TEXT_DEPTH`` raises ``ValueError``."""
 
     entries: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,6 +249,10 @@ def tree_from_text(text: str) -> ProcessTree:
         indent = len(raw) - len(stripped)
         if indent % 2:
             raise ValueError(f"line {lineno}: odd indentation")
+        if indent // 2 > MAX_TEXT_DEPTH:
+            raise ValueError(
+                f"line {lineno}: more than {MAX_TEXT_DEPTH} levels below the root"
+            )
         # An activity label is kept exactly as written, spaces included.
         head = stripped if stripped.startswith("act ") else stripped.rstrip()
         entries.append((indent // 2, head))

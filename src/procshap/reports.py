@@ -89,6 +89,8 @@ class RunConfig:
             )
         if self.permutations < 1:
             raise ValueError("permutations must be at least 1")
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be at least 1")
         if self.samples_per_player < 1:
             raise ValueError("samples_per_player must be at least 1")
         # Equal ids would write their configurations to the same files.

@@ -397,6 +397,8 @@ def mc_permutation_shapley(
         raise ValueError("a game needs at least one player")
     if permutations < 1:
         raise ValueError("need at least one permutation")
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be at least 1")
     blocks = max(1, permutations // n)
     rng = np.random.default_rng(seed)
     players = np.arange(n)

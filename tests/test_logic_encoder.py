@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import sys
@@ -26,6 +27,7 @@ from procshap.process_tree import (
     Coalition,
     activity,
     assign_node_ids,
+    canonical_mask,
     loop,
     node_count,
     seq,
@@ -61,7 +63,7 @@ def fake_prover_config(**kw) -> ProverConfig:
 def test_single_leaf_encoding_is_minimal():
     tree = assign_node_ids(activity("a"))
     pspec = encode(tree, SAT)
-    assert len(pspec.variables) == 2
+    assert collect_vars(pspec.axioms) == ["occ_a_n0_0", "done_n0_0"]
     assert spec_value(pspec) == 1
 
 
@@ -196,21 +198,6 @@ def test_liv_premises_are_always_satisfiable():
                     assert spec_value(sat) == 1
 
 
-def test_all_referenced_variables_declared():
-    rng = random.Random(41)
-    for _ in range(20):
-        tree = random_tree(rng, max_nodes=9)
-        n = node_count(tree)
-        cut = substitute(tree, rng.getrandbits(n))
-        for spec in (SAT, LIV, SAF):
-            pspec = encode(cut, spec)
-            referenced = set(
-                collect_vars(list(pspec.axioms))
-                + collect_vars([pspec.conjecture] if pspec.conjecture else [])
-            )
-            assert referenced <= set(pspec.variables)
-
-
 def test_encoding_deterministic():
     tree = assign_node_ids(
         seq(activity("a"), loop(xor(activity("b"), tau()), activity("c")))
@@ -227,12 +214,34 @@ def test_emit_tptp_golden():
     assert text == golden.read_text()
 
 
+def test_emit_tptp_bundled_forms_digest(running_example_tree):
+    # every problem of the bundled log's noise-0 tree: its 471 canonical
+    # forms x sat/liv/saf x tau mode x loop bounds 0-2, hashed in order
+    tree = running_example_tree
+    n = node_count(tree)
+    forms = sorted({canonical_mask(tree, mask) for mask in range(1 << n)})
+    assert len(forms) == 471
+    pair = ("pay compensation", "reject request")
+    digest = hashlib.sha256()
+    for form in forms:
+        cut = substitute(tree, form)
+        for prop, mode, bound in itertools.product(Property, TauMode, (0, 1, 2)):
+            spec = PropertySpec(
+                prop,
+                mode=mode,
+                loop_bound=bound,
+                safety_pair=pair if prop is Property.SAF else None,
+            )
+            digest.update(emit_tptp(encode(cut, spec), spec.prop.value).encode())
+            digest.update(b"\0")
+    golden = Path(__file__).parent / "golden" / "bundled_forms_tptp.sha256"
+    assert digest.hexdigest() == golden.read_text().strip()
+
+
 def test_emit_tptp_empty_problem():
     from procshap.logic_encoder import PropositionalSpec
 
-    empty = PropositionalSpec(
-        variables=(), axioms=(), conjecture=None, done_root="", occ_vars=()
-    )
+    empty = PropositionalSpec(axioms=(), conjecture=None)
     text = emit_tptp(empty, "empty")
     assert text.startswith("%")
     assert "fof(" not in text

@@ -16,7 +16,7 @@ from procshap.cli import _apply_config_file, build_parser, main
 from procshap.event_log import EventLog
 from procshap.logic_encoder import ProverConfig
 from procshap.oracle import Property, PropertySpec
-from procshap.process_tree import node_count
+from procshap.process_tree import MAX_TEXT_DEPTH, node_count
 from procshap.reports import (
     AttributionReport,
     RunConfig,
@@ -55,6 +55,10 @@ def test_run_config_validation(running_example_file):
         RunConfig(log_path=str(running_example_file), method="mc")
     with pytest.raises(ValueError, match="noise"):
         RunConfig(log_path=str(running_example_file), method="exact", noise_levels=())
+    for every in (0, -5):
+        with pytest.raises(ValueError, match="checkpoint_every must be at least 1"):
+            RunConfig(log_path=str(running_example_file), method="mc", seed=1,
+                      checkpoint_every=every)
     # the backend is read from the prover config, never given apart from it
     with pytest.raises(TypeError, match="backend"):
         RunConfig(log_path=str(running_example_file), method="exact", backend="prover")
@@ -526,6 +530,43 @@ def test_cli_verify_rejects_an_oversized_unrolling(tmp_path, capsys):
     assert captured.out == ""
 
 
+def nested_seq_text(depth: int) -> str:
+    """A chain of seq nodes whose one activity leaf is *depth* levels below
+    the root and has preorder index *depth*."""
+    return "".join("  " * d + "seq\n" for d in range(depth)) + "  " * depth + "act a\n"
+
+
+def test_cli_verify_at_the_depth_bound(tmp_path, capsys):
+    from test_logic_encoder import FAKE_PROVER
+
+    wrapper = tmp_path / "prover"
+    wrapper.write_text(f'#!/bin/sh\nexec "{sys.executable}" "{FAKE_PROVER}" "$@"\n')
+    wrapper.chmod(0o755)
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text(nested_seq_text(MAX_TEXT_DEPTH))
+    leaf = str(MAX_TEXT_DEPTH)
+    for backend in (["--backend", "oracle"],
+                    ["--backend", "prover", "--prover-path", str(wrapper),
+                     "--timeout-ms", "30000"]):
+        for exclude, value in ([], 1), (["--exclude", leaf], 0):
+            rc = main(["verify", "--tree", str(tree_file), "--property", "sat,liv",
+                       *backend, *exclude])
+            captured = capsys.readouterr()
+            assert rc == 0 and captured.err == ""
+            assert f"sat: {value}\nliv: {value}\n" in captured.out
+
+
+def test_cli_verify_rejects_text_past_the_depth_bound(tmp_path, capsys):
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text(nested_seq_text(MAX_TEXT_DEPTH + 1))
+    rc = main(["verify", "--tree", str(tree_file), "--property", "sat"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: line {MAX_TEXT_DEPTH + 2}: more than "
+                            f"{MAX_TEXT_DEPTH} levels below the root\n")
+    assert captured.out == ""
+
+
 def test_cli_verify_coalition_and_exclude_are_exclusive(
     tmp_path, running_example_file, capsys
 ):
@@ -848,6 +889,29 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert f"error: {config_file}:2: unknown config key 'permutation'" in err
+
+
+def test_cli_config_takes_every_long_flag(tmp_path, running_example_file, capsys):
+    # keys are the subcommands' long flags, including those only mine has
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("max-depth = 1\n")
+    assert main(["mine", "--log", str(running_example_file), "--max-depth", "1"]) == 0
+    flagged = capsys.readouterr()
+    assert main(["mine", "--log", str(running_example_file),
+                 "--config", str(config_file)]) == 0
+    assert capsys.readouterr() == flagged
+    assert main(["mine", "--log", str(running_example_file)]) == 0
+    assert capsys.readouterr().out != flagged.out
+
+
+@pytest.mark.parametrize("key", ["config", "help"])
+def test_cli_config_rejects_non_subcommand_flags(tmp_path, capsys, key):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text(f"{key} = x\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["mine", "--log", "x.xes", "--config", str(config_file)])
+    assert excinfo.value.code == 2
+    assert f"error: {config_file}:1: unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_config_rejects_line_without_equals(tmp_path, capsys):

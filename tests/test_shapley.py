@@ -150,6 +150,19 @@ def test_mc_single_player_exact_after_one_permutation():
     assert est.samples[0] == 1
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(n=0), "a game needs at least one player"),
+    (dict(permutations=0), "need at least one permutation"),
+    (dict(checkpoint_every=0), "checkpoint_every must be at least 1"),
+    (dict(checkpoint_every=-5), "checkpoint_every must be at least 1"),
+])
+def test_mc_rejects_bad_arguments(kw, message):
+    game = or_game(2)
+    args = dict(n=2, permutations=10, seed=1) | kw
+    with pytest.raises(ValueError, match=message):
+        mc_permutation_shapley(args.pop("n"), verdicts_of(game), **args)
+
+
 def test_mc_two_player_or_bound():
     game = or_game(2)
     est, _ = mc_permutation_shapley(2, verdicts_of(game), permutations=2000, seed=11)
