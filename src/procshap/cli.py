@@ -166,17 +166,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Take ``--config FILE`` (or ``--config=FILE``) out of *argv*, before
-    or after the subcommand, and append the file's value for every flag
-    the subcommand defines and the command line does not give, whether
-    written ``--key value`` or ``--key=value``.  A key is the name of
-    any subcommand's long flag without its dashes; other keys are an
-    error, and known keys that the subcommand lacks are skipped, so one
-    file can serve several subcommands."""
+    """Take ``--config FILE`` (or ``--config=FILE``, given once) out of
+    *argv*, before or after the subcommand, and append the file's value
+    for every flag the subcommand defines and the command line does not
+    give, whether written ``--key value`` or ``--key=value``.  A key is
+    the name of any subcommand's long flag without its dashes; other keys
+    are an error, and known keys that the subcommand lacks are skipped,
+    so one file can serve several subcommands."""
 
     given = [arg.split("=", 1)[0] for arg in argv]
     if "--config" not in given:
         return argv
+    if given.count("--config") > 1:
+        parser.error("argument --config: given more than once")
     index = given.index("--config")
     if argv[index] != "--config":
         path = argv[index].split("=", 1)[1]

@@ -28,11 +28,10 @@ memo from problem text to SZS status, which a caller may share across
 batches (``run_matrix`` shares one across its configurations, so liv's
 sat gate reuses the sat configuration's statuses), and one pool of
 threads for the calls the memo lacks (each call waits on a subprocess),
-the package's only parallelism.  ``oracle.evaluate_rows`` hands it saf
-forms as one batch and sat and liv forms in rounds, one batch per round,
-from the maximal forms down: both properties grow with the coalition, so
-a verdict of 0 settles every smaller form and a verdict of 1 every larger
-one, and the forms it settles are never handed over.
+the package's only parallelism.  ``oracle.evaluate_rows`` hands it forms
+in rounds, one batch per round, from the maximal forms down: sat and liv
+grow with the coalition and saf falls, so a real verdict settles smaller
+or larger forms, which are never handed over.
 """
 
 from __future__ import annotations

@@ -25,10 +25,9 @@ Passing a ``logic_encoder.ProverConfig`` selects the prover; without one
 the oracle folds every row of the batch in one numpy step per node
 (``_fold``), through a node program compiled once per configuration's
 tree and spec (``ValueCache.program``), and stores no verdict.  The
-prover decides the substituted trees' encodings, one per
-distinct canonical form; sat and liv grow with the coalition, so it asks
-for them in rounds from the largest forms down and infers the verdicts
-that a real verdict on a larger or smaller form settles.  A
+prover decides one encoding per distinct canonical form, in rounds from
+the largest forms down: sat and liv rise with the coalition and saf
+falls, so a real verdict settles larger or smaller forms.  A
 configuration's ``ValueCache`` counts every row asked in
 ``total_queries`` and every distinct row (canonical form, on the prover)
 once per (backend, spec) in ``distinct_queries``.  Rows are only how a
@@ -406,17 +405,16 @@ def evaluate_rows(
     keys *cache*'s table of the (backend, spec) by canonical mask, since
     coalitions with one canonical form substitute to one tree, and
     decides the distinct canonical forms the table lacks through
-    ``logic_encoder.values_via_prover`` (``_prove``): saf as one batch,
-    sat and liv, which are monotone, in rounds from the maximal forms
-    down, inferring a form's verdict from a real verdict on a larger or
-    smaller form instead of asking for it.  The prover calls go through
-    *prover_memo*, a map from problem text to SZS status that callers
-    may share across configurations, so a problem already decided, such
-    as the sat problem behind liv's gate, costs no call.  Once the last
-    round is done, the forms' warnings are recorded in the cache on the
-    calling thread, in row order, so the cache's contents and warnings
-    do not depend on which prover call finished first; a form whose
-    verdict was inferred raises none."""
+    ``logic_encoder.values_via_prover`` in rounds from the maximal forms
+    down (``_prove``), inferring a form's verdict from a real verdict on
+    a larger or smaller form instead of asking for it.  The calls go
+    through *prover_memo*, a map from problem text to SZS status that
+    callers may share across configurations, so a problem already
+    decided, such as the sat problem behind liv's gate, costs no call.
+    Once the last round is done, the forms' warnings are recorded in the
+    cache on the calling thread, in row order, so the cache's contents
+    and warnings do not depend on which prover call finished first; a
+    form whose verdict was inferred raises none."""
 
     if cache is None:
         cache = ValueCache()
@@ -446,18 +444,27 @@ def _prove(
     memo: dict | None,
 ) -> dict[int, tuple[int, list[str]]]:
     """Each canonical mask of *batch* with its value and the warnings the
-    prover raised for it.
+    prover raised for it, decided in rounds.
 
-    saf goes to ``logic_encoder.values_via_prover`` as one batch.  sat
-    and liv are monotone in the coalition, so they go in rounds, one
-    batch each: the forms no undecided form strictly contains, plus the
-    empty form in the first round.  A verdict of 0 decides every
-    undecided sub-form as 0 and a verdict of 1 every undecided super-form
-    as 1; a form whose result carries warnings (no verdict) decides only
-    itself.  A form counts as maximal when none of its one-node frontier
-    extensions is undecided, which may ask a form that a larger
-    undecided one contains, never skip one.  Within a round the forms
-    keep the order of *batch*."""
+    sat and liv are monotone: adding a node never turns them from 1 to
+    0.  saf is antitone: never from 0 to 1.  Order saf's states (sets of
+    profiles, ``_rules``) by X <= Y when each profile of X lies inside
+    one of Y.  A removed node's state, {} blocked and {{}} skipped (no
+    skip-mode state is empty), lies below any present subtree's; Xor's
+    union, Seq and And's pairwise union and Loop's ``a | both`` preserve
+    <=; the winning states are closed downward.  So a node added under
+    present ancestors moves the root's state up, and saf can only fall.
+
+    Each round hands ``logic_encoder.values_via_prover`` one batch: the
+    forms no undecided form strictly contains, plus the empty form in
+    the first round.  A verdict that rises with the coalition (sat's or
+    liv's 1, saf's 0: saf is compared as 1 - v) decides every undecided
+    super-form and any other verdict every undecided sub-form, each as
+    that verdict; a form whose result carries warnings (no verdict)
+    decides only itself.  A form counts as maximal when none of its
+    one-node frontier extensions is undecided, which may ask a form that
+    a larger undecided one contains, never skip one.  Within a round the
+    forms keep the order of *batch*."""
 
     from .logic_encoder import values_via_prover
 
@@ -465,17 +472,14 @@ def _prove(
         trees_c = [substitute(tree, mask) for mask in masks]
         return zip(masks, values_via_prover(trees_c, spec, config, memo), strict=True)
 
-    if spec.prop is Property.SAF:
-        return dict(ask(batch))
+    rises = spec.prop in (Property.SAT, Property.LIV)
     children = {
         node.node_id.index: [child.node_id.index for child in node.children]
         for node in iter_nodes(tree)
     }
 
     def extensions(mask: int) -> list[int]:
-        """The rooted subtrees one frontier node larger than *mask*."""
-        if not mask:
-            return [1 << tree.node_id.index]
+        """The rooted subtrees one frontier node larger than a non-empty *mask*."""
         return [
             mask | 1 << child
             for index, below in children.items() if mask >> index & 1
@@ -485,13 +489,8 @@ def _prove(
     above = {mask: extensions(mask) for mask in batch}
     results: dict[int, tuple[int, list[str]]] = {}
     pending = dict.fromkeys(batch)  # the undecided forms, in batch order
-    first = True
     while pending:
-        asked = [
-            mask for mask in pending
-            if (first and not mask) or not any(e in pending for e in above[mask])
-        ]
-        first = False
+        asked = [mask for mask in pending if not any(e in pending for e in above[mask])]
         for mask, result in ask(asked):
             results[mask] = result
             del pending[mask]
@@ -501,7 +500,7 @@ def _prove(
                 continue
             for other in [
                 other for other in pending
-                if (mask & ~other if value else other & ~mask) == 0
+                if (mask & ~other if value == rises else other & ~mask) == 0
             ]:
                 results[other] = (value, [])
                 del pending[other]

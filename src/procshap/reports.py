@@ -259,9 +259,9 @@ def run_single(
     (RS), plus v(empty) first for MC, and for sat and liv, which are
     monotone, the permutation sampler ties the veto players after two
     more batches; rows change how a batch is represented, not what it
-    holds.  For sat and liv the prover decides a batch in rounds
-    from the maximal forms down, so it is handed only the forms no real
-    verdict on a larger or smaller form settles.  Prover calls go
+    holds.  The prover decides a batch in rounds from the maximal forms
+    down, so it is handed only the forms no real verdict on a larger or
+    smaller form settles.  Prover calls go
     through *prover_memo* (problem text to SZS status), which
     ``run_matrix`` shares across its configurations."""
 

@@ -19,6 +19,7 @@ from procshap.miner import MinerConfig, discover
 from procshap.oracle import (
     Property,
     PropertySpec,
+    TauMode,
     ValueCache,
     evaluate,
     evaluate_rows,
@@ -215,12 +216,29 @@ def test_criterion_monotonicity_and_signs():
             sign_violations += 1
         if any(phi > 0 for phi in saf_phi.values()):
             sign_violations += 1
+    # saf is antitone in both modes at every loop bound, which the prover's
+    # rounds rely on (oracle._prove)
+    games = 0
+    for tree, mode, bound in itertools.product(
+        corpus(300, max_nodes=10, seed=0), TauMode, (0, 1, 2)
+    ):
+        spec = PropertySpec(Property.SAF, safety_pair=("a", "b"), mode=mode,
+                            loop_bound=bound)
+        n = node_count(tree)
+        saf_of = verdicts_of_masks(tree, list(range(1 << n)), spec)
+        saf_violations += sum(
+            saf_of[mask] < saf_of[mask | 1 << i]
+            for mask in range(1 << n) for i in range(n)
+        )
+        games += 1
     ok = sat_violations == saf_violations == sign_violations == 0
     assert outcome(
-        "blocked-monotonicity",
+        "monotonicity",
         ok,
-        f"exhaustive over {len(CORPUS)} trees: sat non-decreasing, "
-        f"saf non-increasing, exact phi_sat >= 0 and phi_saf <= 0 "
+        f"exhaustive over {len(CORPUS)} trees in blocked mode: sat "
+        f"non-decreasing, exact phi_sat >= 0 and phi_saf <= 0; saf "
+        f"non-increasing there and in {games} games over 300 more trees, "
+        f"blocked and skip, loop bounds 0-2 "
         f"({sat_violations}/{saf_violations}/{sign_violations} violations)",
     )
 

@@ -167,23 +167,10 @@ def test_run_single_oracle_equals_per_query(
         assert any(stopped) if epsilon else not any(stopped)
 
 
-# Answers like fake_prover.py, except that a third of the problems, by
-# their bytes, get no verdict: values differ by form and warnings occur.
-PATCHY = f"""import hashlib, runpy, sys
-if hashlib.sha1(open(sys.argv[1], 'rb').read()).digest()[0] % 3 == 0:
-    print('no verdict')
-else:
-    sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]
-    runpy.run_path({FAKE_PROVER!r}, run_name='__main__')
-"""
-
-# Answers like fake_prover.py where the answer is Satisfiable or Theorem,
-# and gives no verdict where it is Unsatisfiable or CounterSatisfiable.
-# The prover's rounds for sat and liv then settle only forms whose answer
-# is 1 without a call, so every form that warns is asked for whatever the
-# batches, and a batched run can equal a per-query one.  (From PATCHY's
-# real verdicts of 0 the rounds settle forms that warn when asked alone.)
-NEGATIVES_SILENT = f"""import contextlib, io, runpy, sys
+def silent_on(*statuses: str) -> str:
+    """A prover script that answers like fake_prover.py, except that it
+    gives no verdict where the answer is one of *statuses*."""
+    return f"""import contextlib, io, runpy, sys
 sys.argv = [{FAKE_PROVER!r}, *sys.argv[1:]]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -192,17 +179,25 @@ with contextlib.redirect_stdout(out):
     except SystemExit:
         pass
 text = out.getvalue()
-print('no verdict' if 'Unsatisfiable' in text or 'CounterSatisfiable' in text else text)
+print('no verdict' if any(s in text for s in {statuses!r}) else text)
 """
 
 
+# sat and liv give no verdict where the answer is 0 (Unsatisfiable or
+# CounterSatisfiable), saf where it is 1 (Theorem).  The rounds then
+# infer only from a real verdict that never turns back (sat's or liv's
+# 1, saf's 0), and they settle only forms that share it.  So every form
+# that warns is asked whatever the batches, and a batched run can equal
+# a per-query one.  (From a real verdict of the other kind the rounds
+# settle forms that warn when asked alone.)
 @pytest.mark.parametrize("method", ["mc", "rs"])
 def test_run_single_prover_equals_per_query(tmp_path, monkeypatch, method):
     tree = assign_node_ids(seq(activity("a"), xor(activity("b"), activity("c"))))
     for name, body, specs in [
-        ("patchy.py", PATCHY, (PropertySpec(Property.SAF, safety_pair=("a", "b")),)),
-        ("silent.py", NEGATIVES_SILENT,
+        ("negatives_silent.py", silent_on("Unsatisfiable", "CounterSatisfiable"),
          (PropertySpec(Property.SAT), PropertySpec(Property.LIV))),
+        ("theorems_silent.py", silent_on("Theorem"),
+         (PropertySpec(Property.SAF, safety_pair=("a", "b")),)),
     ]:
         path = tmp_path / name
         path.write_text(body)

@@ -439,9 +439,11 @@ def test_prover_error_on_sat_fails_both_configurations_alike(tmp_path, tiny_log_
 
 
 def test_an_error_stops_a_batch_at_the_first_failing_call(monkeypatch):
-    # saf asks all 257 canonical forms in one batch; every call fails
+    # one batch of all 257 canonical forms; every call fails
     tree = assign_node_ids(seq(*(activity(f"a{i}") for i in range(8))))
     spec = PropertySpec(Property.SAF, safety_pair=("a0", "a1"))
+    forms = sorted({canonical_mask(tree, mask) for mask in range(1 << node_count(tree))})
+    assert len(forms) == canonical_form_count(tree) == 257
     calls = []
     run_prover = logic_encoder.run_prover
 
@@ -454,11 +456,10 @@ def test_an_error_stops_a_batch_at_the_first_failing_call(monkeypatch):
     missing = ProverConfig(executable=str(Path(__file__).parent / "no_such_prover"))
     before = threading.active_count()
     with pytest.raises(logic_encoder.ProverNotFoundError, match="no_such_prover"):
-        run_single(exact_config(missing), tree, 0.0, spec, None)
+        values_via_prover([substitute(tree, mask) for mask in forms], spec, missing)
     assert threading.active_count() == before  # no pool thread outlives it
     # the two first calls, and the few more the workers took up before
     # the rest were cancelled
-    assert canonical_form_count(tree) == 257
     assert 1 <= len(calls) <= 16
 
 

@@ -923,6 +923,28 @@ def test_cli_config_rejects_line_without_equals(tmp_path, capsys):
     assert f"error: {config_file}:2: expected 'key = value'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("equals", ["first", "second"])
+@pytest.mark.parametrize("places", [(0, 0), (1, 1), (0, 1)], ids=["before", "after", "around"])
+def test_cli_config_rejects_a_second_config(tmp_path, running_example_file, capsys,
+                                            equals, places):
+    first, second = tmp_path / "a.conf", tmp_path / "b.conf"
+    first.write_text("noise = 0.25\n")
+    second.write_text("noise = 0.5\n")
+    flags = [
+        [f"--config={path}"] if equals == which else ["--config", str(path)]
+        for which, path in [("first", first), ("second", second)]
+    ]
+    parts: list[list[str]] = [[], ["mine", "--log", str(running_example_file)], []]
+    for flag, place in zip(flags, places):
+        parts[2 * place] += flag
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg for part in parts for arg in part])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --config: given more than once" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv", [["matrix", "--config"], ["--config", "missing.conf", "matrix"]]
 )
