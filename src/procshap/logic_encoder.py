@@ -31,7 +31,8 @@ threads for the calls the memo lacks (each call waits on a subprocess),
 the package's only parallelism.  ``oracle.evaluate_rows`` hands it forms
 in rounds, one batch per round, from the maximal forms down: sat and liv
 grow with the coalition and saf falls, so a real verdict settles smaller
-or larger forms, which are never handed over.
+or larger forms, which are never handed over, in its batch and in the
+configuration's later batches.
 """
 
 from __future__ import annotations
@@ -292,15 +293,16 @@ def _decide(
     """Put the status of every *prop* problem in *problems* into *memo*,
     calling the prover once for each distinct problem the memo lacks.
 
-    The calls overlap on one pool of min(calls, cpu count) threads, shut
-    down before this returns; with one worker they run on the calling
-    thread.  The memo is written on the calling thread, in the order of
-    *problems*.  An error, such as ``ProverNotFoundError``, propagates
-    once the running calls finish: the calls not yet started are
-    cancelled, and the memo keeps the statuses decided before the
-    failing problem."""
+    The calls, one or many, run on one pool of min(calls, cpu count)
+    threads, shut down before this returns.  The memo is written on the
+    calling thread, in the order of *problems*.  An error, such as
+    ``ProverNotFoundError``, propagates once the running calls finish:
+    the calls not yet started are cancelled, and the memo keeps the
+    statuses decided before the failing problem."""
 
     missing = [p for p in dict.fromkeys(problems) if p not in memo]
+    if not missing:
+        return
 
     def call(problem: str) -> SZSStatus:
         if config.dump_dir is not None:
@@ -312,12 +314,7 @@ def _decide(
                     fh.write(problem)
         return run_prover(problem, config)
 
-    workers = min(len(missing), os.cpu_count() or 1)
-    if workers <= 1:
-        for problem in missing:
-            memo[problem] = call(problem)
-        return
-    pool = futures.ThreadPoolExecutor(max_workers=workers)
+    pool = futures.ThreadPoolExecutor(max_workers=min(len(missing), os.cpu_count() or 1))
     try:
         for problem, status in zip(missing, pool.map(call, missing)):
             memo[problem] = status

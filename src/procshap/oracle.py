@@ -27,7 +27,8 @@ the oracle folds every row of the batch in one numpy step per node
 tree and spec (``ValueCache.program``), and stores no verdict.  The
 prover decides one encoding per distinct canonical form, in rounds from
 the largest forms down: sat and liv rise with the coalition and saf
-falls, so a real verdict settles larger or smaller forms.  A
+falls, so a real verdict settles larger or smaller forms, in its own
+batch and in every later batch of the configuration.  A
 configuration's ``ValueCache`` counts every row asked in
 ``total_queries`` and every distinct row (canonical form, on the prover)
 once per (backend, spec) in ``distinct_queries``.  Rows are only how a
@@ -315,13 +316,17 @@ class ValueCache:
     The oracle stores no verdict: it keeps the node program it compiled
     for the tree and spec (``program``) and, per (backend, spec) suffix,
     the rows it was asked, packed into uint64 words.  The prover keeps a
-    canonical mask -> verdict dict per suffix (``table``).  ``total_queries``
-    counts the rows asked; ``distinct_queries``, which is ``len``, counts
-    the distinct rows per suffix plus the tables' entries.  Warnings
-    collect what the computations reported, in order."""
+    canonical mask -> verdict dict per suffix (``table``) and, beside
+    it, the plain list of the verdicts it decided with no warning
+    (``verdicts``), from which later batches settle forms.
+    ``total_queries`` counts the rows asked; ``distinct_queries``, which
+    is ``len``, counts the distinct rows per suffix plus the tables'
+    entries.  Warnings collect what the computations reported, in
+    order."""
 
     def __init__(self) -> None:
         self._tables: dict[tuple, dict[Hashable, int]] = {}
+        self._verdicts: dict[tuple, list[tuple[int, int]]] = {}
         self._words: dict[tuple, list[np.ndarray]] = {}
         self._programs: dict[PropertySpec, tuple[ProcessTree, tuple]] = {}
         self.total_queries = 0
@@ -330,6 +335,11 @@ class ValueCache:
     def table(self, suffix: tuple) -> dict[Hashable, int]:
         """The mask -> verdict table of *suffix*, ``(backend,) + spec.cache_key()``."""
         return self._tables.setdefault(suffix, {})
+
+    def verdicts(self, suffix: tuple) -> list[tuple[int, int]]:
+        """The prover's real verdicts under *suffix*: the ``(canonical
+        mask, value)`` pairs it decided with no warning, in order."""
+        return self._verdicts.setdefault(suffix, [])
 
     def program(self, tree: ProcessTree, spec: PropertySpec) -> tuple:
         """The oracle's node program for *tree* under *spec*, compiled
@@ -352,9 +362,6 @@ class ValueCache:
         if key not in table:
             table[key] = compute()
         return table[key]
-
-    def add_warning(self, message: str) -> None:
-        self.warnings.append(message)
 
     @property
     def distinct_queries(self) -> int:
@@ -407,10 +414,14 @@ def evaluate_rows(
     decides the distinct canonical forms the table lacks through
     ``logic_encoder.values_via_prover`` in rounds from the maximal forms
     down (``_prove``), inferring a form's verdict from a real verdict on
-    a larger or smaller form instead of asking for it.  The calls go
-    through *prover_memo*, a map from problem text to SZS status that
-    callers may share across configurations, so a problem already
-    decided, such as the sat problem behind liv's gate, costs no call.
+    a larger or smaller form instead of asking for it.  The real
+    verdicts of earlier batches under the same suffix
+    (``ValueCache.verdicts``) settle forms as this batch's own do, so a
+    form is handed over only when no real verdict the configuration
+    holds settles it.  The calls go through *prover_memo*, a map from
+    problem text to SZS status that callers may share across
+    configurations, so a problem already decided, such as the sat
+    problem behind liv's gate, costs no call.
     Once the last round is done, the forms' warnings are recorded in the
     cache on the calling thread, in row order, so the cache's contents
     and warnings do not depend on which prover call finished first; a
@@ -425,10 +436,12 @@ def evaluate_rows(
         return _fold(program, rows)
     rows = _checked(rows, _span(tree))
     masks = [canonical_mask(tree, mask) for mask in row_masks(rows)]
-    table = cache.table(("prover",) + spec.cache_key())
+    suffix = ("prover",) + spec.cache_key()
+    table = cache.table(suffix)
     batch = [mask for mask in dict.fromkeys(masks) if mask not in table]
     if batch:
-        results = _prove(tree, batch, spec, prover_config, prover_memo)
+        verdicts = cache.verdicts(suffix)
+        results = _prove(tree, batch, spec, prover_config, prover_memo, verdicts)
         for mask in batch:
             table[mask], warnings = results[mask]
             cache.warnings.extend(warnings)
@@ -442,6 +455,7 @@ def _prove(
     spec: PropertySpec,
     config,
     memo: dict | None,
+    verdicts: list[tuple[int, int]],
 ) -> dict[int, tuple[int, list[str]]]:
     """Each canonical mask of *batch* with its value and the warnings the
     prover raised for it, decided in rounds.
@@ -455,16 +469,21 @@ def _prove(
     <=; the winning states are closed downward.  So a node added under
     present ancestors moves the root's state up, and saf can only fall.
 
-    Each round hands ``logic_encoder.values_via_prover`` one batch: the
-    forms no undecided form strictly contains, plus the empty form in
-    the first round.  A verdict that rises with the coalition (sat's or
-    liv's 1, saf's 0: saf is compared as 1 - v) decides every undecided
-    super-form and any other verdict every undecided sub-form, each as
-    that verdict; a form whose result carries warnings (no verdict)
-    decides only itself.  A form counts as maximal when none of its
-    one-node frontier extensions is undecided, which may ask a form that
-    a larger undecided one contains, never skip one.  Within a round the
-    forms keep the order of *batch*."""
+    One settle step decides the undecided forms from real verdicts: a
+    verdict that rises with the coalition (sat's or liv's 1, saf's 0:
+    saf is compared as 1 - v) decides every undecided super-form and
+    any other verdict every undecided sub-form, each as that verdict.
+    It runs first on *verdicts*, the configuration's real verdicts from
+    earlier batches (``ValueCache.verdicts``), and then after each round
+    on that round's new ones, which then join *verdicts*.  A form
+    whose result carries warnings (no verdict) decides only itself and
+    never enters *verdicts*.  Each round hands
+    ``logic_encoder.values_via_prover`` one batch: the forms no undecided
+    form strictly contains, plus the empty form in the first round.  A
+    form counts as maximal when none of its one-node frontier extensions
+    is undecided, which may ask a form that a larger undecided one
+    contains, never skip one.  Within a round the forms keep the order
+    of *batch*."""
 
     from .logic_encoder import values_via_prover
 
@@ -486,22 +505,26 @@ def _prove(
             for child in below if not mask >> child & 1
         ]
 
-    above = {mask: extensions(mask) for mask in batch}
     results: dict[int, tuple[int, list[str]]] = {}
     pending = dict.fromkeys(batch)  # the undecided forms, in batch order
-    while pending:
-        asked = [mask for mask in pending if not any(e in pending for e in above[mask])]
-        for mask, result in ask(asked):
-            results[mask] = result
-            del pending[mask]
-        for mask in asked:
-            value, warnings = results[mask]
-            if warnings:
-                continue
+
+    def settle(decided: list[tuple[int, int]]) -> None:
+        for mask, value in decided:
             for other in [
                 other for other in pending
                 if (mask & ~other if value == rises else other & ~mask) == 0
             ]:
                 results[other] = (value, [])
                 del pending[other]
+
+    settle(verdicts)
+    above = {mask: extensions(mask) for mask in pending}
+    while pending:
+        asked = [mask for mask in pending if not any(e in pending for e in above[mask])]
+        for mask, result in ask(asked):
+            results[mask] = result
+            del pending[mask]
+        new = [(mask, results[mask][0]) for mask in asked if not results[mask][1]]
+        settle(new)
+        verdicts += new
     return results

@@ -229,7 +229,7 @@ def warn_if_degenerate(spec: PropertySpec, cache: ValueCache) -> None:
     """Record the warning for sat and liv in skip mode: every coalition wins."""
 
     if spec.mode is TauMode.SKIP and spec.prop in (Property.SAT, Property.LIV):
-        cache.add_warning(
+        cache.warnings.append(
             f"{spec.prop.value} is degenerate in skip mode: every coalition "
             f"evaluates to 1"
         )
@@ -261,9 +261,10 @@ def run_single(
     more batches; rows change how a batch is represented, not what it
     holds.  The prover decides a batch in rounds from the maximal forms
     down, so it is handed only the forms no real verdict on a larger or
-    smaller form settles.  Prover calls go
-    through *prover_memo* (problem text to SZS status), which
-    ``run_matrix`` shares across its configurations."""
+    smaller form settles, whether that verdict came in the same batch
+    or an earlier one of this configuration.  Prover calls go through
+    *prover_memo* (problem text to SZS status), which ``run_matrix``
+    shares across its configurations."""
 
     nodes = list(iter_nodes(tree))
     n = len(nodes)

@@ -3,8 +3,11 @@ from the maximal forms down, sat and liv (monotone) and saf (antitone,
 compared as 1 - v) batches give the oracle's verdict on every mask,
 ``rooted_shapley`` values ``Fraction``-equal to ``tree_shapley``'s, no
 form handed to the prover twice and no more forms than the batch has; a
-form the prover gives no verdict on settles no other form.  The prover
-is ``StandIn``, an in-process replacement for
+form the prover gives no verdict on settles no other form.  Consecutive
+batches over one cache settle forms from the real verdicts of earlier
+batches as from their own: no form a real verdict already settles is
+handed over, and no warned result settles a form in a later batch.  The
+prover is ``StandIn``, an in-process replacement for
 ``logic_encoder.values_via_prover`` that answers from the reference fold."""
 
 from __future__ import annotations
@@ -58,11 +61,21 @@ def rises(spec: PropertySpec) -> int:
     return int(spec.prop is not Property.SAF)
 
 
+def settles(spec: PropertySpec, mask: int, verdict: int, form: int) -> bool:
+    """Whether a real *verdict* on *mask* settles *form*: one that rises
+    settles the super-forms of *mask*, any other its sub-forms."""
+    return (mask & ~form if verdict == rises(spec) else form & ~mask) == 0
+
+
 def present_mask(tree_c) -> int:
     """The coalition a substituted tree keeps: its nodes but the removed taus."""
     return sum(
         1 << node.node_id.index for node in iter_nodes(tree_c) if not node.removed
     )
+
+
+def never(mask: int) -> bool:
+    return False
 
 
 def silent_third(mask: int) -> bool:
@@ -76,7 +89,7 @@ class StandIn:
     the forms *silent* picks.  ``rounds`` holds the forms of every batch
     it was handed, in order."""
 
-    def __init__(self, tree, silent=lambda mask: False) -> None:
+    def __init__(self, tree, silent=never) -> None:
         self.tree = tree
         self.silent = silent
         self.rounds: list[list[int]] = []
@@ -95,15 +108,27 @@ class StandIn:
         return [mask for masks in self.rounds for mask in masks]
 
 
-def prove(tree, masks, spec, silent=lambda mask: False):
-    """``evaluate_rows`` on the prover backend, asked with int masks, over a ``StandIn``: the
-    values, the cache and the stand-in."""
+def prove_in_batches(tree, batches, spec, silent=never):
+    """``evaluate_rows`` on the prover backend, asked with the int masks of
+    each of *batches* in turn over one cache and one ``StandIn``: the
+    values of every batch in order, the cache, the stand-in and, per
+    batch, the index in ``rounds`` of its first round."""
     prover = StandIn(tree, silent)
     cache = ValueCache()
+    values: list[int] = []
+    starts: list[int] = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logic_encoder, "values_via_prover", prover)
-        values = verdicts_of_masks(tree, masks, spec, cache, UNUSED)
-    return values, cache, prover
+        for masks in batches:
+            starts.append(len(prover.rounds))
+            values += verdicts_of_masks(tree, masks, spec, cache, UNUSED)
+    return values, cache, prover, starts
+
+
+def prove(tree, masks, spec, silent=never):
+    """``prove_in_batches`` with one batch: the values, the cache and the
+    stand-in."""
+    return prove_in_batches(tree, [masks], spec, silent)[:3]
 
 
 def forms_of(tree, masks) -> list[int]:
@@ -205,8 +230,7 @@ def test_no_verdict_settles_nothing():
                     else:  # settled by a real verdict on a smaller form that
                         # rises (sat/liv 1, saf 0) or a larger one that does not
                         assert any(
-                            (other & ~form if verdict == rises(spec) else form & ~other)
-                            == 0
+                            settles(spec, other, verdict, form)
                             for other, verdict in real.items()
                             if verdict == value[form]
                         ), (tree, spec, form)
@@ -217,3 +241,65 @@ def test_no_verdict_settles_nothing():
                 assert cache.warnings == [f"no verdict on {form:#x}" for form in silent]
                 silent_asked += len(silent)
     assert silent_asked and all(inferred.values()), inferred  # every case occurs
+
+
+def test_earlier_batches_settle_later_ones():
+    """A tree's masks split into random consecutive sub-batches over one
+    cache and one stand-in, as the samplers' rotation blocks are: the
+    oracle's verdicts, no form handed over twice, none handed over that
+    a real verdict of an earlier round, of its batch or an earlier one,
+    settles, and each round in its batch's order.  Under a silent
+    stand-in, each form a batch neither held before nor handed over is
+    settled by a real verdict of that batch or an earlier one, so no
+    warned result settles a form in a later batch."""
+    rng = random.Random(27)
+    across = dict.fromkeys(itertools.product(Property, (0, 1)), 0)
+    for tree in [tree for tree in corpus(40, max_nodes=12, seed=27)
+                 if node_count(tree) >= 5]:
+        n = node_count(tree)
+        masks = [rng.getrandbits(n) for _ in range(50)]
+        masks += rng.choices(masks, k=10)  # repeats, in this batch or another
+        rng.shuffle(masks)
+        cuts = sorted(rng.sample(range(1, len(masks)), rng.randint(1, 6)))
+        batches = [masks[a:b] for a, b in zip([0, *cuts], [*cuts, len(masks)])]
+        for spec, silent in itertools.product(MONOTONE + SAF, (never, silent_third)):
+            values, cache, prover, starts = prove_in_batches(tree, batches, spec, silent)
+            handed = prover.handed
+            assert len(handed) == len(set(handed))
+            assert values == [
+                0 if silent(form) and form in handed else fold_value(tree, spec, form)
+                for form in (canonical_mask(tree, mask) for mask in masks)
+            ], (tree, spec)
+
+            real: list[tuple[int, int]] = []  # the real verdicts, round by round
+            known = [0]  # per round, how many of them came before it
+            for forms in prover.rounds:
+                for form in forms:
+                    assert not any(settles(spec, m, v, form) for m, v in real), (
+                        tree, spec, form)
+                real += [(form, fold_value(tree, spec, form))
+                         for form in forms if not silent(form)]
+                known.append(len(real))
+
+            held: set[int] = set()
+            warnings = []
+            for batch, start, end in zip(batches, starts, [*starts[1:], len(prover.rounds)]):
+                forms = [form for form in forms_of(tree, batch) if form not in held]
+                held.update(forms)
+                position = {form: i for i, form in enumerate(forms)}
+                for round_ in prover.rounds[start:end]:
+                    assert round_ == sorted(round_, key=position.__getitem__)
+                asked = {form for round_ in prover.rounds[start:end] for form in round_}
+                warnings += [f"no verdict on {form:#x}" for form in forms
+                             if form in asked and silent(form)]
+                own = real[known[start]: known[end]]
+                for form in forms:
+                    if form in asked:
+                        continue
+                    value = fold_value(tree, spec, form)
+                    assert any(settles(spec, m, v, form) for m, v in real[: known[end]]
+                               if v == value), (tree, spec, form)
+                    if not any(settles(spec, m, v, form) for m, v in own if v == value):
+                        across[spec.prop, value] += 1
+            assert cache.warnings == warnings, (tree, spec)
+    assert all(across.values()), across  # earlier batches settle every case
