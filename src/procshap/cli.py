@@ -239,6 +239,8 @@ def _mask_from_args(args, n: int) -> int:
 
 def cmd_mine(args) -> int:
     log = parse_xes(args.log)
+    if not log.variants:
+        raise ValueError(f"event log {args.log} has no traces")
     tree = discover(log, MinerConfig(noise=args.noise, max_depth=args.max_depth))
     text = tree_to_text(tree)
     print(f"traces: {len(log)}  alphabet: {len(log.alphabet)}  "

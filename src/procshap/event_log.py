@@ -4,22 +4,18 @@ An ``EventLog`` is a multiset of activity sequences: each distinct
 sequence (variant) with its number of traces.  That is all the miner
 reads, so case ids, timestamps and trace order are not kept.
 
-``parse_xes`` builds no element tree.  It reads a document in the plain
-layout without per-element callbacks: 64 KiB chunks go to an
-``xml.parsers.expat`` parser without element handlers, which checks
-every byte, and a bytes scan, cut after each ``</trace>``, takes each
-event's activity from a first child ``<string key="KEY" value="..."/>``.
-Guards send anything outside that layout to the handler pass.  That
-expat parser reports comments, processing instructions, CDATA, a
-DOCTYPE, prefixed namespaces and declared encodings other than UTF-8;
-the scan searches the bytes for a NUL (UTF-16), ``&`` (a reference),
-``<xml:`` and a single-quoted classifier key; and its counts catch an
-``<event>`` with attributes or without its classifier string first, and
-the rest listed on ``_scan_plain``.  The handler pass is one ``expat``
-pass with start and end handlers, from the document's start; so such a
-document costs one extra read of what the scan read before it gave up.
-Errors always come from the handler pass, so their messages, lines and
-columns do not depend on the scan.  The XES subset both passes read:
+``parse_xes`` builds no element tree.  A scan first reads a document in
+the plain layout without per-element callbacks: each trace must match
+one compiled grammar whole, which proves it well-formed and in the
+layout, and a regex takes each event's activity from its first child
+``<string key="KEY" value="..."/>``.  Expat checks only the bytes before
+the first trace and after the last; a strict decoder checks the UTF-8
+of it all.  What the scan does not prove (its rules are listed on
+``_scan_plain``) goes to the handler pass, one ``expat`` pass with start
+and end handlers from the document's start, so such a document costs
+one extra read of what the scan read before it gave up.  Errors always
+come from the handler pass, so their messages, lines and columns do not
+depend on the scan.  The XES subset both passes read:
 
 - ``<trace>`` and ``<event>`` elements, at any depth and under any
   namespace (default or prefixed); other elements are skipped.
@@ -36,6 +32,7 @@ mapping, so the miner handles each distinct variant once.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import gzip
 import io
@@ -135,102 +132,105 @@ CHUNK = 1 << 16  # bytes per read of the plain scan
 CARRY_LIMIT = 1 << 20  # the most bytes the scan holds without a </trace>
 
 _PLAIN_KEY = re.compile(r"[\w:.-]+", re.ASCII)
+_WS = rb"[ \t\r\n]*"  # not \s, which also matches \f and \v in bytes
+_KINDS = rb"string|date|int|float|boolean|id|list|container"
+_VALUE = rb'[^"<&\x00-\x08\x0b\x0c\x0e-\x1f]*"'  # no ", <, & or C0 but tab, LF, CR
+
+
+@functools.cache
+def _grammar(key: bytes, depth: int) -> re.Pattern[bytes]:
+    """One plain-layout trace up to its ``</trace>``, whose attribute
+    elements nest at most *depth* deep below the trace or an event."""
+
+    def attribute(level: int, keys: bytes) -> bytes:
+        name = b"%s%d" % (b"e" if keys else b"t", level)  # a group its end tag repeats
+        kind = rb"(?P<%s>%s)" % (name, _KINDS) if level > 1 else rb"(?:%s)" % _KINDS
+        tag = rb'<%s key="%s%s(?: value="%s)?' % (kind, keys, _VALUE, _VALUE)
+        if level == 1:
+            return tag + b"/>"
+        inner = attribute(level - 1, keys)
+        return rb"%s(?:/>|>%s(?:%s%s)*</(?P=%s)>)" % (tag, _WS, inner, _WS, name)
+
+    event = rb'<event>%s<string key="%s" value="[^"<&\x00-\x1f]+"/>%s(?:%s%s)*</event>' % (
+        _WS, key, _WS, attribute(depth, b'(?!%s")' % key), _WS)
+    return re.compile(rb"%s<trace>%s(?:(?:%s|%s)%s)*" % (
+        _WS, _WS, attribute(depth, b""), event, _WS))
 
 
 def _refuse(*_: object) -> None:
-    """An expat handler for a construct the bytes scan cannot read: it
+    """An expat handler for a construct the plain scan does not prove: it
     stops the checker, so the handler pass reads the document."""
     raise expat.ExpatError("outside the plain layout")
 
 
 def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
     """The variants of a plain-layout document, read without per-element
-    callbacks; None as soon as the document leaves that layout or expat
-    rejects it, and the handler pass must decide.
+    callbacks; None as soon as the document leaves that layout or is
+    malformed, and the handler pass must decide.
 
-    An expat parser without element handlers checks every byte, while a
-    bytes scan cut after each ``</trace>`` reads each event's activity
-    from a first child ``<string key="KEY" value="..."/>``.  The guards
-    keep the scan to documents where that equals the handler pass.  Expat
-    reports a comment, processing instruction, CDATA section, DOCTYPE,
-    prefixed namespace declaration or declared encoding other than UTF-8;
-    it calls none of these handlers for a plain-layout element, so they
-    cost nothing per element.  The scan refuses a chunk holding a NUL (a
-    UTF-16 document) and a segment holding ``&`` (a reference), ``<xml:``
-    (the one prefix bound without a declaration) or the single-quoted
-    classifier key.  Its counts ask for each trace one ``<trace>`` holding
-    all its events, and each event ``<event>...</event>`` closed before
-    the next opens, with its classifier string as a self-closing first
-    child, the only one in the event, whose value is non-empty with no tab
-    or line break.  At most ``CARRY_LIMIT`` bytes may come without a
-    ``</trace>``.  The classifier key must be ASCII letters, digits and
-    ``_:.-``: with no quote, ``=`` or space in it, a count of the quoted
-    key misses no classifier string.
+    Each trace must match ``_grammar`` whole, with only whitespace between
+    traces: no attributes on ``<trace>`` and ``<event>``, each event's
+    first child a self-closing ``<string key="KEY" value="A"/>``, the other
+    children XES attribute elements (``key`` and an optional ``value``)
+    nested at most 4 deep, none keyed KEY inside an event.  No value holds
+    ``<``, so splitting at ``</trace>`` is exact; A is non-empty, without
+    the tab or line break expat would make a space.  Expat checks the
+    bytes before the first ``<trace>`` (the head) and after the last
+    ``</trace>`` (the tail), and refuses an element named ``trace`` or
+    ``event``, a comment, processing instruction, CDATA section, DOCTYPE,
+    prefixed namespace declaration or declared encoding other than UTF-8.
+    Two empty elements stand in for the traces: expat rejects the second
+    unless an element is open after the head.  A strict incremental
+    decoder proves the UTF-8; U+FFFE, U+FFFF and NUL (UTF-16) are refused.
+    At most ``CARRY_LIMIT`` bytes may come without a ``</trace>``, and the
+    classifier key must be ASCII letters, digits and ``_:.-``.
     """
     if not _PLAIN_KEY.fullmatch(classifier_key):
         return None
-    key = classifier_key.encode()
-    event = re.compile(
-        rb'<event>[ \t\r\n]*<string key="%s" value="([^"\t\n\r]+)"/>'
-        rb"[^<]*(?:<(?!/event>)[^<]*)*</event>" % re.escape(key)
-    )
-    quoted = b'"%s"' % key
-    hazards = (b"&", b"<xml:", b"'%s'" % key)
+    key = re.escape(classifier_key.encode())
+    flat = _grammar(key, 1)
+    event = re.compile(rb'<event>%s<string key="%s" value="([^"]*)"' % (_WS, key))
     decode = functools.cache(bytes.decode)  # one str per distinct activity
+    utf8 = codecs.getincrementaldecoder("utf-8")()
     checker = expat.ParserCreate(namespace_separator="}")
+    checker.StartElementHandler = lambda name, attrs: (
+        _localname(name) in ("trace", "event") and _refuse())
     checker.CommentHandler = checker.ProcessingInstructionHandler = _refuse
     checker.StartCdataSectionHandler = checker.StartDoctypeDeclHandler = _refuse
     checker.StartNamespaceDeclHandler = lambda prefix, uri: prefix and _refuse()
     checker.XmlDeclHandler = lambda version, encoding, standalone: (
         encoding and encoding.lower() != "utf-8" and _refuse())
     found: Variants = Counter()
-    carry = b""
-    while True:
-        chunk = stream.read(CHUNK)
-        try:
-            checker.Parse(chunk, not chunk)
-        except expat.ExpatError:  # malformed, or a _refuse handler ran
-            return None
-        if b"\0" in chunk:  # UTF-16: no NUL is well-formed in UTF-8
-            return None
-        segment = carry + chunk
-        if chunk:
-            cut = segment.rfind(b"</trace>")
-            if cut < 0:
-                if len(segment) > CARRY_LIMIT:
-                    return None
-                carry = segment
-                continue
-            cut += len(b"</trace>")
-            segment, carry = segment[:cut], segment[cut:]
-        if any(hazard in segment for hazard in hazards):
-            return None
-        *traces, tail = segment.split(b"</trace>")
-        if segment.count(b"<trace") != len(traces):
-            return None
-        # Each trace holds one "<trace", and the matches from its first
-        # "<event" on.  A match runs to the first "</event>" after it and
-        # holds one "<event" and one quoted key, so the totals below hold
-        # only if every "<event" in the segment opens a match (none before
-        # a trace, after the last, nested or unmatched), and no event holds
-        # a second classifier string.
-        events = 0
-        keys = tail.count(quoted)
-        for trace in traces:
-            opening = trace.find(b"<trace>")
-            if opening < 0:
+    carry, body = b"", False  # body: the first <trace> has come
+    try:
+        while True:
+            chunk = stream.read(CHUNK)
+            text = utf8.decode(chunk, not chunk)
+            if b"\0" in chunk or "\ufffe" in text or "\uffff" in text:
                 return None
-            first = trace.find(b"<event", opening)
-            if first < 0:
-                first = len(trace)
-            activities = event.findall(trace, first)
-            events += len(activities)
-            keys += trace.count(quoted, 0, first)
-            found[tuple(map(decode, activities))] += 1
-        if segment.count(b"<event") != events or segment.count(quoted) != events + keys:
-            return None
-        if not chunk:
-            return found
+            segment = carry + chunk
+            if not body and (start := segment.find(b"<trace>")) >= 0:
+                checker.Parse(segment[:start] + b"<p/><p/>")
+                segment, body = segment[start:], True
+            if chunk:
+                cut = segment.rfind(b"</trace>") if body else -1
+                if cut < 0:
+                    if len(segment) > CARRY_LIMIT:
+                        return None
+                    carry = segment
+                    continue
+                cut += len(b"</trace>")
+                segment, carry = segment[:cut], segment[cut:]
+            *traces, tail = segment.split(b"</trace>")
+            for trace in traces:
+                if not (flat.fullmatch(trace) or _grammar(key, 4).fullmatch(trace)):
+                    return None
+                found[tuple(map(decode, event.findall(trace)))] += 1
+            if not chunk:
+                checker.Parse(tail, True)
+                return found
+    except (expat.ExpatError, UnicodeDecodeError):  # malformed, or refused
+        return None
 
 
 def _parse_handlers(stream: BinaryIO, classifier_key: str) -> Variants:

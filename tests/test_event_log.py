@@ -483,6 +483,15 @@ def _swap(old: bytes, new: bytes, doc: bytes = PLAIN) -> bytes:
     return doc.replace(old, new, 1)
 
 
+def _lead_byte_at(end: int, after: bytes = b"") -> bytes:
+    """PLAIN with a lone UTF-8 lead byte at offset *end* - 1, then ASCII
+    and *after*."""
+    at = PLAIN.index(b"2024-01-01T00:00:00")
+    doc = _swap(b"2024-", b"x" * (end - 1 - at) + b"\xc3" + after + b"-")
+    assert doc[end - 1] == 0xC3 and doc[end] < 0x80
+    return doc
+
+
 # One document per guard of the plain scan; each must take the handler pass.
 PERTURBED = {
     "utf-16 with byte order mark": PLAIN_BODY.encode("utf-16"),
@@ -517,6 +526,29 @@ PERTURBED = {
     "nested traces": _swap(b"<trace><event>", b"<trace><trace><event>").replace(
         b"</trace>\n</log>", b"</trace></trace>\n</log>"),
     "last trace closed with a space": _swap(b"</trace>\n</log>", b"</trace >\n</log>"),
+    # One document per rule of the trace grammar and the head/tail check.
+    "less-than in a value": _swap(b"2024-01-01T00:00:00", b"2024<01"),
+    "invalid UTF-8 byte": _swap(b'value="a"', b'value="a\xff"'),
+    "lead byte at a chunk end before ASCII": _lead_byte_at(320),
+    "lead byte, ASCII chunks, continuation byte": _lead_byte_at(320, b"y" * 320 + b"\xa9"),
+    "U+FFFE": _swap(b'value="a"', 'value="a\ufffe"'.encode()),
+    "U+FFFF": _swap(b'value="a"', 'value="a\uffff"'.encode()),
+    "C0 control in a value": _swap(b"2024-01-01T00:00:00", b"2024\x01"),
+    "form feed between traces": _swap(b"</trace>\n  <trace>", b"</trace>\f<trace>"),
+    "unclosed event": _swap(B, B[:-len(b"</event>")]),
+    "mis-nested end tag": _swap(A, A + b'<list key="l"></string>'),
+    "trace with an attribute": _swap(b"<trace><event>", b'<trace id="2"><event>'),
+    "attribute element without a key": _swap(A, A + b'<string value="z"/>'),
+    "reference in a value": _swap(b"2024-01-01T00:00:00", b"2024&amp;01"),
+    "classifier string with children": _swap(A, A[:-2] + b'><int key="n" value="1"/></string>'),
+    "element outside the attribute kinds": _swap(A, A + b'<object key="k" value="v"/>'),
+    "list with values": _swap(A, A + b'<list key="l"><values><int key="n" value="1"/>'
+                                     b"</values></list>"),
+    "empty-element trace in the head": _swap(b"<trace>", b"<trace/><trace>"),
+    "root closed before the traces": _swap(b'1.0">', b'1.0"/>', _swap(b"</log>\n", b"")),
+    "traces without a root element": _swap(b'<log xes.version="1.0">', b"",
+                                           _swap(b"</log>\n", b"")),
+    "utf-16 without traces": "<log></log>".encode("utf-16-be"),
 }
 
 
@@ -544,6 +576,43 @@ def test_plain_layout_variants_take_the_scan(doc):
     assert used == "plain"
     assert outcome == _etree_outcome(doc) == _handler_outcome(doc)
     assert outcome == [(("a", "b"), 1), (("c",), 1)]
+
+
+# Documents whose outcome must equal the handler pass's, whichever pass reads
+# them.
+EITHER = {
+    "text between traces": _swap(b"</trace>\n  <trace>", b"</trace>\n  text\n  <trace>"),
+    "space before />": _swap(A, b'<string key="concept:name" value="a" />'),
+}
+
+
+@pytest.mark.parametrize("chunk", [5, 64, 1 << 16])
+@pytest.mark.parametrize("doc, expected", [
+    *((doc, "handlers") for doc in PERTURBED.values()),
+    *((doc, "plain") for doc in SCANNED.values()),
+    *((doc, None) for doc in EITHER.values())],
+    ids=[*PERTURBED, *SCANNED, *EITHER])
+def test_every_case_reads_alike_at_every_chunk_size(doc, expected, chunk):
+    with _scan_limits(chunk=chunk):
+        outcome, used = _parse_noting_pass(doc)
+        assert _parse_noting_pass(gzip.compress(doc)) == (outcome, used)
+    if expected:
+        assert used == expected
+    assert outcome == _etree_outcome(doc) == _handler_outcome(doc)
+
+
+def test_a_root_closed_before_the_traces_is_an_error():
+    doc = PERTURBED["root closed before the traces"]
+    with pytest.raises(XesParseError, match="junk after document element"):
+        parse_xes(doc)
+
+
+def test_a_header_comment_stops_the_scan_at_the_first_trace():
+    doc = PERTURBED["comment after the declaration"]
+    stream = io.BytesIO(doc)
+    with _scan_limits(chunk=16):
+        assert event_log._scan_plain(stream, "concept:name") is None
+    assert stream.tell() < doc.index(b"</trace>")
 
 
 def test_plain_document_takes_the_scan():

@@ -445,6 +445,17 @@ def test_cli_mine(tmp_path, running_example_file, capsys):
     assert (tmp_path / "tree.dot").read_text().startswith("digraph")
 
 
+def test_cli_mine_rejects_empty_log(tmp_path, capsys):
+    log = tmp_path / "empty.xes"
+    log.write_bytes(b"<log></log>")
+    rc = main(["mine", "--log", str(log), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: event log {log} has no traces\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_verify_full_and_cut(tmp_path, running_example_file, capsys):
     main(["mine", "--log", str(running_example_file), "--out", str(tmp_path)])
     capsys.readouterr()
