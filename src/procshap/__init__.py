@@ -48,7 +48,6 @@ from .process_tree import (
     ProcessTree,
     activity,
     assign_node_ids,
-    canonical_mask,
     export_dot,
     iter_nodes,
     loop,

@@ -266,7 +266,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"duplicate properties: {', '.join(repeated)}")
     cache = ValueCache()
     for spec in specs:
-        warn_if_degenerate(spec, cache)
+        warn_if_degenerate(tree, spec, cache)
     prover = _prover_config(args)
     prover_memo: dict = {}  # liv's sat gate reuses sat's status
     rows = coalition_rows([mask], n)

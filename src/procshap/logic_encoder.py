@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import signal
 import subprocess
 import tempfile
 from concurrent import futures
@@ -235,8 +236,10 @@ class ProverConfig:
 
 
 def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
-    """Run the external prover on *problem*, kill it at the timeout, and
-    parse the first SZS status line of its output."""
+    """Run the external prover on *problem* and parse the first SZS status
+    line of its output.  The prover runs in its own session, so at the
+    timeout its whole process group is killed, with any children it
+    started, before it is reaped."""
 
     with tempfile.NamedTemporaryFile(
         mode="w", suffix=".p", delete=False
@@ -245,19 +248,25 @@ def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
         path = handle.name
     try:
         try:
-            result = subprocess.run(
+            prover = subprocess.Popen(
                 [config.executable, *config.extra_args, path],
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
-                timeout=config.timeout_s,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            return SZSStatus.TIMEOUT
         except FileNotFoundError as exc:
             raise ProverNotFoundError(
                 f"prover executable not found: {config.executable}"
             ) from exc
-        return parse_szs(result.stdout + "\n" + result.stderr)
+        with prover:
+            try:
+                stdout, stderr = prover.communicate(timeout=config.timeout_s)
+            except subprocess.TimeoutExpired:
+                os.killpg(prover.pid, signal.SIGKILL)
+                prover.wait()
+                return SZSStatus.TIMEOUT
+        return parse_szs(stdout + "\n" + stderr)
     finally:
         os.unlink(path)
 

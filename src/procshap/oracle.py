@@ -21,20 +21,20 @@ batch evaluation run that one compiled automaton.
 Everything that asks for the verdicts of particular coalitions asks
 ``evaluate_rows`` for a batch, the package's one coalition evaluator: a
 0/1 coalition matrix, one row per coalition and one column per node id.
-Passing a ``logic_encoder.ProverConfig`` selects the prover; without one
-the oracle folds every row of the batch in one numpy step per node
-(``_fold``), through a node program compiled once per configuration's
-tree and spec (``ValueCache.program``), and stores no verdict.  The
-prover decides one encoding per distinct canonical form, in rounds from
-the largest forms down: sat and liv rise with the coalition and saf
-falls, so a real verdict settles larger or smaller forms, in its own
-batch and in every later batch of the configuration.  A
-configuration's ``ValueCache`` counts every row asked in
-``total_queries`` and every distinct row (canonical form, on the prover)
-once per (backend, spec) in ``distinct_queries``.  Rows are only how a
-batch is represented: which coalitions a batch holds, and how the
-estimators split their queries into batches, does not depend on it.
-Callers that hold int masks convert them with ``coalition_rows``.
+Both backends read a node program compiled once per configuration's
+tree and spec (``ValueCache.program``).  Passing a
+``logic_encoder.ProverConfig`` selects the prover; without one the oracle
+folds every row in one numpy step per node (``_fold``) and stores no
+verdict.  The prover decides one encoding per distinct canonical form
+(``evaluate_rows``), in rounds from the largest forms down: sat and liv
+rise with the coalition and saf falls, so a real verdict settles larger
+or smaller forms, in its batch and every later one of the configuration.
+Its ``ValueCache`` counts every row asked in ``total_queries`` and every
+distinct row (canonical form, on the prover) once per (backend, spec) in
+``distinct_queries``.  Rows are only how a batch is represented: which
+coalitions a batch holds, and how the estimators split their queries
+into batches, does not depend on it.  Callers that hold int masks
+convert them with ``coalition_rows``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .process_tree import (
     Op,
     ProcessTree,
     TauMode,
-    canonical_mask,
     iter_nodes,
     removed_tau,
     substitute,
@@ -94,9 +93,6 @@ class PropertySpec:
                 raise ValueError("safety pair activities must differ")
         if self.prop is Property.SAF and self.safety_pair is None:
             raise ValueError("safety property requires a safety_pair (A, B)")
-
-    def cache_key(self) -> tuple:
-        return (self.prop.value, self.mode.value, self.loop_bound, self.safety_pair)
 
 
 def _rules(spec: PropertySpec) -> tuple:
@@ -283,6 +279,20 @@ def _fold(program: tuple, rows: np.ndarray) -> np.ndarray:
     return wins[state[root]]
 
 
+def _forms(program: tuple, rows: np.ndarray) -> list[int]:
+    """The canonical forms of the rows of *rows* as int masks, by one pass
+    over *program*'s operator steps, parents before children.  The forms
+    start clear, so the columns of ids the tree lacks stay clear."""
+
+    _, root, _, steps, _, _ = program
+    present = np.ascontiguousarray(rows.T)
+    forms = np.zeros_like(present)
+    forms[root] = present[root]
+    for index, _, children in reversed(steps):
+        forms[children] = present[children] & forms[index]
+    return row_masks(forms.T)
+
+
 def _pack(rows: np.ndarray) -> np.ndarray:
     """*rows* packed into uint64 words, one row of words per coalition:
     the rows are padded to whole words, so one flat ``packbits`` packs
@@ -313,10 +323,11 @@ class ValueCache:
     """One configuration's record of its coalition queries, used from one
     thread and one tree.
 
-    The oracle stores no verdict: it keeps the node program it compiled
-    for the tree and spec (``program``) and, per (backend, spec) suffix,
-    the rows it was asked, packed into uint64 words.  The prover keeps a
-    canonical mask -> verdict dict per suffix (``table``) and, beside
+    Both backends index the tree by the node program compiled for its
+    spec (``program``).  The oracle stores no verdict: per (backend,
+    spec) suffix it keeps the rows it was asked, packed into uint64
+    words.  The prover keeps a canonical mask (``evaluate_rows``) ->
+    verdict dict per suffix (``table``) and, beside
     it, the plain list of the verdicts it decided with no warning
     (``verdicts``), from which later batches settle forms.
     ``total_queries`` counts the rows asked; ``distinct_queries``, which
@@ -333,7 +344,7 @@ class ValueCache:
         self.warnings: list[str] = []
 
     def table(self, suffix: tuple) -> dict[Hashable, int]:
-        """The mask -> verdict table of *suffix*, ``(backend,) + spec.cache_key()``."""
+        """The mask -> verdict table of *suffix*, ``(backend, spec)``."""
         return self._tables.setdefault(suffix, {})
 
     def verdicts(self, suffix: tuple) -> list[tuple[int, int]]:
@@ -401,20 +412,25 @@ def evaluate_rows(
     and one column per node id of *tree* (``coalition_rows`` makes one
     from int masks).  A matrix of another rank or width, or with other
     entries, raises ``ValueError``.  *cache* counts every row asked in
-    ``total_queries`` and every distinct one once per (backend,
-    property, mode, bound, pair) in ``distinct_queries``.
+    ``total_queries`` and every distinct one once per (backend, spec) in
+    ``distinct_queries``.  Both backends read *tree* through the node
+    program *cache* compiled for *tree* and *spec* (``ValueCache.program``).
+
+    A coalition's canonical form is its row with the columns of every
+    node that has an absent ancestor, and of every id *tree* lacks,
+    cleared: a rooted subtree of *tree*, or 0.  Two coalitions
+    substitute to the same tree exactly when their canonical forms are
+    equal.
 
     Without a *prover_config* the oracle folds every row, repeats
-    included, in one bottom-up pass of table lookups (``_fold``) through
-    the node program that *cache* compiled for *tree* and *spec*
-    (``_compile``, from ``_rules`` compiled to integer tables once per
-    spec by ``_automaton``), and stores no verdict.  With one, the prover
-    keys *cache*'s table of the (backend, spec) by canonical mask, since
-    coalitions with one canonical form substitute to one tree, and
-    decides the distinct canonical forms the table lacks through
-    ``logic_encoder.values_via_prover`` in rounds from the maximal forms
-    down (``_prove``), inferring a form's verdict from a real verdict on
-    a larger or smaller form instead of asking for it.  The real
+    included, in one bottom-up pass of table lookups (``_fold``), and
+    stores no verdict.  With one, the prover finds the batch's canonical
+    forms in one top-down pass (``_forms``), keys *cache*'s table of the
+    (backend, spec) by them, and decides the distinct forms the table
+    lacks through ``logic_encoder.values_via_prover`` in rounds from the
+    maximal forms down (``_prove``, which reads its frontier from the
+    program), inferring a form's verdict from a real verdict on a larger
+    or smaller form instead of asking for it.  The real
     verdicts of earlier batches under the same suffix
     (``ValueCache.verdicts``) settle forms as this batch's own do, so a
     form is handed over only when no real verdict the configuration
@@ -429,19 +445,18 @@ def evaluate_rows(
 
     if cache is None:
         cache = ValueCache()
+    program = cache.program(tree, spec)
+    rows = _checked(rows, program[0])
     if prover_config is None:
-        program = cache.program(tree, spec)
-        rows = _checked(rows, program[0])
-        cache.record_rows(("oracle",) + spec.cache_key(), rows)
+        cache.record_rows(("oracle", spec), rows)
         return _fold(program, rows)
-    rows = _checked(rows, _span(tree))
-    masks = [canonical_mask(tree, mask) for mask in row_masks(rows)]
-    suffix = ("prover",) + spec.cache_key()
+    masks = _forms(program, rows)
+    suffix = ("prover", spec)
     table = cache.table(suffix)
     batch = [mask for mask in dict.fromkeys(masks) if mask not in table]
     if batch:
         verdicts = cache.verdicts(suffix)
-        results = _prove(tree, batch, spec, prover_config, prover_memo, verdicts)
+        results = _prove(tree, program[3], batch, spec, prover_config, prover_memo, verdicts)
         for mask in batch:
             table[mask], warnings = results[mask]
             cache.warnings.extend(warnings)
@@ -451,6 +466,7 @@ def evaluate_rows(
 
 def _prove(
     tree: ProcessTree,
+    steps: list[tuple],
     batch: list[int],
     spec: PropertySpec,
     config,
@@ -481,6 +497,7 @@ def _prove(
     ``logic_encoder.values_via_prover`` one batch: the forms no undecided
     form strictly contains, plus the empty form in the first round.  A
     form counts as maximal when none of its one-node frontier extensions
+    (a child, in the node program's operator *steps*, of a node it holds)
     is undecided, which may ask a form that a larger undecided one
     contains, never skip one.  Within a round the forms keep the order
     of *batch*."""
@@ -492,16 +509,12 @@ def _prove(
         return zip(masks, values_via_prover(trees_c, spec, config, memo), strict=True)
 
     rises = spec.prop in (Property.SAT, Property.LIV)
-    children = {
-        node.node_id.index: [child.node_id.index for child in node.children]
-        for node in iter_nodes(tree)
-    }
 
     def extensions(mask: int) -> list[int]:
         """The rooted subtrees one frontier node larger than a non-empty *mask*."""
         return [
             mask | 1 << child
-            for index, below in children.items() if mask >> index & 1
+            for index, _, below in steps if mask >> index & 1
             for child in below if not mask >> child & 1
         ]
 

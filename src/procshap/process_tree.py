@@ -7,7 +7,8 @@ or a silent tau leaf.  Tau leaves come in two flavors: *mined* taus that
 belong to the discovered model, and *removed* taus that mark subtrees
 excluded by a coalition.  The distinction carries semantics: in ``blocked``
 mode a removed tau can never complete, in ``skip`` mode it behaves like a
-mined tau.
+mined tau.  Coalitions with one canonical form (``oracle.evaluate_rows``
+states it) substitute to one tree.
 """
 
 from __future__ import annotations
@@ -173,22 +174,6 @@ def substitute(tree: ProcessTree, mask: int) -> ProcessTree:
         if node.is_leaf:
             return node
         return replace(node, children=tuple(walk(c) for c in node.children))
-
-    return walk(tree)
-
-
-def canonical_mask(tree: ProcessTree, mask: int) -> int:
-    """*mask* with every node that has an absent ancestor cleared: a rooted
-    subtree of the id-assigned *tree*, or 0.  Two coalitions substitute to
-    the same tree exactly when their canonical masks are equal."""
-
-    def walk(node: ProcessTree) -> int:
-        bit = 1 << node.node_id.index  # type: ignore[union-attr]
-        if not mask & bit:
-            return 0
-        for child in node.children:
-            bit |= walk(child)
-        return bit
 
     return walk(tree)
 

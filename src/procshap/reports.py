@@ -225,14 +225,24 @@ def _finite(x: float | None) -> float | None:
     return float(x)
 
 
-def warn_if_degenerate(spec: PropertySpec, cache: ValueCache) -> None:
-    """Record the warning for sat and liv in skip mode: every coalition wins."""
+def warn_if_degenerate(tree: ProcessTree, spec: PropertySpec, cache: ValueCache) -> None:
+    """Record the warning for a *spec* under which every coalition of
+    *tree* wins: sat and liv in skip mode, and saf when an activity of the
+    safety pair labels no node, so no trace holds both."""
 
     if spec.mode is TauMode.SKIP and spec.prop in (Property.SAT, Property.LIV):
         cache.warnings.append(
             f"{spec.prop.value} is degenerate in skip mode: every coalition "
             f"evaluates to 1"
         )
+    if spec.prop is Property.SAF:
+        labels = {node.label for node in iter_nodes(tree)}
+        missing = [repr(a) for a in spec.safety_pair if a not in labels]
+        if missing:
+            cache.warnings.append(
+                f"saf is degenerate: no node is labelled {' or '.join(missing)}, "
+                f"so every coalition evaluates to 1"
+            )
 
 
 def run_single(
@@ -270,7 +280,7 @@ def run_single(
     n = len(nodes)
     id_text = {i: node.node_id.text for i, node in enumerate(nodes)}
     cache = ValueCache()
-    warn_if_degenerate(spec, cache)
+    warn_if_degenerate(tree, spec, cache)
 
     def verdicts(rows: np.ndarray) -> np.ndarray:
         return evaluate_rows(tree, rows, spec, cache, config.prover, prover_memo)

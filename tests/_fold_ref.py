@@ -1,8 +1,9 @@
-"""The per-coalition reference fold of the oracle's rules
-(``oracle._rules``): the recursive walk the oracle's batch fold
-(``oracle.evaluate_rows``) and its compiled automaton are checked
-against; and ``verdicts_of_masks``, the batch evaluator asked with int
-masks."""
+"""The per-coalition references of ``oracle.evaluate_rows``: the
+recursive fold of the oracle's rules (``oracle._rules``) that the batch
+fold and its compiled automaton are checked against, and the recursive
+walk to a coalition's canonical form that the prover's batch pass
+(``oracle._forms``) is checked against; and ``verdicts_of_masks``, the
+batch evaluator asked with int masks."""
 
 from __future__ import annotations
 
@@ -32,6 +33,22 @@ def fold_value(tree: ProcessTree, spec: PropertySpec, mask: int) -> int:
         return acc
 
     return int(wins(state(tree)))
+
+
+def canonical_mask(tree: ProcessTree, mask: int) -> int:
+    """*mask* with every node that has an absent ancestor cleared, and
+    every id *tree* lacks: a rooted subtree of the id-assigned *tree*, or
+    0, by a walk from the root."""
+
+    def walk(node: ProcessTree) -> int:
+        bit = 1 << node.node_id.index
+        if not mask & bit:
+            return 0
+        for child in node.children:
+            bit |= walk(child)
+        return bit
+
+    return walk(tree)
 
 
 def verdicts_of_masks(tree: ProcessTree, masks: list[int], spec: PropertySpec,

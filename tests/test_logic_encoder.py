@@ -27,7 +27,6 @@ from procshap.process_tree import (
     Coalition,
     activity,
     assign_node_ids,
-    canonical_mask,
     loop,
     node_count,
     seq,
@@ -39,6 +38,7 @@ from procshap.process_tree import (
 
 import fake_prover
 from _corpus import corpus, random_tree
+from _fold_ref import canonical_mask
 from _sat import (
     collect_vars,
     dpll_satisfiable,
@@ -279,6 +279,34 @@ def test_run_prover_timeout(tmp_path):
         executable=sys.executable, extra_args=(str(slow),), timeout_s=0.2
     )
     assert run_prover("fof(a, axiom, x).", config) is SZSStatus.TIMEOUT
+
+
+def process_gone(pid: int, wait_s: float = 2.0) -> bool:
+    """Whether process *pid* ends within *wait_s*: its ``/proc`` entry is
+    missing or reads state Z, since an orphan stays unreaped in a
+    container whose first process reaps no children."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rpartition(")")[2].split()[0] == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_run_prover_timeout_kills_the_prover_process_group(tmp_path):
+    pid_file = tmp_path / "sleeper.pid"
+    stalling = tmp_path / "stalling.sh"
+    stalling.write_text(f'#!/bin/sh\nsleep 30 &\necho $! > "{pid_file}"\nsleep 30\n')
+    stalling.chmod(0o755)
+    config = ProverConfig(executable=str(stalling), timeout_s=0.3)
+    assert run_prover("fof(a, axiom, x).", config) is SZSStatus.TIMEOUT
+    assert process_gone(int(pid_file.read_text()))
 
 
 def test_run_prover_missing_binary():

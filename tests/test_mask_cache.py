@@ -24,10 +24,10 @@ from procshap.oracle import (
     TauMode,
     ValueCache,
 )
-from procshap.process_tree import canonical_mask, node_count
+from procshap.process_tree import node_count
 
 from _corpus import random_tree
-from _fold_ref import fold_value, verdicts_of_masks
+from _fold_ref import canonical_mask, fold_value, verdicts_of_masks
 from test_monotone_rounds import UNUSED, StandIn
 
 BACKENDS = ("oracle", "prover")
@@ -79,7 +79,7 @@ def test_shared_cache_matches_model(data):
         return canonical_mask(tree, mask) if backend == "prover" else mask
 
     def suffix(backend: str, spec: PropertySpec) -> tuple:
-        return (backend,) + spec.cache_key()
+        return (backend, spec)
 
     cache = ValueCache()
     get_or_compute = ValueCache.get_or_compute

@@ -30,7 +30,6 @@ from procshap.oracle import (
 )
 from procshap.process_tree import (
     assign_node_ids,
-    canonical_mask,
     iter_nodes,
     node_count,
     par,
@@ -40,7 +39,7 @@ from procshap.process_tree import (
 from procshap.shapley import canonical_form_count, rooted_shapley, tree_shapley
 
 from _corpus import corpus, random_tree
-from _fold_ref import fold_value, verdicts_of_masks
+from _fold_ref import canonical_mask, fold_value, verdicts_of_masks
 
 UNUSED = ProverConfig(executable="unused")  # the stand-in starts no prover
 MONOTONE = [

@@ -36,7 +36,6 @@ from procshap.process_tree import (
     Coalition,
     activity,
     assign_node_ids,
-    canonical_mask,
     iter_nodes,
     node_count,
     seq,
@@ -56,7 +55,7 @@ from procshap.shapley import (
 
 from _corpus import corpus
 from _sampling_ref import verdicts_of
-from _fold_ref import verdicts_of_masks
+from _fold_ref import canonical_mask, verdicts_of_masks
 from test_logic_encoder import FAKE_PROVER, fake_prover_config
 from test_monotone_rounds import present_mask
 

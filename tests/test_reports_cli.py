@@ -625,6 +625,53 @@ def test_cli_skip_mode_warning_printed_once(tmp_path, tiny_log_file, capsys):
     assert "noise0_sat" in err and "noise1_sat" in err
 
 
+# The bundled log's tree labels "reject request"; "reject_request" is a typo.
+TYPO_PAIR = ["--property", "saf", "--safety-pair", "pay compensation,reject_request"]
+TYPO_WARNING = ("saf is degenerate: no node is labelled 'reject_request', "
+                "so every coalition evaluates to 1")
+
+
+def test_cli_attribute_warns_on_a_pair_activity_no_node_labels(running_example_file, capsys):
+    rc = main(["attribute", "--log", str(running_example_file), *TYPO_PAIR,
+               "--method", "exact"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {TYPO_WARNING}\n"
+    values = re.findall(r"^  \S.*?\s([+-]\d\.\d{4})  ", captured.out, re.MULTILINE)
+    assert values and set(values) == {"+0.0000"}
+
+
+def test_cli_matrix_warns_on_a_pair_activity_no_node_labels(
+    tmp_path, running_example_file, capsys
+):
+    rc = main(["matrix", "--log", str(running_example_file), "--noise", "0,1",
+               *TYPO_PAIR, "--method", "exact", "--out", str(tmp_path)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    records = json.loads((tmp_path / "report.json").read_text())["configurations"]
+    assert len(records) == 2
+    for record in records:
+        assert record["cache"]["warnings"] == [TYPO_WARNING]
+        assert f"warning: {record['id']}: {TYPO_WARNING}" in err
+        assert set(record["phi"].values()) == {0.0}
+    assert err.count(TYPO_WARNING) == 2  # once per configuration
+
+
+def test_cli_verify_warns_on_a_pair_activity_no_node_labels(
+    tmp_path, running_example_file, capsys
+):
+    main(["mine", "--log", str(running_example_file), "--out", str(tmp_path)])
+    capsys.readouterr()
+    tree = ["verify", "--tree", str(tmp_path / "tree.txt")]
+    assert main([*tree, "--property", "sat,saf", "--safety-pair",
+                 "pay compensation,reject request"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([*tree, *TYPO_PAIR]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {TYPO_WARNING}\n"
+    assert json.loads(captured.out.splitlines()[-1])["values"] == {"saf": 1}
+
+
 def test_cli_attribute_exact(running_example_file, capsys):
     rc = main(["attribute", "--log", str(running_example_file), "--noise", "0.0",
                "--property", "sat", "--method", "exact"])

@@ -3,8 +3,10 @@
 property, tau mode and loop bound, on trees with removed taus and trees
 of more than 64 nodes, for batches with repeated masks; equal cache
 counters; the node program compiled once per cache and the tables once
-per spec, not once per batch; and malformed coalition matrices
-refused."""
+per spec, not once per batch; malformed coalition matrices refused; and
+the prover's canonical forms from one pass over the node program
+(``oracle._forms``) equal to the recursive walk
+(``_fold_ref.canonical_mask``), on cut trees whose ids have gaps too."""
 
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ from procshap.process_tree import (
 )
 from procshap.reports import RunConfig, run_single
 
-from _corpus import random_tree
-from _fold_ref import fold_value, verdicts_of_masks
+from _corpus import corpus, random_tree
+from _fold_ref import canonical_mask, fold_value, verdicts_of_masks
 
 SPECS = [
     PropertySpec(prop, safety_pair=("a", "b") if prop is Property.SAF else None,
@@ -103,6 +105,42 @@ def test_batch_fold_equals_reference_fold(tree, data):
         assert verdicts_of_masks(tree, masks, spec, cache) == expected, spec
         assert cache.total_queries == len(first) + len(masks)
         assert cache.distinct_queries == len(set(masks))
+
+
+def forms_pass(tree, masks: list[int]) -> list[int]:
+    """The canonical forms of *masks* by the prover's one pass over
+    *tree*'s node program."""
+    program = oracle._compile(tree, PropertySpec(Property.SAT))
+    return oracle._forms(program, coalition_rows(masks, program[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree=trees(), data=st.data())
+def test_canonical_pass_equals_reference_walk(tree, data):
+    width = id_span(tree)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    count = data.draw(st.integers(0, 30))
+    drawn = [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(count))]
+    masks = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=10))
+    assert forms_pass(tree, masks) == [canonical_mask(tree, mask) for mask in masks]
+
+
+def test_canonical_pass_clears_the_ids_a_cut_tree_lacks():
+    rng = random.Random(5)
+    gapped = 0
+    for tree in corpus(60, max_nodes=16, seed=71):
+        cut = substitute(tree, rng.getrandbits(node_count(tree)) | 1)  # ids kept
+        for t in (tree, cut):
+            width = id_span(t)
+            ids = sum(1 << node.node_id.index for node in iter_nodes(t))
+            gap = (1 << width) - 1 & ~ids  # the ids *t* lacks
+            gapped += gap != 0
+            masks = [(1 << width) - 1, gap, *(rng.getrandbits(width) | gap for _ in range(20))]
+            masks += masks[::3]  # repeats
+            expected = [canonical_mask(t, mask) for mask in masks]
+            assert all(form & gap == 0 for form in expected)
+            assert forms_pass(t, masks) == expected
+    assert gapped > 20
 
 
 def test_batch_fold_beyond_64_nodes():

@@ -27,7 +27,6 @@ from procshap.process_tree import (
     Coalition,
     activity,
     assign_node_ids,
-    canonical_mask,
     loop,
     node_count,
     par,
@@ -46,7 +45,7 @@ from procshap.shapley import (
 )
 
 from _corpus import corpus, random_tree
-from _fold_ref import verdicts_of_masks
+from _fold_ref import canonical_mask, verdicts_of_masks
 
 BUNDLED_PAIR = ("pay compensation", "reject request")
 
