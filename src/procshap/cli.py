@@ -264,18 +264,20 @@ def cmd_verify(args) -> int:
     repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
     if repeated:
         raise ValueError(f"duplicate properties: {', '.join(repeated)}")
-    cache = ValueCache()
+    warnings: list[str] = []
     for spec in specs:
-        warn_if_degenerate(tree, spec, cache)
+        warn_if_degenerate(tree, spec, warnings)
     prover = _prover_config(args)
     prover_memo: dict = {}  # liv's sat gate reuses sat's status
     rows = coalition_rows([mask], n)
     results = {}
     for spec in specs:
+        cache = ValueCache()  # one per configuration
         value = int(evaluate_rows(tree, rows, spec, cache, prover, prover_memo)[0])
+        warnings += cache.warnings
         results[spec.prop.value] = value
         print(f"{spec.prop.value}: {value}")
-    for message in cache.warnings:
+    for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     members = [i for i in range(n) if mask >> i & 1]
     print(json.dumps({"coalition": members, "values": results}))

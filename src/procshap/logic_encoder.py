@@ -237,7 +237,9 @@ class ProverConfig:
 
 def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
     """Run the external prover on *problem* and parse the first SZS status
-    line of its output.  The prover runs in its own session, so at the
+    line of its output, decoded as UTF-8 with each invalid byte replaced:
+    a status line still counts beside bytes that are not UTF-8, and output
+    with no status reads Unknown.  The prover runs in its own session, so at the
     timeout its whole process group is killed, with any children it
     started, before it is reaped."""
 
@@ -252,7 +254,8 @@ def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
                 [config.executable, *config.extra_args, path],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
+                encoding="utf-8",
+                errors="replace",
                 start_new_session=True,
             )
         except FileNotFoundError as exc:

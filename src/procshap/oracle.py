@@ -15,14 +15,14 @@ execution path.  Then
   forbidden pair (vacuously safe when nothing completes).
 
 ``_automaton`` compiles the rules once per property spec: integer state
-codes, a leaf coder and one lookup table per operator.  Both exact and
-batch evaluation run that one compiled automaton.
-``shapley.tree_shapley`` counts it over all coalitions at once.
+codes, a leaf coder and one lookup table per operator.  ``_compile``
+makes it one tree's node program, whose players are the node ids:
+batch evaluation folds it, ``shapley.tree_shapley`` counts it.
 Everything that asks for the verdicts of particular coalitions asks
 ``evaluate_rows`` for a batch, the package's one coalition evaluator: a
 0/1 coalition matrix, one row per coalition and one column per node id.
-Both backends read a node program compiled once per configuration's
-tree and spec (``ValueCache.program``).  Passing a
+A ``ValueCache`` records one configuration on one backend and compiles
+its program once (``ValueCache.program``).  Passing a
 ``logic_encoder.ProverConfig`` selects the prover; without one the oracle
 folds every row in one numpy step per node (``_fold``) and stores no
 verdict.  The prover decides one encoding per distinct canonical form
@@ -30,7 +30,7 @@ verdict.  The prover decides one encoding per distinct canonical form
 rise with the coalition and saf falls, so a real verdict settles larger
 or smaller forms, in its batch and every later one of the configuration.
 Its ``ValueCache`` counts every row asked in ``total_queries`` and every
-distinct row (canonical form, on the prover) once per (backend, spec) in
+distinct row (canonical form, on the prover) once in
 ``distinct_queries``.  Rows are only how a batch is represented: which
 coalitions a batch holds, and how the estimators split their queries
 into batches, does not depend on it.  Callers that hold int masks
@@ -164,9 +164,10 @@ def _automaton(spec: PropertySpec) -> tuple[Callable, dict, np.ndarray]:
     """``_rules(spec)`` over integer state codes, built once per spec:
     the codes number the states reachable from the removed and leaf
     states under ``join``, 0 being the removed state, ``leaf_code(node)``
-    is the code of a leaf's state, ``tables[op][a, b]`` is the code of
-    ``join(op, a, b)``, and ``wins`` holds 0 or 1 per code.  At most 3
-    states for sat and liv, 16 for saf."""
+    is the code of a leaf's state, ``tables[op]`` is a flat uint8 table
+    whose entry ``a * states + b`` is the code of ``join(op, a, b)``, and
+    ``wins`` holds 0 or 1 per code.  At most 3 states for sat and liv,
+    16 for saf, so every code fits in a byte."""
 
     leaf, removed, join, wins = _rules(spec)
     # A leaf's state depends only on whether it is removed and on which
@@ -184,7 +185,7 @@ def _automaton(spec: PropertySpec) -> tuple[Callable, dict, np.ndarray]:
                     code[state] = len(states)
                     states.append(state)
     tables = {
-        op: np.array([[code[joined[op, a, b]] for b in states] for a in states])
+        op: np.array([code[joined[op, a, b]] for a in states for b in states], np.uint8)
         for op in Op
     }
     wins_of = np.array([int(wins(state)) for state in states])
@@ -242,13 +243,11 @@ def _compile(tree: ProcessTree, spec: PropertySpec) -> tuple:
     """*tree*'s node program for ``_fold`` under *spec*: ``(ids, root,
     leaves, steps, states, wins)``, with the leaf state code per node id
     and one ``(index, table, children)`` step per operator node, children
-    before parents.  ``table`` is the operator's join table of
-    ``_automaton(spec)`` flattened to uint8 and read at ``a * states +
-    b``, which at most 16 states keep within a byte."""
+    before parents.  ``table`` is the operator's flat join table of
+    ``_automaton(spec)``, read at ``a * states + b``."""
 
     ids = _span(tree)
     leaf_code, tables, wins = _automaton(spec)
-    flat = {op: table.astype(np.uint8).ravel() for op, table in tables.items()}
     nodes = list(iter_nodes(tree))
     leaves = np.zeros(ids, dtype=np.uint8)
     steps = []
@@ -257,7 +256,7 @@ def _compile(tree: ProcessTree, spec: PropertySpec) -> tuple:
             leaves[node.node_id.index] = leaf_code(node)
         else:
             children = [child.node_id.index for child in node.children]
-            steps.append((node.node_id.index, flat[node.op], children))
+            steps.append((node.node_id.index, tables[node.op], children))
     return ids, tree.node_id.index, leaves, steps, len(wins), wins
 
 
@@ -320,70 +319,63 @@ def _distinct(words: np.ndarray) -> np.ndarray:
 
 
 class ValueCache:
-    """One configuration's record of its coalition queries, used from one
-    thread and one tree.
+    """The record of one configuration's coalition queries: one tree,
+    one spec and one backend, asked from one thread.
 
-    Both backends index the tree by the node program compiled for its
-    spec (``program``).  The oracle stores no verdict: per (backend,
-    spec) suffix it keeps the rows it was asked, packed into uint64
-    words.  The prover keeps a canonical mask (``evaluate_rows``) ->
-    verdict dict per suffix (``table``) and, beside
-    it, the plain list of the verdicts it decided with no warning
-    (``verdicts``), from which later batches settle forms.
-    ``total_queries`` counts the rows asked; ``distinct_queries``, which
-    is ``len``, counts the distinct rows per suffix plus the tables'
-    entries.  Warnings collect what the computations reported, in
-    order."""
+    The first ``evaluate_rows`` call binds the cache to its tree (matched
+    by identity, never hashed), spec and prover config, and compiles the
+    configuration's node program then (``program``); a call about any
+    other tree, spec or backend raises ``ValueError``.  The oracle stores
+    no verdict: it keeps the rows it was asked, packed into uint64 words.
+    The prover keeps a canonical mask (``evaluate_rows``) -> verdict dict
+    (``table``) and, beside it, the plain list of the verdicts it decided
+    with no warning (``verdicts``), from which later batches settle
+    forms.  ``total_queries`` counts the rows asked; ``distinct_queries``,
+    which is ``len``, counts the distinct rows plus the table's entries.
+    Warnings collect what the computations reported, in order."""
 
     def __init__(self) -> None:
-        self._tables: dict[tuple, dict[Hashable, int]] = {}
-        self._verdicts: dict[tuple, list[tuple[int, int]]] = {}
-        self._words: dict[tuple, list[np.ndarray]] = {}
-        self._programs: dict[PropertySpec, tuple[ProcessTree, tuple]] = {}
+        self.table: dict[int, int] = {}
+        self.verdicts: list[tuple[int, int]] = []
+        self._words: list[np.ndarray] = []
+        self._stored: dict[Hashable, int] = {}  # get_or_compute's
+        self._bound: tuple | None = None
         self.total_queries = 0
         self.warnings: list[str] = []
 
-    def table(self, suffix: tuple) -> dict[Hashable, int]:
-        """The mask -> verdict table of *suffix*, ``(backend, spec)``."""
-        return self._tables.setdefault(suffix, {})
+    def program(self, tree: ProcessTree, spec: PropertySpec, prover_config) -> tuple:
+        """The node program of the configuration this cache records,
+        compiled when the first call binds it; ``ValueError`` for any
+        other *tree*, *spec* or *prover_config*."""
+        if self._bound is None:
+            self._bound = (tree, spec, prover_config), _compile(tree, spec)
+        (held, *rest), program = self._bound
+        if tree is not held or rest != [spec, prover_config]:
+            raise ValueError("this ValueCache records another configuration: "
+                             "one cache per tree, spec and backend")
+        return program
 
-    def verdicts(self, suffix: tuple) -> list[tuple[int, int]]:
-        """The prover's real verdicts under *suffix*: the ``(canonical
-        mask, value)`` pairs it decided with no warning, in order."""
-        return self._verdicts.setdefault(suffix, [])
-
-    def program(self, tree: ProcessTree, spec: PropertySpec) -> tuple:
-        """The oracle's node program for *tree* under *spec*, compiled
-        once: the tree is matched by identity, never hashed."""
-        held = self._programs.get(spec)
-        if held is None or held[0] is not tree:
-            held = self._programs[spec] = (tree, _compile(tree, spec))
-        return held[1]
-
-    def record_rows(self, suffix: tuple, rows: np.ndarray) -> None:
-        """Count the coalition matrix *rows* as asked under *suffix*."""
+    def record_rows(self, rows: np.ndarray) -> None:
+        """Count the coalition matrix *rows* as asked of the oracle."""
         self.total_queries += len(rows)
-        self._words.setdefault(suffix, []).append(_pack(rows))
+        self._words.append(_pack(rows))
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], int]) -> int:
-        """*key*'s value, computed once and kept in ``table(())``: kept
-        for perfbench's checker/tracer (ROADMAP item 1)."""
-        table = self.table(())
+        """*key*'s value, computed once and kept apart from ``table``:
+        kept for perfbench's checker/tracer (ROADMAP item 1)."""
         self.total_queries += 1
-        if key not in table:
-            table[key] = compute()
-        return table[key]
+        if key not in self._stored:
+            self._stored[key] = compute()
+        return self._stored[key]
 
     @property
     def distinct_queries(self) -> int:
         return len(self)
 
     def __len__(self) -> int:
-        for words in self._words.values():
-            words[:] = [_distinct(np.concatenate(words))]
-        return sum(map(len, self._tables.values())) + sum(
-            len(words[0]) for words in self._words.values()
-        )
+        if self._words:
+            self._words[:] = [_distinct(np.concatenate(self._words))]
+        return len(self.table) + len(self._stored) + sum(map(len, self._words))
 
 
 def evaluate(
@@ -411,10 +403,12 @@ def evaluate_rows(
     array: *rows* is a 0/1 coalition matrix with one row per coalition
     and one column per node id of *tree* (``coalition_rows`` makes one
     from int masks).  A matrix of another rank or width, or with other
-    entries, raises ``ValueError``.  *cache* counts every row asked in
-    ``total_queries`` and every distinct one once per (backend, spec) in
+    entries, raises ``ValueError``.  *cache* records this one
+    configuration, *tree* under *spec* on the backend *prover_config*
+    selects, and refuses any other (``ValueCache.program``); it counts
+    every row asked in ``total_queries`` and every distinct one once in
     ``distinct_queries``.  Both backends read *tree* through the node
-    program *cache* compiled for *tree* and *spec* (``ValueCache.program``).
+    program *cache* compiled for it.
 
     A coalition's canonical form is its row with the columns of every
     node that has an absent ancestor, and of every id *tree* lacks,
@@ -425,13 +419,13 @@ def evaluate_rows(
     Without a *prover_config* the oracle folds every row, repeats
     included, in one bottom-up pass of table lookups (``_fold``), and
     stores no verdict.  With one, the prover finds the batch's canonical
-    forms in one top-down pass (``_forms``), keys *cache*'s table of the
-    (backend, spec) by them, and decides the distinct forms the table
+    forms in one top-down pass (``_forms``), keys *cache*'s table
+    (``ValueCache.table``) by them, and decides the distinct forms it
     lacks through ``logic_encoder.values_via_prover`` in rounds from the
     maximal forms down (``_prove``, which reads its frontier from the
     program), inferring a form's verdict from a real verdict on a larger
     or smaller form instead of asking for it.  The real
-    verdicts of earlier batches under the same suffix
+    verdicts of the configuration's earlier batches
     (``ValueCache.verdicts``) settle forms as this batch's own do, so a
     form is handed over only when no real verdict the configuration
     holds settles it.  The calls go through *prover_memo*, a map from
@@ -445,18 +439,16 @@ def evaluate_rows(
 
     if cache is None:
         cache = ValueCache()
-    program = cache.program(tree, spec)
+    program = cache.program(tree, spec, prover_config)
     rows = _checked(rows, program[0])
     if prover_config is None:
-        cache.record_rows(("oracle", spec), rows)
+        cache.record_rows(rows)
         return _fold(program, rows)
     masks = _forms(program, rows)
-    suffix = ("prover", spec)
-    table = cache.table(suffix)
+    table = cache.table
     batch = [mask for mask in dict.fromkeys(masks) if mask not in table]
     if batch:
-        verdicts = cache.verdicts(suffix)
-        results = _prove(tree, program[3], batch, spec, prover_config, prover_memo, verdicts)
+        results = _prove(tree, program[3], batch, spec, prover_config, prover_memo, cache.verdicts)
         for mask in batch:
             table[mask], warnings = results[mask]
             cache.warnings.extend(warnings)

@@ -225,13 +225,13 @@ def _finite(x: float | None) -> float | None:
     return float(x)
 
 
-def warn_if_degenerate(tree: ProcessTree, spec: PropertySpec, cache: ValueCache) -> None:
-    """Record the warning for a *spec* under which every coalition of
-    *tree* wins: sat and liv in skip mode, and saf when an activity of the
-    safety pair labels no node, so no trace holds both."""
+def warn_if_degenerate(tree: ProcessTree, spec: PropertySpec, warnings: list[str]) -> None:
+    """Append to *warnings* the warning for a *spec* under which every
+    coalition of *tree* wins: sat and liv in skip mode, and saf when an
+    activity of the safety pair labels no node, so no trace holds both."""
 
     if spec.mode is TauMode.SKIP and spec.prop in (Property.SAT, Property.LIV):
-        cache.warnings.append(
+        warnings.append(
             f"{spec.prop.value} is degenerate in skip mode: every coalition "
             f"evaluates to 1"
         )
@@ -239,7 +239,7 @@ def warn_if_degenerate(tree: ProcessTree, spec: PropertySpec, cache: ValueCache)
         labels = {node.label for node in iter_nodes(tree)}
         missing = [repr(a) for a in spec.safety_pair if a not in labels]
         if missing:
-            cache.warnings.append(
+            warnings.append(
                 f"saf is degenerate: no node is labelled {' or '.join(missing)}, "
                 f"so every coalition evaluates to 1"
             )
@@ -258,8 +258,9 @@ def run_single(
     Exact values on the oracle backend come from ``tree_shapley``, which
     evaluates no coalition, so the cache counters read 0 there.  Every
     other estimator asks one ``verdicts`` function, built here once, for
-    batches of coalitions as 0/1 rows: it is ``evaluate_rows`` over this
-    configuration's cache, the one query path.  The oracle folds every
+    batches of coalitions as 0/1 rows, one column per node id: it is
+    ``evaluate_rows`` over this configuration's own cache, the one query
+    path.  The oracle folds every
     row it is handed; ``total_queries`` counts the rows and
     ``distinct_queries`` the distinct ones (distinct canonical forms on
     the prover).  Exact values on the prover backend come from
@@ -278,9 +279,9 @@ def run_single(
 
     nodes = list(iter_nodes(tree))
     n = len(nodes)
-    id_text = {i: node.node_id.text for i, node in enumerate(nodes)}
+    id_text = {node.node_id.index: node.node_id.text for node in nodes}
     cache = ValueCache()
-    warn_if_degenerate(tree, spec, cache)
+    warn_if_degenerate(tree, spec, cache.warnings)
 
     def verdicts(rows: np.ndarray) -> np.ndarray:
         return evaluate_rows(tree, rows, spec, cache, config.prover, prover_memo)

@@ -19,7 +19,7 @@ There are three exact paths, and all build the classical subset-weighted
 sum with the same integer numerators over n!, so efficiency, symmetry
 and dummy hold exactly and their ``Fraction``s agree.  ``tree_shapley``
 takes a tree and a property spec, and counts the coalitions that the
-oracle's compiled automaton (``oracle._automaton``) accepts, per size,
+node program the oracle folds (``oracle._compile``) accepts, per size,
 over the tree in polynomial time.  ``rooted_shapley``
 takes a tree and a verdict function (the prover's verdicts): a
 coalition's verdict depends only on its canonical form, the rooted
@@ -56,8 +56,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .oracle import PropertySpec, _automaton, coalition_rows
-from .process_tree import Coalition, ProcessTree
+from .oracle import PropertySpec, _compile, _span, coalition_rows
+from .process_tree import Coalition, ProcessTree, iter_nodes
 
 Verdicts = Callable[[np.ndarray], Sequence[int]]
 """A batch verdict function: a (k, n) 0/1 uint8 coalition matrix in, one
@@ -125,41 +125,39 @@ def _exact_estimate(numerators: list[int]) -> ShapleyEstimate:
     )
 
 
-def _preorder(
-    tree: ProcessTree,
-) -> tuple[list[ProcessTree], list[list[int]], list[int]]:
-    """The nodes in preorder, each node's children and parent (-1 at the
-    root) as preorder positions, children in order."""
+def _players(ids: int, nodes: int) -> int:
+    """*nodes*, the player count, when the node ids span 0..ids-1 with no
+    gap; a gap, as a ``substitute``d tree has, raises ``ValueError``."""
+    if ids != nodes:
+        raise ValueError(f"the ids of a {nodes}-node tree span 0..{ids - 1}: "
+                         f"exact Shapley values need ids 0..n-1 (assign_node_ids)")
+    return nodes
 
-    nodes: list[ProcessTree] = []
-    children: list[list[int]] = []
-    parent: list[int] = []
-    stack = [(tree, -1)]
-    while stack:
-        node, up = stack.pop()
-        if up >= 0:
-            children[up].append(len(nodes))
-        parent.append(up)
-        children.append([])
-        nodes.append(node)
-        stack.extend((child, len(nodes) - 1) for child in reversed(node.children))
-    return nodes, children, parent
+
+def _children(tree: ProcessTree) -> dict[int, list[int]]:
+    """Each node's children's ids by node id, the nodes in preorder."""
+    ids = _span(tree)
+    children = {node.node_id.index: [child.node_id.index for child in node.children]
+                for node in iter_nodes(tree)}
+    _players(ids, len(children))
+    return children
 
 
 def tree_shapley(tree: ProcessTree, spec: PropertySpec) -> ShapleyEstimate:
     """Exact Shapley values of the oracle's verdicts under *spec* on the
-    coalitions of *tree*'s nodes (players are the preorder node indices)
-    in polynomial time, by counting winning coalitions per size over the
-    tree (size-stratified model counting: Deutch, Frost, Kimelfeld,
-    Monet, SIGMOD 2022; Van den Broeck et al., AAAI 2021).
+    coalitions of *tree*'s nodes (players are the node ids, which must
+    run 0..n-1) in polynomial time, by counting winning coalitions per
+    size over the tree (size-stratified model counting: Deutch, Frost,
+    Kimelfeld, Monet, SIGMOD 2022; Van den Broeck et al., AAAI 2021).
 
     Each subtree gets a table: a list, indexed by the state codes of the
-    oracle's compiled automaton (``oracle._automaton``), of count
+    node program the oracle folds (``oracle._compile``), of count
     polynomials, whose coefficient k counts the coalitions of the
     subtree's nodes with k members that give it that state.  A present
-    node folds its children's tables through the join table of its
-    operator and shifts by one; an absent node takes the removed state,
-    code 0, with its size - 1 descendants free, (1 + x)^(size - 1).
+    leaf takes its leaf code; a present operator folds its children's
+    tables through its join table and shifts by one; an absent node takes
+    the removed state, code 0, with its size - 1 descendants free,
+    (1 + x)^(size - 1).
     Forcing player i in changes only the tables on the path from i to the
     root, where an absent ancestor leaves the others free but counts i:
     x (1 + x)^(size - 2).  With A[k] the winning coalitions of size k
@@ -173,27 +171,25 @@ def tree_shapley(tree: ProcessTree, spec: PropertySpec) -> ShapleyEstimate:
     substitution): no coefficient exceeds 2^n, so a convolution is one
     integer product and the coefficients read back exactly."""
 
-    leaf_code, lookups, wins = _automaton(spec)
-    joins = {op: lookup.tolist() for op, lookup in lookups.items()}
-    winners = [code for code, won in enumerate(wins.tolist()) if won]
-    states = len(wins)
-    nodes, children, parent = _preorder(tree)
-    n = len(nodes)
+    ids, root, leaves, steps, states, wins = _compile(tree, spec)
+    n = _players(ids, 1 + sum(len(below) for _, _, below in steps))
+    leaf_code, winners = leaves.tolist(), np.flatnonzero(wins).tolist()
+    joins: list[list[list[int]]] = [[] for _ in range(n)]
+    children: list[list[int]] = [[] for _ in range(n)]
+    parent = [-1] * n
+    size = [1] * n
     width = n + 1
     x = 1 << width
     free = [1]  # free[m] = (1 + x)^m
     for _ in range(n):
         free.append(free[-1] * (1 + x))
-    size = [1] * n
-    for pos in reversed(range(1, n)):
-        size[parent[pos]] += size[pos]
 
-    def present(pos: int, child_tables: list[list[int]]) -> list[int]:
+    def present(i: int, child_tables: list[list[int]]) -> list[int]:
         if not child_tables:
             table = [0] * states
-            table[leaf_code(nodes[pos])] = x
+            table[leaf_code[i]] = x
             return table
-        join = joins[nodes[pos].op]
+        join = joins[i]
         acc = child_tables[0]
         for right in child_tables[1:]:
             out = [0] * states
@@ -213,15 +209,20 @@ def tree_shapley(tree: ProcessTree, spec: PropertySpec) -> ShapleyEstimate:
     def winning(table: list[int]) -> int:
         return sum(table[code] for code in winners)
 
+    for index, table, below in steps:  # children before parents
+        joins[index], children[index] = table.reshape(states, states).tolist(), below
+        for child in below:
+            parent[child] = index
+            size[index] += size[child]
     tables: list[list[int]] = [[] for _ in range(n)]
-    for pos in reversed(range(n)):  # children before parents
-        own = present(pos, [tables[c] for c in children[pos]])
-        tables[pos] = with_absent(own, free[size[pos] - 1])
+    for i in [i for i in range(n) if not children[i]] + [index for index, _, _ in steps]:
+        own = present(i, [tables[c] for c in children[i]])
+        tables[i] = with_absent(own, free[size[i] - 1])
 
     def coefficients(poly: int) -> list[int]:
         return [(poly >> (width * k)) & (x - 1) for k in range(n + 1)]
 
-    total = coefficients(winning(tables[0]))
+    total = coefficients(winning(tables[root]))
     weights = _shapley_weights(n)
     numerators = []
     for i in range(n):
@@ -249,18 +250,18 @@ def canonical_form_count(tree: ProcessTree) -> int:
     its rooted subtrees plus the empty set, where a node roots
     r = prod(1 + r(child)) of them."""
 
-    _, children, _ = _preorder(tree)
-    rooted = [1] * len(children)
-    for pos in reversed(range(len(children))):
-        for child in children[pos]:
-            rooted[pos] *= 1 + rooted[child]
-    return rooted[0] + 1
+    children = _children(tree)
+    rooted = dict.fromkeys(children, 1)
+    for i in reversed(children):
+        for child in children[i]:
+            rooted[i] *= 1 + rooted[child]
+    return rooted[tree.node_id.index] + 1
 
 
 def rooted_shapley(tree: ProcessTree, verdicts: Verdicts) -> ShapleyEstimate:
     """Exact Shapley values of a boolean game over *tree*'s nodes (players
-    are the preorder node indices) whose value depends only on the
-    coalition's canonical form: the rooted subtree T of nodes whose
+    are the node ids, which must run 0..n-1) whose value depends only on
+    the coalition's canonical form: the rooted subtree T of nodes whose
     ancestors are all present, or the empty set.
 
     ``verdicts`` receives every canonical form at once as coalition rows,
@@ -285,16 +286,17 @@ def rooted_shapley(tree: ProcessTree, verdicts: Verdicts) -> ShapleyEstimate:
             f"exact computation refused: {count} canonical forms exceed "
             f"{ROOTED_LIMIT}; use mc_permutation_shapley or rs_subset_shapley"
         )
-    _, children, _ = _preorder(tree)
+    children = _children(tree)
     n = len(children)
-    subtrees: list[list[int]] = [[] for _ in range(n)]
-    for pos in reversed(range(n)):  # rooted subtrees that contain pos
-        grown = [1 << pos]
-        for child in children[pos]:
+    root = tree.node_id.index
+    subtrees: dict[int, list[int]] = {}
+    for i in reversed(children):  # rooted subtrees that contain i
+        grown = [1 << i]
+        for child in children[i]:
             options = [0, *subtrees[child]]
             grown = [mask | part for mask in grown for part in options]
-        subtrees[pos] = grown
-    masks = [0, *sorted(subtrees[0])]
+        subtrees[i] = grown
+    masks = [0, *sorted(subtrees[root])]
     values = verdicts(coalition_rows(masks, n))
 
     weights = _shapley_weights(n)
@@ -310,7 +312,7 @@ def rooted_shapley(tree: ProcessTree, verdicts: Verdicts) -> ShapleyEstimate:
         members = [i for i in range(n) if mask >> i & 1]
         frontier = [
             c for i in members for c in children[i] if not mask >> c & 1
-        ] if mask else [0]
+        ] if mask else [root]
         r = n - len(members) - len(frontier)
         if members:
             gain = spread(len(members) - 1, r)

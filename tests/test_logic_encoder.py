@@ -322,6 +322,25 @@ def test_run_prover_no_szs_line(tmp_path):
     assert run_prover("fof(a, axiom, x).", config) is SZSStatus.UNKNOWN
 
 
+@pytest.mark.parametrize("output, status", [
+    (b"% SZS status Satisfiable\n\xff\n", SZSStatus.SATISFIABLE),
+    (b"\xff\xfe", SZSStatus.UNKNOWN),
+], ids=["status-then-0xff", "only-0xff-0xfe"])
+def test_run_prover_reads_output_that_is_not_utf8(tmp_path, output, status):
+    """Bytes that are not UTF-8 neither hide a status line nor fail the
+    call: output with no status reads Unknown and warns as usual."""
+    binary = tmp_path / "binary.py"
+    binary.write_text(f"import sys\nsys.stdout.buffer.write({output!r})\n")
+    config = ProverConfig(executable=sys.executable, extra_args=(str(binary),))
+    assert run_prover("fof(a, axiom, x).", config) is status
+    tree = assign_node_ids(activity("a"))
+    [(value, warnings)] = values_via_prover([tree], SAT, config)
+    assert (value, warnings) == (
+        (1, []) if status is SZSStatus.SATISFIABLE
+        else (0, ["prover returned Unknown for sat; treating as 0"])
+    )
+
+
 def test_unknown_policy_zero_warns(tmp_path):
     silent = tmp_path / "silent.py"
     silent.write_text("print('no status')\n")

@@ -1,14 +1,15 @@
-"""The ``ValueCache`` against a model of what it should hold: one shared
-cache serving sat, liv and saf on the oracle and on the prover
+"""The ``ValueCache`` against a model of what it should hold: one cache
+per configuration, for sat, liv and saf on the oracle and on the prover
 (``StandIn``), asked random batches with repeats and partial hits in
-random sub-batches, gives the reference fold's verdicts, counts every
-coalition asked and every distinct (canonical, on the prover) coalition
-once per spec, and keeps warnings in mask order.  ``get_or_compute``,
-which ``evaluate_rows`` itself never calls, keeps every key in
-``table(())``, apart from the prover's tables: neither backend reads
-what it stored, whatever the key.  The oracle stores no verdict: it
-folds every row and counts its distinct rows apart from those
-entries."""
+random sub-batches with the configurations interleaved, gives the
+reference fold's verdicts, counts every coalition asked and every
+distinct (canonical, on the prover) coalition once, and keeps warnings
+in mask order.  A cache refuses any configuration but the one it first
+recorded.  ``get_or_compute``, which ``evaluate_rows`` itself never
+calls, keeps every key apart from the prover's ``table``: neither
+backend reads what it stored, whatever the key.  The oracle stores no
+verdict: it folds every row and counts its distinct rows apart from
+those entries."""
 
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ def silent(tree, backend: str, spec: PropertySpec, form: int) -> bool:
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_shared_cache_matches_model(data):
+def test_caches_match_model(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     tree = random_tree(rng, max_nodes=data.draw(st.sampled_from([4, 8, 12])))
     n = node_count(tree)
@@ -78,27 +79,25 @@ def test_shared_cache_matches_model(data):
     def key(backend: str, mask: int) -> int:
         return canonical_mask(tree, mask) if backend == "prover" else mask
 
-    def suffix(backend: str, spec: PropertySpec) -> tuple:
-        return (backend, spec)
-
-    cache = ValueCache()
+    caches = {job: ValueCache() for job in jobs}
     get_or_compute = ValueCache.get_or_compute
-    model: dict[tuple, dict[int, int]] = {suffix(*job): {} for job in jobs}
-    folded: dict[tuple, set[int]] = {suffix(*job): set() for job in jobs}  # oracle rows
-    stored: dict[tuple, int] = {}  # get_or_compute's entries
-    warnings: list[str] = []
-    asked = 0
+    model: dict[tuple, dict[int, int]] = {job: {} for job in jobs}
+    folded: dict[tuple, set[int]] = {job: set() for job in jobs}  # oracle rows
+    stored: dict[tuple, dict[int, int]] = {job: {} for job in jobs}  # get_or_compute's
+    warnings: dict[tuple, list[str]] = {job: [] for job in jobs}
+    asked = dict.fromkeys(jobs, 0)
 
-    # Entries stored through get_or_compute, keyed by the form and suffix
-    # a table would hold and with the verdict flipped, stay in table(()):
+    # Entries stored through get_or_compute, keyed by the form a table
+    # would hold and with the verdict flipped, stay apart from the table:
     # evaluate_rows returns the stand-in's and the fold's verdicts.
-    for backend, spec in jobs:
+    for job in jobs:
+        backend, spec = job
         for mask in data.draw(st.lists(st.sampled_from(pool), max_size=3)):
             flipped = 1 - fold_value(tree, spec, mask)
-            entry = (key(backend, mask),) + suffix(backend, spec)
-            value = get_or_compute(cache, entry, lambda flipped=flipped: flipped)
-            assert stored.setdefault(entry, value) == value
-            asked += 1
+            entry = key(backend, mask)
+            value = get_or_compute(caches[job], entry, lambda flipped=flipped: flipped)
+            assert stored[job].setdefault(entry, value) == value
+            asked[job] += 1
 
     def refuse(*args):
         raise AssertionError("evaluate_rows called ValueCache.get_or_compute")
@@ -114,35 +113,34 @@ def test_shared_cache_matches_model(data):
         for batch in batches:
             for current in data.draw(st.permutations(jobs)):
                 backend, spec = current
+                cache = caches[current]
+                asked[current] += len(batch)
                 if backend == "oracle":
-                    folded[suffix(*current)].update(batch)
+                    folded[current].update(batch)
                     got = verdicts_of_masks(tree, batch, spec, cache)
                     assert got == [fold_value(tree, spec, mask) for mask in batch]
-                    asked += len(batch)
                     continue
-                table = model[suffix(*current)]
+                table = model[current]
                 for form in dict.fromkeys(key(backend, mask) for mask in batch):
                     if form not in table:
                         table[form] = (0 if silent(tree, backend, spec, form)
                                        else fold_value(tree, spec, form))
                         if silent(tree, backend, spec, form):
-                            warnings.append(f"no verdict on {form:#x}")
+                            warnings[current].append(f"no verdict on {form:#x}")
                 got = verdicts_of_masks(tree, batch, spec, cache, UNUSED)
                 assert got == [table[key(backend, mask)] for mask in batch], current
-                asked += len(batch)
 
-    assert cache.total_queries == asked
-    assert cache.distinct_queries == len(cache) == len(stored) + sum(
-        map(len, model.values())
-    ) + sum(map(len, folded.values()))
-    for job in jobs:
-        assert cache.table(suffix(*job)) == model[suffix(*job)], job
+    for job, cache in caches.items():
+        assert cache.total_queries == asked[job], job
+        assert cache.distinct_queries == len(cache) == (
+            len(stored[job]) + len(model[job]) + len(folded[job])
+        ), job
+        assert cache.table == model[job], job
         handed = stand_ins[job].handed
         assert len(handed) == len(set(handed))  # no form decided twice
-    assert cache.warnings == warnings
-    assert cache.table(()) == stored
-    for entry, value in stored.items():
-        assert get_or_compute(cache, entry, refuse) == value
+        assert cache.warnings == warnings[job], job
+        for entry, value in stored[job].items():
+            assert get_or_compute(cache, entry, refuse) == value
 
 
 def test_bare_keys_live_apart_from_mask_tables():
@@ -152,5 +150,4 @@ def test_bare_keys_live_apart_from_mask_tables():
     assert cache.get_or_compute((0, "oracle"), lambda: 1) == 1
     assert cache.get_or_compute("k", lambda: 0) == 1
     assert len(cache) == 3 and cache.total_queries == 4
-    assert cache.table(()) == {"k": 1, 0: 0, (0, "oracle"): 1}
-    assert cache.table(("oracle",)) == {}
+    assert cache.table == {} and cache.verdicts == []

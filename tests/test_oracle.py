@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from procshap.logic_encoder import ProverConfig
 from procshap.oracle import (
     Property,
     PropertySpec,
     TauMode,
     ValueCache,
+    coalition_rows,
     evaluate,
+    evaluate_rows,
 )
 from procshap.process_tree import (
     Coalition,
@@ -31,6 +36,7 @@ from _language import trace_language
 
 SAT = PropertySpec(Property.SAT)
 LIV = PropertySpec(Property.LIV)
+FAKE_PROVER = str(Path(__file__).parent / "fake_prover.py")
 
 
 def saf(a="a", b="b", **kw) -> PropertySpec:
@@ -237,14 +243,38 @@ def test_evaluate_memoizes():
     assert cache.total_queries == 2 and cache.distinct_queries == 1
 
 
-def test_cache_key_distinguishes_specs():
-    tree = assign_node_ids(seq(activity("a"), activity("b")))
-    n = node_count(tree)
+def test_cache_refuses_another_configuration():
+    """A cache records the tree, spec and backend it was first asked
+    about: another one raises, before the cache changes, where a shared
+    prover cache would hand the second tree the first tree's verdict."""
+    first = assign_node_ids(seq(activity("a"), activity("b")))
+    second = assign_node_ids(xor(activity("a"), activity("b")))
+    rows = coalition_rows([0b011], 3)
+    prover = ProverConfig(executable=sys.executable, extra_args=(FAKE_PROVER,))
+    assert evaluate_rows(second, rows, SAT, ValueCache(), prover).tolist() == [1]
     cache = ValueCache()
-    coalition = Coalition.full(n)
-    assert evaluate(tree, coalition, SAT, cache) == 1
-    assert evaluate(tree, coalition, saf(), cache) == 0
-    assert cache.distinct_queries == 2
+    assert evaluate_rows(first, rows, SAT, cache, prover).tolist() == [0]
+    before = (dict(cache.table), list(cache.verdicts), cache.total_queries)
+    for tree, spec, config in [
+        (second, SAT, prover),
+        (assign_node_ids(seq(activity("a"), activity("b"))), SAT, prover),
+        (first, saf(), prover),
+        (first, PropertySpec(Property.SAT, mode=TauMode.SKIP), prover),
+        (first, SAT, None),
+        (first, SAT, ProverConfig(executable=sys.executable, extra_args=(FAKE_PROVER,),
+                                  timeout_s=5.0)),
+    ]:
+        with pytest.raises(ValueError, match="another configuration"):
+            evaluate_rows(tree, rows, spec, cache, config)
+    assert (dict(cache.table), list(cache.verdicts), cache.total_queries) == before
+    assert evaluate_rows(first, rows, SAT, cache, prover).tolist() == [0]
+
+    oracle = ValueCache()
+    assert evaluate(first, Coalition.full(3), SAT, oracle) == 1
+    for tree, spec, config in [(second, SAT, None), (first, LIV, None), (first, SAT, prover)]:
+        with pytest.raises(ValueError, match="another configuration"):
+            evaluate_rows(tree, rows, spec, oracle, config)
+    assert oracle.total_queries == oracle.distinct_queries == 1
 
 
 def test_cached_value_equals_recomputation():

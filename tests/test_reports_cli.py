@@ -672,6 +672,35 @@ def test_cli_verify_warns_on_a_pair_activity_no_node_labels(
     assert json.loads(captured.out.splitlines()[-1])["values"] == {"saf": 1}
 
 
+def test_cli_verify_prints_warnings_in_order_through_a_garbage_prover(tmp_path, capsys):
+    """Each property's cache records its own prover warnings; verify
+    prints every degenerate warning first, then the prover's, in
+    property order.  The prover prints bytes that are not UTF-8."""
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text("seq\n  act a\n  act b\n")
+    garbage = tmp_path / "garbage.sh"
+    garbage.write_text("#!/bin/sh\nprintf '\\377\\376'\n")
+    garbage.chmod(0o755)
+    rc = main(["verify", "--tree", str(tree_file), "--tau", "skip",
+               "--property", "sat,liv,saf", "--safety-pair", "a,zz",
+               "--backend", "prover", "--prover-path", str(garbage)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    unknown = "warning: prover returned Unknown for {}; treating as 0"
+    assert captured.err.splitlines() == [
+        "warning: sat is degenerate in skip mode: every coalition evaluates to 1",
+        "warning: liv is degenerate in skip mode: every coalition evaluates to 1",
+        "warning: saf is degenerate: no node is labelled 'zz', "
+        "so every coalition evaluates to 1",
+        unknown.format("sat"),
+        unknown.format("sat"),  # liv's sat gate
+        unknown.format("saf"),
+    ]
+    assert json.loads(captured.out.splitlines()[-1])["values"] == {
+        "sat": 0, "liv": 0, "saf": 0,
+    }
+
+
 def test_cli_attribute_exact(running_example_file, capsys):
     rc = main(["attribute", "--log", str(running_example_file), "--noise", "0.0",
                "--property", "sat", "--method", "exact"])

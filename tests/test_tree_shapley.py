@@ -121,6 +121,22 @@ def test_rooted_shapley_refuses_before_any_verdict():
         rooted_shapley(tree, no_verdicts)
 
 
+def test_exact_paths_refuse_trees_without_ids_0_to_n():
+    """The players are the node ids: a tree without ids, or a
+    ``substitute``d tree whose ids leave gaps, would give phantom players."""
+    bare = seq(xor(activity("a"), activity("b")), activity("c"))
+    cut = substitute(assign_node_ids(bare), 0b10001)  # Seq@0, tau@1, c@4
+    assert node_count(cut) == 3
+    for tree in (bare, cut):
+        for exact in (
+            lambda tree: tree_shapley(tree, PropertySpec(Property.SAT)),
+            lambda tree: rooted_shapley(tree, lambda rows: [0] * len(rows)),
+            canonical_form_count,
+        ):
+            with pytest.raises(ValueError, match="assign_node_ids"):
+                exact(tree)
+
+
 def _trees():
     leaves = st.one_of(st.sampled_from("abcd").map(activity), st.builds(tau))
 
