@@ -27,7 +27,6 @@ from .event_log import (
 from .logic_encoder import (
     ProverConfig,
     PropositionalSpec,
-    SZSStatus,
     emit_tptp,
     encode,
     run_prover,

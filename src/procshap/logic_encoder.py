@@ -24,9 +24,9 @@ three problem flavors line up with the oracle module:
 
 ``values_via_prover`` decides a batch of substituted trees.  It is the
 one place where prover calls are deduplicated and run in parallel: a
-memo from problem text to SZS status, which a caller may share across
-batches (``run_matrix`` shares one across its configurations, so liv's
-sat gate reuses the sat configuration's statuses), and one pool of
+memo from problem text to SZS status word, which a caller may share
+across batches (``run_matrix`` shares one across its configurations, so
+liv's sat gate reuses the sat configuration's statuses), and one pool of
 threads for the calls the memo lacks (each call waits on a subprocess),
 the package's only parallelism.  ``oracle.evaluate_rows`` hands it forms
 in rounds, one batch per round, from the maximal forms down: sat and liv
@@ -45,7 +45,6 @@ import subprocess
 import tempfile
 from concurrent import futures
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable
 
 from .oracle import Property, PropertySpec
@@ -186,37 +185,21 @@ def emit_tptp(pspec: PropositionalSpec, name: str = "problem") -> str:
     return "\n".join(lines) + "\n"
 
 
-class SZSStatus(Enum):
-    THEOREM = "Theorem"
-    COUNTER_SATISFIABLE = "CounterSatisfiable"
-    SATISFIABLE = "Satisfiable"
-    UNSATISFIABLE = "Unsatisfiable"
-    TIMEOUT = "Timeout"
-    GAVE_UP = "GaveUp"
-    UNKNOWN = "Unknown"
-    ERROR = "Error"
-
-
 _SZS_LINE = re.compile(r"SZS status\s+(\w+)")
 
-_SZS_ALIASES = {
-    "ContradictoryAxioms": SZSStatus.UNSATISFIABLE,
-    "ResourceOut": SZSStatus.TIMEOUT,
-}
+# The verdict each SZS status word stands for, one table per problem
+# kind: sat problems have no conjecture, liv and saf problems have one.
+# Axioms that contradict each other entail any conjecture, so for those
+# ContradictoryAxioms is a Theorem.  Any other word counts 0 and warns.
+_NO_CONJECTURE = {"Satisfiable": 1, "Unsatisfiable": 0, "ContradictoryAxioms": 0}
+_CONJECTURE = {"Theorem": 1, "ContradictoryAxioms": 1, "CounterSatisfiable": 0}
 
 
-def parse_szs(output: str) -> SZSStatus:
-    """First SZS status line in *output*; Unknown when none is present."""
+def parse_szs(output: str) -> str:
+    """The word of the first SZS status line in *output*; Unknown when
+    none is present."""
     match = _SZS_LINE.search(output)
-    if not match:
-        return SZSStatus.UNKNOWN
-    word = match.group(1)
-    if word in _SZS_ALIASES:
-        return _SZS_ALIASES[word]
-    try:
-        return SZSStatus(word)
-    except ValueError:
-        return SZSStatus.UNKNOWN
+    return match.group(1) if match else "Unknown"
 
 
 class ProverNotFoundError(EnvironmentError):
@@ -235,13 +218,14 @@ class ProverConfig:
             raise ValueError("prover timeout must be positive")
 
 
-def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
-    """Run the external prover on *problem* and parse the first SZS status
-    line of its output, decoded as UTF-8 with each invalid byte replaced:
-    a status line still counts beside bytes that are not UTF-8, and output
-    with no status reads Unknown.  The prover runs in its own session, so at the
-    timeout its whole process group is killed, with any children it
-    started, before it is reaped."""
+def run_prover(problem: str, config: ProverConfig) -> str:
+    """Run the external prover on *problem* and return the status word of
+    the first SZS status line of its output, decoded as UTF-8 with each
+    invalid byte replaced: a status line still counts beside bytes that
+    are not UTF-8, and output with no status reads Unknown.  The prover
+    runs in its own session, so at the timeout its whole process group is
+    killed, with any children it started, before it is reaped, and the
+    word is Timeout."""
 
     with tempfile.NamedTemporaryFile(
         mode="w", suffix=".p", delete=False
@@ -268,31 +252,22 @@ def run_prover(problem: str, config: ProverConfig) -> SZSStatus:
             except subprocess.TimeoutExpired:
                 os.killpg(prover.pid, signal.SIGKILL)
                 prover.wait()
-                return SZSStatus.TIMEOUT
+                return "Timeout"
         return parse_szs(stdout + "\n" + stderr)
     finally:
         os.unlink(path)
 
 
 def _status_to_value(
-    status: SZSStatus, prop: Property, warn: Callable[[str], None]
+    status: str, prop: Property, about: str, warn: Callable[[str], None]
 ) -> int:
-    """The game value a *prop* problem's status stands for.
-
-    sat: Satisfiable -> 1, Unsatisfiable -> 0.
-    liv and saf: Theorem -> 1, CounterSatisfiable -> 0.
-    Anything else (Timeout, Unknown, GaveUp, ...) counts 0 and warns.
-    """
-    if prop is Property.SAT:
-        positive, negative = SZSStatus.SATISFIABLE, SZSStatus.UNSATISFIABLE
-    else:
-        positive, negative = SZSStatus.THEOREM, SZSStatus.COUNTER_SATISFIABLE
-    if status is positive:
-        return 1
-    if status is negative:
-        return 0
-    warn(f"prover returned {status.value} for {prop.value}; treating as 0")
-    return 0
+    """The game value a *prop* problem's status word stands for, read from
+    its kind's table; a word the table lacks counts 0 and warns that the
+    prover returned it for *about*."""
+    table = _NO_CONJECTURE if prop is Property.SAT else _CONJECTURE
+    if status not in table:
+        warn(f"prover returned {status} for {about}; treating as 0")
+    return table.get(status, 0)
 
 
 def _problem(tree_c: ProcessTree, spec: PropertySpec) -> str:
@@ -302,7 +277,7 @@ def _problem(tree_c: ProcessTree, spec: PropertySpec) -> str:
 def _decide(
     problems: list[str], prop: Property, config: ProverConfig, memo: dict
 ) -> None:
-    """Put the status of every *prop* problem in *problems* into *memo*,
+    """Put the status word of every *prop* problem in *problems* into *memo*,
     calling the prover once for each distinct problem the memo lacks.
 
     The calls, one or many, run on one pool of min(calls, cpu count)
@@ -316,7 +291,7 @@ def _decide(
     if not missing:
         return
 
-    def call(problem: str) -> SZSStatus:
+    def call(problem: str) -> str:
         if config.dump_dir is not None:
             digest = hashlib.sha1(problem.encode()).hexdigest()[:12]
             os.makedirs(config.dump_dir, exist_ok=True)
@@ -338,43 +313,43 @@ def values_via_prover(
     trees_c: list[ProcessTree],
     spec: PropertySpec,
     config: ProverConfig,
-    memo: dict[str, SZSStatus] | None = None,
+    memo: dict[str, str] | None = None,
 ) -> list[tuple[int, list[str]]]:
     """The verdict on every substituted tree of a batch: each tree's value
     with the warnings its statuses raised, in the order of *trees_c*.
 
-    *memo* maps TPTP problem text to SZS status (a fresh one when None);
-    it is the one place where prover calls are deduplicated, so a
+    *memo* maps TPTP problem text to SZS status word (a fresh one when
+    None); it is the one place where prover calls are deduplicated, so a
     problem asked again, by this batch or a later one sharing the memo,
     costs no call.  Use one memo per ``ProverConfig``.  sat and saf
     decide each tree's problem in one round.  liv is gated by sat, so it
     takes two rounds: the sat problems of every tree, then the liv
-    problems of the trees whose sat status is Satisfiable.  The gate
-    saves calls, not soundness: liv's premises define each variable from
-    its children, so they are always satisfiable, and liv implies sat, so
-    a sat verdict of 0, often already in the memo, settles liv.
+    problems of the trees whose sat verdict is 1.  The gate saves calls,
+    not soundness: liv's premises define each variable from its children,
+    so they are always satisfiable, and liv implies sat, so a sat verdict
+    of 0, often already in the memo, settles liv.
 
-    The memo holds statuses, not values: each use turns its status into
-    a value, so each caller records its own warnings, sat's before liv's
-    for each tree.  A status that is neither verdict counts 0 with a
-    warning."""
+    The memo holds status words, not values: each use reads its word in
+    its kind's table, so each caller records its own warnings, the gate's
+    before liv's for each tree.  A word that is no verdict counts 0 with
+    a warning."""
 
     memo = {} if memo is None else memo
-    gate = replace(spec, prop=Property.SAT) if spec.prop is Property.LIV else spec
+    liv = spec.prop is Property.LIV
+    gate = replace(spec, prop=Property.SAT) if liv else spec
     first = [_problem(tree_c, gate) for tree_c in trees_c]
     _decide(first, gate.prop, config, memo)
-    second = {
-        i: _problem(tree_c, spec)
-        for i, tree_c in enumerate(trees_c)
-        if spec.prop is Property.LIV and memo[first[i]] is SZSStatus.SATISFIABLE
-    }
-    _decide(list(second.values()), spec.prop, config, memo)
-
+    about = "liv's sat gate" if liv else spec.prop.value
     results = []
-    for i, problem in enumerate(first):
+    for problem in first:
         warnings: list[str] = []
-        value = _status_to_value(memo[problem], gate.prop, warnings.append)
-        if i in second:
-            value = _status_to_value(memo[second[i]], spec.prop, warnings.append)
+        value = _status_to_value(memo[problem], gate.prop, about, warnings.append)
         results.append((value, warnings))
+    if liv:
+        second = {i: _problem(trees_c[i], spec) for i, (value, _) in enumerate(results) if value}
+        _decide(list(second.values()), spec.prop, config, memo)
+        for i, problem in second.items():
+            _, warnings = results[i]
+            value = _status_to_value(memo[problem], spec.prop, "liv", warnings.append)
+            results[i] = (value, warnings)
     return results

@@ -459,9 +459,7 @@ def _cross_analyses(config: RunConfig, records: list[dict]) -> dict:
     adaptive: dict[str, list] = {}
     for label, group in by_property.items():
         group = sorted(group, key=lambda r: r["noise"])
-        tops = {
-            r["noise"]: top_k(r["phi"], config.diagnostics.top_k) for r in group
-        }
+        tops = {r["noise"]: r["top_k"] for r in group}
         pairs = {}
         levels = [r["noise"] for r in group]
         for i, a in enumerate(levels):

@@ -8,7 +8,12 @@ prints an SZS status line:
 * with a conjecture: Theorem / CounterSatisfiable
 * without:           Satisfiable / Unsatisfiable
 
-Usage: python fake_prover.py PROBLEM.p
+With ``--contradictory`` it answers ContradictoryAxioms instead whenever
+the axioms alone have no model, as E and Vampire may: by the SZS
+ontology that is a Theorem of a problem with a conjecture and an
+Unsatisfiable problem without one.
+
+Usage: python fake_prover.py [--contradictory] PROBLEM.p
 """
 
 from __future__ import annotations
@@ -203,8 +208,9 @@ def satisfiable(formulas) -> bool:
     return var is None or branch(var) or branch(-var)
 
 
-def status(text: str) -> str:
-    """The SZS status of the FOF problem *text*."""
+def status(text: str, contradictory: bool = False) -> str:
+    """The SZS status of the FOF problem *text*; ContradictoryAxioms
+    when *contradictory* and the axioms have no model."""
     axioms = []
     conjecture = None
     for role, body in re.findall(
@@ -215,6 +221,8 @@ def status(text: str) -> str:
             axioms.append(formula)
         else:
             conjecture = formula
+    if contradictory and not satisfiable(axioms):
+        return "ContradictoryAxioms"
     if conjecture is None:
         return "Satisfiable" if satisfiable(axioms) else "Unsatisfiable"
     refutable = satisfiable(axioms + [("~", [conjecture])])
@@ -223,7 +231,8 @@ def status(text: str) -> str:
 
 def main() -> int:
     sys.setrecursionlimit(10_000)  # one frame per branching variable
-    print(f"% SZS status {status(open(sys.argv[1]).read())}")
+    *flags, path = sys.argv[1:]
+    print(f"% SZS status {status(open(path).read(), '--contradictory' in flags)}")
     return 0
 
 

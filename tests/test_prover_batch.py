@@ -228,7 +228,7 @@ CRASHING = "import sys\nsys.stderr.write('Traceback: boom\\n')\nsys.exit(3)\n"
 GARBAGE = "print('\\x00@@ SZS statu5 ~~ %%%')\n"
 
 # Decides nothing; its answer and its delay depend on the problem's bytes,
-# so calls finish out of order and answer Timeout or nothing at all.
+# so calls finish out of order and answer ResourceOut or nothing at all.
 MIXED = """import hashlib, sys, time
 digest = hashlib.sha1(open(sys.argv[1], 'rb').read()).digest()
 time.sleep(digest[1] % 4 * 0.05)
@@ -270,7 +270,7 @@ def test_batch_warnings_follow_mask_order(tmp_path):
     masks = sorted({canonical_mask(tree, mask) for mask in range(1 << n)})
     for mask in masks:
         problem = emit_tptp(encode(substitute(tree, mask), SAT), "sat")
-        status = "Timeout" if hashlib.sha1(problem.encode()).digest()[0] % 2 else "Unknown"
+        status = "ResourceOut" if hashlib.sha1(problem.encode()).digest()[0] % 2 else "Unknown"
         expected.append(f"prover returned {status} for sat; treating as 0")
     assert len(set(expected)) == 2  # both answers occur
     for _ in range(2):
@@ -388,9 +388,10 @@ def test_liv_warnings_with_faulty_sat_equal_liv_only_run(tmp_path, tiny_log_file
     sat, shared = tiny_matrix(tiny_log_file, prover, SAT, LIV)
     [alone] = tiny_matrix(tiny_log_file, prover, LIV)
     status = SAT_FAULTS[fault][1]
-    expected = [f"prover returned {status} for sat; treating as 0"] * 11
-    assert sat["cache"]["warnings"] == expected
-    assert shared["cache"]["warnings"] == alone["cache"]["warnings"] == expected
+    expected = [f"prover returned {status} for {{}}; treating as 0"] * 11
+    assert sat["cache"]["warnings"] == [w.format("sat") for w in expected]
+    gate = [w.format("liv's sat gate") for w in expected]
+    assert shared["cache"]["warnings"] == alone["cache"]["warnings"] == gate
     assert shared == alone
 
 
@@ -419,7 +420,7 @@ def test_liv_warnings_keep_sat_then_liv_order_per_form(tmp_path, tiny_log_file):
         coalition = Coalition(n, mask)
         problem = emit_tptp(encode(substitute(tree, mask), SAT), "sat")
         if hashlib.sha1(problem.encode()).digest()[0] % 2:
-            expected.append("prover returned Unknown for sat; treating as 0")
+            expected.append("prover returned Unknown for liv's sat gate; treating as 0")
         elif evaluate(tree, coalition, SAT):
             expected.append("prover returned Unknown for liv; treating as 0")
     assert len(set(expected)) == 2  # both kinds occur
@@ -481,8 +482,9 @@ def test_no_verdict_warns_in_mask_order(tmp_path):
     )
     warned = script(tmp_path, "warn.py", body)
     record = run_single(exact_config(warned), tiny_tree(), 0.0, LIV, None)
-    sat, liv = (f"prover returned Unknown for {p}; treating as 0" for p in ("sat", "liv"))
-    assert record["cache"]["warnings"] == [liv, sat, liv, sat, liv]
+    gate, liv = (f"prover returned Unknown for {p}; treating as 0"
+                 for p in ("liv's sat gate", "liv"))
+    assert record["cache"]["warnings"] == [liv, gate, liv, gate, liv]
 
 
 def test_mc_liv_on_prover_equals_oracle(tmp_path):

@@ -693,7 +693,7 @@ def test_cli_verify_prints_warnings_in_order_through_a_garbage_prover(tmp_path, 
         "warning: saf is degenerate: no node is labelled 'zz', "
         "so every coalition evaluates to 1",
         unknown.format("sat"),
-        unknown.format("sat"),  # liv's sat gate
+        unknown.format("liv's sat gate"),
         unknown.format("saf"),
     ]
     assert json.loads(captured.out.splitlines()[-1])["values"] == {
