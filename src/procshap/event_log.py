@@ -4,17 +4,15 @@ An ``EventLog`` is a multiset of activity sequences: each distinct
 sequence (variant) with its number of traces.  That is all the miner
 reads, so case ids, timestamps and trace order are not kept.
 
-``parse_xes`` builds no element tree.  A scan first reads a document in
-the plain layout without per-element callbacks: each trace must match
-one compiled grammar whole, which proves it well-formed and in the
-layout, and a regex takes each event's activity from its first child
-``<string key="KEY" value="..."/>``.  Expat checks only the bytes before
-the first trace and after the last; a strict decoder checks the UTF-8
-of it all.  What the scan does not prove (its rules are listed on
-``_scan_plain``) goes to the handler pass, one ``expat`` pass with start
-and end handlers from the document's start, so such a document costs
-one extra read of what the scan read before it gave up.  Errors always
-come from the handler pass, so their messages, lines and columns do not
+``parse_xes`` builds no element tree.  A scan reads a document in the
+plain layout without per-element callbacks: one compiled token pattern
+splits each trace, proving it well-formed and in the layout, and gives
+each event's activity.  Expat checks only the bytes before the first
+trace and after the last, and a strict decoder the UTF-8.  What the
+scan does not prove (see ``_scan_plain``) goes to the handler pass: one
+``expat`` pass with start and end handlers from the document's start,
+which re-reads what the scan read before it gave up.  Errors always come
+from the handler pass, so their messages, lines and columns do not
 depend on the scan.  The XES subset both passes read:
 
 - ``<trace>`` and ``<event>`` elements, at any depth and under any
@@ -25,9 +23,6 @@ depend on the scan.  The XES subset both passes read:
 - ``<global>``, extension, classifier, trace-level and log-level
   attributes are ignored, and so are lifecycle transitions.
 - gzip compression is detected by its magic bytes.
-
-``dfg_from_sequences`` counts a sub-log given as a variant -> count
-mapping, so the miner handles each distinct variant once.
 """
 
 from __future__ import annotations
@@ -38,9 +33,11 @@ import gzip
 import io
 import os
 import re
+import sys
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import BinaryIO, Mapping, Union
 from xml.parsers import expat
 
@@ -132,29 +129,37 @@ CHUNK = 1 << 16  # bytes per read of the plain scan
 CARRY_LIMIT = 1 << 20  # the most bytes the scan holds without a </trace>
 
 _PLAIN_KEY = re.compile(r"[\w:.-]+", re.ASCII)
-_WS = rb"[ \t\r\n]*"  # not \s, which also matches \f and \v in bytes
+_BLANK = b" \t\r\n"  # XML whitespace; not \s, which also matches \f and \v in bytes
 _KINDS = rb"string|date|int|float|boolean|id|list|container"
-_VALUE = rb'[^"<&\x00-\x08\x0b\x0c\x0e-\x1f]*"'  # no ", <, & or C0 but tab, LF, CR
+_VALUE = rb'[^"<&\x00-\x08\x0b\x0c\x0e-\x1f]'  # no ", <, & or C0 but tab, LF, CR
+_POSSESSIVE = b"+" if sys.version_info >= (3, 11) else b""  # in re from Python 3.11
 
 
 @functools.cache
 def _grammar(key: bytes, depth: int) -> re.Pattern[bytes]:
-    """One plain-layout trace up to its ``</trace>``, whose attribute
-    elements nest at most *depth* deep below the trace or an event."""
+    """One token of a plain-layout trace and the whitespace after it: an
+    ``<event>`` whose first child is ``<string key="KEY" value="A"/>``, A
+    its group 1, or an attribute element, nested at most *depth* deep.
+    Each ``*``, ``+`` and ``?`` takes the ``_POSSESSIVE`` suffix; both forms
+    match alike, as no repetition can take the byte its continuation starts
+    with: whitespace comes before ``<`` or the end, a value class excludes
+    ``"``, the optional value starts with a space and ``/`` or ``>`` follows
+    it, and ``</``, which starts no attribute, follows an attribute list."""
+    p = _POSSESSIVE
+    ws, value = b"[%s]*%s" % (_BLANK, p), b'%s*%s"' % (_VALUE, p)
 
     def attribute(level: int, keys: bytes) -> bytes:
         name = b"%s%d" % (b"e" if keys else b"t", level)  # a group its end tag repeats
         kind = rb"(?P<%s>%s)" % (name, _KINDS) if level > 1 else rb"(?:%s)" % _KINDS
-        tag = rb'<%s key="%s%s(?: value="%s)?' % (kind, keys, _VALUE, _VALUE)
+        tag = rb'<%s key="%s%s(?: value="%s)?%s' % (kind, keys, value, value, p)
         if level == 1:
             return tag + b"/>"
         inner = attribute(level - 1, keys)
-        return rb"%s(?:/>|>%s(?:%s%s)*</(?P=%s)>)" % (tag, _WS, inner, _WS, name)
+        return rb"%s(?:/>|>%s(?:%s%s)*%s</(?P=%s)>)" % (tag, ws, inner, ws, p, name)
 
-    event = rb'<event>%s<string key="%s" value="[^"<&\x00-\x1f]+"/>%s(?:%s%s)*</event>' % (
-        _WS, key, _WS, attribute(depth, b'(?!%s")' % key), _WS)
-    return re.compile(rb"%s<trace>%s(?:(?:%s|%s)%s)*" % (
-        _WS, _WS, attribute(depth, b""), event, _WS))
+    event = rb'<event>%s<string key="%s" value="([^"<&\x00-\x1f]+%s)"/>%s(?:%s%s)*%s</event>' % (
+        ws, key, p, ws, attribute(depth, b'(?!%s")' % key), ws, p)
+    return re.compile(rb"(?:%s|%s)%s" % (event, attribute(depth, b""), ws))
 
 
 def _refuse(*_: object) -> None:
@@ -168,28 +173,27 @@ def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
     callbacks; None as soon as the document leaves that layout or is
     malformed, and the handler pass must decide.
 
-    Each trace must match ``_grammar`` whole, with only whitespace between
-    traces: no attributes on ``<trace>`` and ``<event>``, each event's
-    first child a self-closing ``<string key="KEY" value="A"/>``, the other
-    children XES attribute elements (``key`` and an optional ``value``)
-    nested at most 4 deep, none keyed KEY inside an event.  No value holds
-    ``<``, so splitting at ``</trace>`` is exact; A is non-empty, without
-    the tab or line break expat would make a space.  Expat checks the
-    bytes before the first ``<trace>`` (the head) and after the last
-    ``</trace>`` (the tail), and refuses an element named ``trace`` or
-    ``event``, a comment, processing instruction, CDATA section, DOCTYPE,
-    prefixed namespace declaration or declared encoding other than UTF-8.
-    Two empty elements stand in for the traces: expat rejects the second
-    unless an element is open after the head.  A strict incremental
-    decoder proves the UTF-8; U+FFFE, U+FFFF and NUL (UTF-16) are refused.
-    At most ``CARRY_LIMIT`` bytes may come without a ``</trace>``, and the
-    classifier key must be ASCII letters, digits and ``_:.-``.
+    The tokens of ``_grammar`` (flat, or nested 4 deep if a trace needs it)
+    must tile each trace after its ``<trace>``, with only whitespace
+    between traces: so ``<trace>`` and ``<event>`` have no attributes, each
+    event's first child is a self-closing ``<string key="KEY" value="A"/>``
+    and its other children XES attribute elements not keyed KEY.  No value
+    holds ``<``, so splitting at ``</trace>`` is exact; A is non-empty,
+    without the tab or line break expat would make a space.  Expat checks
+    the bytes before the first ``<trace>`` and after the last ``</trace>``,
+    and refuses an element named ``trace`` or ``event``, a comment,
+    processing instruction, CDATA section, DOCTYPE, prefixed namespace
+    declaration or declared encoding other than UTF-8.  Two empty elements
+    stand in for the traces: expat rejects the second unless an element is
+    still open there.  A strict incremental decoder proves the UTF-8;
+    U+FFFE, U+FFFF and NUL (UTF-16) are refused.  At most ``CARRY_LIMIT``
+    bytes may come without a ``</trace>``, and the classifier key must be
+    ASCII letters, digits and ``_:.-``.
     """
     if not _PLAIN_KEY.fullmatch(classifier_key):
         return None
     key = re.escape(classifier_key.encode())
     flat = _grammar(key, 1)
-    event = re.compile(rb'<event>%s<string key="%s" value="([^"]*)"' % (_WS, key))
     decode = functools.cache(bytes.decode)  # one str per distinct activity
     utf8 = codecs.getincrementaldecoder("utf-8")()
     checker = expat.ParserCreate(namespace_separator="}")
@@ -223,9 +227,14 @@ def _scan_plain(stream: BinaryIO, classifier_key: str) -> Variants | None:
                 segment, carry = segment[:cut], segment[cut:]
             *traces, tail = segment.split(b"</trace>")
             for trace in traces:
-                if not (flat.fullmatch(trace) or _grammar(key, 4).fullmatch(trace)):
+                for grammar in (flat, None):
+                    grammar = grammar or _grammar(key, 4)
+                    parts, stride = grammar.split(trace), grammar.groups + 1  # gap, groups
+                    if parts[0].strip(_BLANK) == b"<trace>" and not any(parts[stride::stride]):
+                        found[tuple(map(decode, filter(None, parts[1::stride])))] += 1
+                        break
+                else:
                     return None
-                found[tuple(map(decode, event.findall(trace)))] += 1
             if not chunk:
                 checker.Parse(tail, True)
                 return found
@@ -292,19 +301,20 @@ def build_dfg(log: EventLog) -> DirectlyFollowsGraph:
 
 
 def dfg_from_sequences(sequences: Mapping[tuple[str, ...], int]) -> DirectlyFollowsGraph:
-    """Directly-follows counts of a sub-log, given as a mapping from each
-    variant to its number of occurrences."""
-    edges: Counter = Counter()
-    starts: Counter = Counter()
-    ends: Counter = Counter()
+    """Directly-follows counts of a sub-log given as variant -> count, so
+    the miner handles each distinct variant once.  One C-level ``Counter``
+    counts the pairs of all variants that share a count; starts and ends
+    are counted while the variants are grouped."""
+    groups: dict[int, list[tuple[str, ...]]] = {}
+    starts: dict[str, int] = {}
+    ends: dict[str, int] = {}
     for seq, count in sequences.items():
+        groups.setdefault(count, []).append(seq)
         if seq:
-            starts[seq[0]] += count
-            ends[seq[-1]] += count
-        for pair in zip(seq, seq[1:]):
-            edges[pair] += count
-    return DirectlyFollowsGraph(
-        edge_freq=dict(edges),
-        start_freq=dict(starts),
-        end_freq=dict(ends),
-    )
+            starts[seq[0]] = starts.get(seq[0], 0) + count
+            ends[seq[-1]] = ends.get(seq[-1], 0) + count
+    edges: dict[tuple[str, str], int] = {}
+    for count, group in groups.items():
+        for pair, n in Counter(chain.from_iterable(zip(s, s[1:]) for s in group)).items():
+            edges[pair] = edges.get(pair, 0) + n * count
+    return DirectlyFollowsGraph(edge_freq=edges, start_freq=starts, end_freq=ends)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import gzip
 import io
+import re
+import sys
 import warnings
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -11,10 +13,11 @@ from unittest import mock
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procshap import event_log
 from procshap.event_log import (
+    DirectlyFollowsGraph,
     EventLog,
     XesParseError,
     build_dfg,
@@ -208,6 +211,32 @@ def test_dfg_invariants_on_random_logs(sequences):
 )
 def test_dfg_of_variant_counts_equals_dfg_of_sequences(sequences):
     assert dfg_from_sequences(Counter(sequences)) == dfg_of_traces(sequences)
+
+
+def _weighted_dfg_of_traces(variants: dict[tuple[str, ...], int]) -> DirectlyFollowsGraph:
+    """``dfg_of_traces`` of each variant alone, times its count."""
+    totals: list[Counter] = [Counter(), Counter(), Counter()]
+    for seq, count in variants.items():
+        one = dfg_of_traces([seq])
+        for total, freq in zip(totals, (one.edge_freq, one.start_freq, one.end_freq)):
+            for item, n in freq.items():
+                total[item] += n * count
+    return DirectlyFollowsGraph(*map(dict, totals))
+
+
+@given(st.dictionaries(
+    st.lists(st.sampled_from("abcd"), max_size=6).map(tuple),
+    st.sampled_from([1, 2, 3]) | st.integers(1, 10**6), max_size=12))
+@example({(): 10**6, ("a",): 1, ("a", "b", "a"): 10**6, ("b", "a"): 1})
+@example({(): 1})
+def test_dfg_of_multiplicities_equals_dfg_of_traces(variants):
+    """Counts from 1 to 10^6, shared or not, and empty variants: against
+    the trace list itself where it is small, else each variant's counts
+    times its multiplicity."""
+    dfg = dfg_from_sequences(variants)
+    assert dfg == _weighted_dfg_of_traces(variants)
+    if sum(variants.values()) <= 1000:
+        assert dfg == dfg_of_traces([s for s, count in variants.items() for _ in range(count)])
 
 
 # --- expat reader against the ElementTree reference -----------------------
@@ -549,6 +578,12 @@ PERTURBED = {
     "traces without a root element": _swap(b'<log xes.version="1.0">', b"",
                                            _swap(b"</log>\n", b"")),
     "utf-16 without traces": "<log></log>".encode("utf-16-be"),
+    # One document per tiling rule of the token split.
+    "text between two events": _swap(b"</event>\n    <event>", b"</event>\n    text\n    <event>"),
+    "text right after <trace>": _swap(b"<trace><event>", b"<trace>text<event>"),
+    "attribute element between traces": _swap(
+        b"</trace>\n  <trace>", b'</trace>\n  <string key="concept:name" value="x"/>\n  <trace>'),
+    "lone </event>": _swap(B, B + b"</event>"),
 }
 
 
@@ -567,6 +602,10 @@ SCANNED = {
                                    b'value="v"><int key="n" value="1"/></string></list>'
                                    b'</container>'),
     "xmlns: in a value": _swap(A, A + b'<string key="note" value="xmlns:x"/>'),
+    "nested attributes in the trace and in an event": _swap(
+        b'<string key="concept:name" value="1"/>',
+        b'<list key="ids"><string key="concept:name" value="1"/></list>',
+        _swap(A, A + b'<container key="c"><int key="n" value="1"/></container>')),
 }
 
 
@@ -646,3 +685,46 @@ def test_a_trace_past_the_carry_bound_takes_the_handler_pass():
         outcome, used = _parse_noting_pass(doc)
     assert used == "handlers"
     assert outcome == _handler_outcome(doc) == [(("a", "b"), 1), (("c",), 1), (("b",) * 12, 1)]
+
+
+# --- possessive and greedy grammars -----------------------------------------
+
+
+def _splits(cases) -> list[list]:
+    """Each grammar's split of every piece of every (document, key) case
+    cut at ``</trace>``, flat and nested."""
+    return [event_log._grammar(re.escape(key.encode()), depth).split(trace)
+            for doc, key in cases for trace in doc.split(b"</trace>")[:-1]
+            for depth in (1, 4)]
+
+
+def _greedy_and_possessive_splits(cases) -> tuple[list, list]:
+    with mock.patch.object(event_log, "_POSSESSIVE", b""):
+        event_log._grammar.cache_clear()
+        try:
+            assert b"*+" not in event_log._grammar(b"k", 4).pattern
+            greedy = _splits(cases)
+        finally:
+            event_log._grammar.cache_clear()
+    assert b"*+" in event_log._grammar(b"k", 4).pattern
+    return greedy, _splits(cases)
+
+
+needs_possessive = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="re has possessive quantifiers from Python 3.11")
+
+
+@needs_possessive
+@given(st.one_of(plain_documents(), nested_documents().map(lambda case: (case[0], case[2]))))
+@settings(max_examples=200, deadline=None)
+def test_greedy_and_possessive_grammars_split_generated_traces_alike(case):
+    greedy, possessive = _greedy_and_possessive_splits([case])
+    assert greedy == possessive
+
+
+@needs_possessive
+def test_greedy_and_possessive_grammars_split_every_case_alike():
+    cases = [(doc, "concept:name") for doc in [*PERTURBED.values(), *SCANNED.values()]]
+    greedy, possessive = _greedy_and_possessive_splits(cases)
+    assert len(greedy) > 2 * len(cases)
+    assert greedy == possessive
