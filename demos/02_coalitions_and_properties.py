@@ -13,6 +13,7 @@ from procshap import (
     Property,
     PropertySpec,
     TauMode,
+    ValueCache,
     coalition_rows,
     discover,
     emit_tptp,
@@ -37,8 +38,9 @@ print("after removing nodes 10, 12, 13:")
 print(tree_to_text(reduced))
 
 # The oracle judges a coalition on the tree itself; the substituted tree
-# above is for display.  It takes a batch of coalitions as a 0/1 matrix,
-# one row per coalition and one column per node.
+# above is for display.  A ValueCache is made for one tree and property;
+# it takes a batch of coalitions as a 0/1 matrix, one row per coalition
+# and one column per node.
 
 sat = PropertySpec(Property.SAT)
 liv = PropertySpec(Property.LIV)
@@ -46,7 +48,7 @@ saf = PropertySpec(Property.SAF, safety_pair=("pay compensation", "reject reques
 
 
 def verdict(mask: int, spec: PropertySpec) -> int:
-    return int(evaluate_rows(tree, coalition_rows([mask], n), spec)[0])
+    return int(evaluate_rows(ValueCache(tree, spec), coalition_rows([mask], n))[0])
 
 
 print("verdicts for the reduced model (blocked tau semantics):")

@@ -34,12 +34,12 @@ tree = discover(load_running_example(), MinerConfig(noise=0.0))
 n = node_count(tree)
 names = {i: node.node_id.text for i, node in enumerate(iter_nodes(tree))}
 spec = PropertySpec(Property.SAT)
-cache = ValueCache()
+cache = ValueCache(tree, spec)  # one per tree and property
 
 
 # Every estimator's one query path: coalition rows in, verdicts out, in order.
 def verdicts(rows):
-    return evaluate_rows(tree, rows, spec, cache)
+    return evaluate_rows(cache, rows)
 
 
 t0 = time.time()

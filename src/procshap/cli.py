@@ -272,8 +272,8 @@ def cmd_verify(args) -> int:
     rows = coalition_rows([mask], n)
     results = {}
     for spec in specs:
-        cache = ValueCache()  # one per configuration
-        value = int(evaluate_rows(tree, rows, spec, cache, prover, prover_memo)[0])
+        cache = ValueCache(tree, spec, prover, prover_memo)  # one per configuration
+        value = int(evaluate_rows(cache, rows)[0])
         warnings += cache.warnings
         results[spec.prop.value] = value
         print(f"{spec.prop.value}: {value}")

@@ -19,11 +19,12 @@ codes, a leaf coder and one lookup table per operator.  ``_compile``
 makes it one tree's node program, whose players are the node ids:
 batch evaluation folds it, ``shapley.tree_shapley`` counts it.
 Everything that asks for the verdicts of particular coalitions asks
-``evaluate_rows`` for a batch, the package's one coalition evaluator: a
-0/1 coalition matrix, one row per coalition and one column per node id.
-A ``ValueCache`` records one configuration on one backend and compiles
-its program once (``ValueCache.program``).  Passing a
-``logic_encoder.ProverConfig`` selects the prover; without one the oracle
+``evaluate_rows(cache, rows)`` for a batch, the package's one coalition
+evaluator: *rows* is a 0/1 coalition matrix, one row per coalition and
+one column per node id, and *cache* a ``ValueCache`` made for one
+configuration, a tree under a spec on one backend, which compiles its
+program once (``ValueCache.program``).  A cache made with a
+``logic_encoder.ProverConfig`` asks the prover; without one the oracle
 folds every row in one numpy step per node (``_fold``) and stores no
 verdict.  The prover decides one encoding per distinct canonical form
 (``evaluate_rows``), in rounds from the largest forms down: sat and liv
@@ -232,11 +233,11 @@ def _checked(rows, width: int) -> np.ndarray:
     return rows.astype(np.uint8, copy=False)
 
 
-def _span(tree: ProcessTree) -> int:
-    """One more than *tree*'s largest node id: its coalition matrices' width."""
-    if tree.node_id is None:
+def _span(nodes: list[ProcessTree]) -> int:
+    """One more than the largest id of a tree's *nodes*, root first: its rows' width."""
+    if nodes[0].node_id is None:
         raise ValueError("the oracle requires an id-assigned tree (assign_node_ids)")
-    return 1 + max(node.node_id.index for node in iter_nodes(tree))
+    return 1 + max(node.node_id.index for node in nodes)
 
 
 def _compile(tree: ProcessTree, spec: PropertySpec) -> tuple:
@@ -246,9 +247,9 @@ def _compile(tree: ProcessTree, spec: PropertySpec) -> tuple:
     before parents.  ``table`` is the operator's flat join table of
     ``_automaton(spec)``, read at ``a * states + b``."""
 
-    ids = _span(tree)
-    leaf_code, tables, wins = _automaton(spec)
     nodes = list(iter_nodes(tree))
+    ids = _span(nodes)
+    leaf_code, tables, wins = _automaton(spec)
     leaves = np.zeros(ids, dtype=np.uint8)
     steps = []
     for node in reversed(nodes):
@@ -319,41 +320,42 @@ def _distinct(words: np.ndarray) -> np.ndarray:
 
 
 class ValueCache:
-    """The record of one configuration's coalition queries: one tree,
-    one spec and one backend, asked from one thread.
+    """The record of one configuration's coalition queries: *tree* (its
+    node ids assigned) under *spec* on one backend, the oracle or the
+    prover *prover* selects, asked from one thread.
 
-    The first ``evaluate_rows`` call binds the cache to its tree (matched
-    by identity, never hashed), spec and prover config, and compiles the
-    configuration's node program then (``program``); a call about any
-    other tree, spec or backend raises ``ValueError``.  The oracle stores
-    no verdict: it keeps the rows it was asked, packed into uint64 words.
-    The prover keeps a canonical mask (``evaluate_rows``) -> verdict dict
-    (``table``) and, beside it, the plain list of the verdicts it decided
-    with no warning (``verdicts``), from which later batches settle
-    forms.  ``total_queries`` counts the rows asked; ``distinct_queries``,
-    which is ``len``, counts the distinct rows plus the table's entries.
-    Warnings collect what the computations reported, in order."""
+    The configuration is fixed when the cache is made.  ``program``, the
+    configuration's node program, is compiled the first time it is read;
+    a cache made without a tree has none, and ``evaluate_rows`` refuses
+    it, but it still counts rows and serves ``get_or_compute``.  The
+    oracle stores no verdict: it keeps the rows it was asked, packed into
+    uint64 words.  The prover keeps a canonical mask (``evaluate_rows``)
+    -> verdict dict (``table``) and, beside it, the plain list of the
+    verdicts it decided with no warning (``verdicts``), from which later
+    batches settle forms; its calls go through *memo*, a map from problem
+    text to SZS status that callers may share across configurations, so a
+    problem already decided costs no call.  ``total_queries`` counts the
+    rows asked; ``distinct_queries``, which is ``len``, counts the
+    distinct rows plus the table's entries.  Warnings collect what the
+    computations reported, in order."""
 
-    def __init__(self) -> None:
+    def __init__(self, tree: ProcessTree | None = None, spec: PropertySpec | None = None,
+                 prover=None, memo: dict | None = None) -> None:
+        self.tree, self.spec, self.prover, self.memo = tree, spec, prover, memo
         self.table: dict[int, int] = {}
         self.verdicts: list[tuple[int, int]] = []
         self._words: list[np.ndarray] = []
         self._stored: dict[Hashable, int] = {}  # get_or_compute's
-        self._bound: tuple | None = None
         self.total_queries = 0
         self.warnings: list[str] = []
 
-    def program(self, tree: ProcessTree, spec: PropertySpec, prover_config) -> tuple:
-        """The node program of the configuration this cache records,
-        compiled when the first call binds it; ``ValueError`` for any
-        other *tree*, *spec* or *prover_config*."""
-        if self._bound is None:
-            self._bound = (tree, spec, prover_config), _compile(tree, spec)
-        (held, *rest), program = self._bound
-        if tree is not held or rest != [spec, prover_config]:
-            raise ValueError("this ValueCache records another configuration: "
-                             "one cache per tree, spec and backend")
-        return program
+    @functools.cached_property
+    def program(self) -> tuple:
+        """The configuration's node program (``_compile``)."""
+        if self.tree is None:
+            raise ValueError("this ValueCache was made without a tree: make one "
+                             "per configuration, ValueCache(tree, spec[, prover, memo])")
+        return _compile(self.tree, self.spec)
 
     def record_rows(self, rows: np.ndarray) -> None:
         """Count the coalition matrix *rows* as asked of the oracle."""
@@ -384,71 +386,60 @@ def evaluate(
     spec: PropertySpec,
     cache: ValueCache | None = None,
 ) -> int:
-    """The oracle's verdict on *coalition* of *tree*'s nodes, by
-    ``evaluate_rows``: kept for perfbench's checker/tracer (ROADMAP item 1)."""
+    """The oracle's verdict on *coalition* of *tree*'s nodes, folded
+    through ``ValueCache(tree, spec)``; *cache*, if given, counts the row:
+    kept for perfbench's checker/tracer (ROADMAP item 1)."""
 
     rows = coalition_rows([coalition.mask], coalition.n)
-    return int(evaluate_rows(tree, rows, spec, cache)[0])
+    [value] = evaluate_rows(ValueCache(tree, spec), rows)
+    if cache is not None:
+        cache.record_rows(rows)
+    return int(value)
 
 
-def evaluate_rows(
-    tree: ProcessTree,
-    rows: np.ndarray,
-    spec: PropertySpec,
-    cache: ValueCache | None = None,
-    prover_config=None,
-    prover_memo: dict | None = None,
-) -> np.ndarray:
-    """The verdicts on a batch of coalitions, in order, as an int64
-    array: *rows* is a 0/1 coalition matrix with one row per coalition
-    and one column per node id of *tree* (``coalition_rows`` makes one
-    from int masks).  A matrix of another rank or width, or with other
-    entries, raises ``ValueError``.  *cache* records this one
-    configuration, *tree* under *spec* on the backend *prover_config*
-    selects, and refuses any other (``ValueCache.program``); it counts
-    every row asked in ``total_queries`` and every distinct one once in
-    ``distinct_queries``.  Both backends read *tree* through the node
-    program *cache* compiled for it.
+def evaluate_rows(cache: ValueCache, rows: np.ndarray) -> np.ndarray:
+    """The verdicts of *cache*'s configuration on a batch of coalitions,
+    in order, as an int64 array: *rows* is a 0/1 coalition matrix with
+    one row per coalition and one column per node id of the cache's tree
+    (``coalition_rows`` makes one from int masks).  A matrix of another
+    rank or width, or with other entries, raises ``ValueError``, and so
+    does a cache made without a tree.  *cache* counts every row asked in
+    ``total_queries`` and every distinct one once in
+    ``distinct_queries``.  Both backends read the tree through the
+    cache's node program (``ValueCache.program``).
 
     A coalition's canonical form is its row with the columns of every
-    node that has an absent ancestor, and of every id *tree* lacks,
-    cleared: a rooted subtree of *tree*, or 0.  Two coalitions
+    node that has an absent ancestor, and of every id the tree lacks,
+    cleared: a rooted subtree of the tree, or 0.  Two coalitions
     substitute to the same tree exactly when their canonical forms are
     equal.
 
-    Without a *prover_config* the oracle folds every row, repeats
-    included, in one bottom-up pass of table lookups (``_fold``), and
-    stores no verdict.  With one, the prover finds the batch's canonical
-    forms in one top-down pass (``_forms``), keys *cache*'s table
-    (``ValueCache.table``) by them, and decides the distinct forms it
-    lacks through ``logic_encoder.values_via_prover`` in rounds from the
-    maximal forms down (``_prove``, which reads its frontier from the
-    program), inferring a form's verdict from a real verdict on a larger
-    or smaller form instead of asking for it.  The real
-    verdicts of the configuration's earlier batches
+    On the oracle (no ``ValueCache.prover``) every row, repeats
+    included, is folded in one bottom-up pass of table lookups
+    (``_fold``), and no verdict is stored.  On the prover the batch's
+    canonical forms are found in one top-down pass (``_forms``) and key
+    the cache's table (``ValueCache.table``); the distinct forms it lacks
+    are decided through ``logic_encoder.values_via_prover`` in rounds
+    from the maximal forms down (``_prove``), inferring a form's verdict
+    from a real verdict on a larger or smaller form instead of asking
+    for it.  The real verdicts of the configuration's earlier batches
     (``ValueCache.verdicts``) settle forms as this batch's own do, so a
     form is handed over only when no real verdict the configuration
-    holds settles it.  The calls go through *prover_memo*, a map from
-    problem text to SZS status that callers may share across
-    configurations, so a problem already decided, such as the sat
-    problem behind liv's gate, costs no call.
-    Once the last round is done, the forms' warnings are recorded in the
-    cache on the calling thread, in row order, so the cache's contents
-    and warnings do not depend on which prover call finished first; a
-    form whose verdict was inferred raises none."""
+    holds settles it.  Once the last round is done, the forms' warnings
+    are recorded in the cache on the calling thread, in row order, so the
+    cache's contents and warnings do not depend on which prover call
+    finished first; a form whose verdict was inferred raises none."""
 
-    if cache is None:
-        cache = ValueCache()
-    program = cache.program(tree, spec, prover_config)
+    program = cache.program
     rows = _checked(rows, program[0])
-    if prover_config is None:
+    if cache.prover is None:
         cache.record_rows(rows)
         return _fold(program, rows)
     masks = _forms(program, rows)
     table = cache.table
     batch = [mask for mask in dict.fromkeys(masks) if mask not in table]
     if batch:
-        results = _prove(tree, program[3], batch, spec, prover_config, prover_memo, cache.verdicts)
+        results = _prove(cache, batch)
         for mask in batch:
             table[mask], warnings = results[mask]
             cache.warnings.extend(warnings)
@@ -456,17 +447,9 @@ def evaluate_rows(
     return np.fromiter(map(table.__getitem__, masks), dtype=np.int64, count=len(masks))
 
 
-def _prove(
-    tree: ProcessTree,
-    steps: list[tuple],
-    batch: list[int],
-    spec: PropertySpec,
-    config,
-    memo: dict | None,
-    verdicts: list[tuple[int, int]],
-) -> dict[int, tuple[int, list[str]]]:
+def _prove(cache: ValueCache, batch: list[int]) -> dict[int, tuple[int, list[str]]]:
     """Each canonical mask of *batch* with its value and the warnings the
-    prover raised for it, decided in rounds.
+    prover raised for it, decided in rounds for *cache*'s configuration.
 
     sat and liv are monotone: adding a node never turns them from 1 to
     0.  saf is antitone: never from 0 to 1.  Order saf's states (sets of
@@ -481,24 +464,25 @@ def _prove(
     verdict that rises with the coalition (sat's or liv's 1, saf's 0:
     saf is compared as 1 - v) decides every undecided super-form and
     any other verdict every undecided sub-form, each as that verdict.
-    It runs first on *verdicts*, the configuration's real verdicts from
-    earlier batches (``ValueCache.verdicts``), and then after each round
-    on that round's new ones, which then join *verdicts*.  A form
-    whose result carries warnings (no verdict) decides only itself and
-    never enters *verdicts*.  Each round hands
-    ``logic_encoder.values_via_prover`` one batch: the forms no undecided
-    form strictly contains, plus the empty form in the first round.  A
-    form counts as maximal when none of its one-node frontier extensions
-    (a child, in the node program's operator *steps*, of a node it holds)
-    is undecided, which may ask a form that a larger undecided one
-    contains, never skip one.  Within a round the forms keep the order
-    of *batch*."""
+    It runs first on the configuration's real verdicts from earlier
+    batches (``ValueCache.verdicts``), and then after each round on that
+    round's new ones, which then join them.  A form whose result carries
+    warnings (no verdict) decides only itself and never joins them.
+    Each round hands ``logic_encoder.values_via_prover`` one batch: the
+    forms no undecided form strictly contains, plus the empty form in the
+    first round.  A form counts as maximal when none of its one-node
+    frontier extensions (a child, in the node program's operator steps,
+    of a node it holds) is undecided, which may ask a form that a larger
+    undecided one contains, never skip one.  Within a round the forms
+    keep the order of *batch*."""
 
     from .logic_encoder import values_via_prover
 
+    tree, spec, steps, verdicts = cache.tree, cache.spec, cache.program[3], cache.verdicts
+
     def ask(masks: list[int]):
         trees_c = [substitute(tree, mask) for mask in masks]
-        return zip(masks, values_via_prover(trees_c, spec, config, memo), strict=True)
+        return zip(masks, values_via_prover(trees_c, spec, cache.prover, cache.memo), strict=True)
 
     rises = spec.prop in (Property.SAT, Property.LIV)
 

@@ -259,11 +259,11 @@ def run_single(
     evaluates no coalition, so the cache counters read 0 there.  Every
     other estimator asks one ``verdicts`` function, built here once, for
     batches of coalitions as 0/1 rows, one column per node id: it is
-    ``evaluate_rows`` over this configuration's own cache, the one query
-    path.  The oracle folds every
-    row it is handed; ``total_queries`` counts the rows and
-    ``distinct_queries`` the distinct ones (distinct canonical forms on
-    the prover).  Exact values on the prover backend come from
+    ``evaluate_rows`` over this configuration's own cache,
+    ``ValueCache(tree, spec, config.prover, prover_memo)``, the one query
+    path.  The oracle folds every row it is handed; ``total_queries``
+    counts the rows and ``distinct_queries`` the distinct ones (distinct
+    canonical forms on the prover).  Exact values on the prover backend come from
     ``rooted_shapley``, which asks for one verdict per canonical form
     (rooted subtree or empty set) in one batch, so the counters count
     canonical forms; the samplers ask per rotation block (MC) or once
@@ -280,11 +280,11 @@ def run_single(
     nodes = list(iter_nodes(tree))
     n = len(nodes)
     id_text = {node.node_id.index: node.node_id.text for node in nodes}
-    cache = ValueCache()
+    cache = ValueCache(tree, spec, config.prover, prover_memo)
     warn_if_degenerate(tree, spec, cache.warnings)
 
     def verdicts(rows: np.ndarray) -> np.ndarray:
-        return evaluate_rows(tree, rows, spec, cache, config.prover, prover_memo)
+        return evaluate_rows(cache, rows)
 
     convergence = None
     if config.method == "exact" and config.prover is None:
@@ -457,6 +457,7 @@ def _cross_analyses(config: RunConfig, records: list[dict]) -> dict:
     stability: dict[str, dict] = {}
     correlations: dict[str, dict] = {}
     adaptive: dict[str, list] = {}
+    baseline = min(config.noise_levels)  # the level summary.txt names
     for label, group in by_property.items():
         group = sorted(group, key=lambda r: r["noise"])
         tops = {r["noise"]: r["top_k"] for r in group}
@@ -476,15 +477,15 @@ def _cross_analyses(config: RunConfig, records: list[dict]) -> dict:
                 "zero_variance": corr.zero_variance,
             }
 
-        baseline = min(levels)
         per_noise = {r["noise"]: r["phi"] for r in group}
-        adaptive[label] = adaptive_nodes(per_noise, baseline, config.diagnostics)
+        if baseline in per_noise:  # a failed baseline leaves the label out
+            adaptive[label] = adaptive_nodes(per_noise, baseline, config.diagnostics)
 
     return {
         "topk_jaccard_across_noise": stability,
         "noise_correlation": correlations,
         "adaptive_nodes": adaptive,
-        "baseline_noise": min(config.noise_levels),
+        "baseline_noise": baseline,
     }
 
 

@@ -7,13 +7,13 @@ takes a 0/1 coalition matrix, one uint8 row per coalition and one column
 per player 0..n-1, and returns the rows' values in order.
 ``rooted_shapley``, ``mc_permutation_shapley`` and ``rs_subset_shapley``
 take one such function, and ``run_single`` gives all three the same one,
-over ``oracle.evaluate_rows``, whose oracle folds every row it is handed;
-the configuration's cache counts the rows (``total_queries``) and the
-distinct ones (``distinct_queries``).  The samplers build each batch's
-rows and reduce its values in numpy, with integer sums, so no
-per-coalition Python int or dict is made; the batches hold the same
-coalitions in the same order as the int masks of the per-query
-references in the tests.
+``oracle.evaluate_rows`` over the configuration's ``ValueCache``, whose
+oracle folds every row it is handed; the cache counts the rows
+(``total_queries``) and the distinct ones (``distinct_queries``).  The
+samplers build each batch's rows and reduce its values in numpy, with
+integer sums, so no per-coalition Python int or dict is made; the
+batches hold the same coalitions in the same order as the int masks of
+the per-query references in the tests.
 
 There are three exact paths, and all build the classical subset-weighted
 sum with the same integer numerators over n!, so efficiency, symmetry
@@ -56,7 +56,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .oracle import PropertySpec, _compile, _span, coalition_rows
+from .oracle import PropertySpec, _automaton, _compile, _span, coalition_rows
 from .process_tree import Coalition, ProcessTree, iter_nodes
 
 Verdicts = Callable[[np.ndarray], Sequence[int]]
@@ -136,11 +136,10 @@ def _players(ids: int, nodes: int) -> int:
 
 def _children(tree: ProcessTree) -> dict[int, list[int]]:
     """Each node's children's ids by node id, the nodes in preorder."""
-    ids = _span(tree)
-    children = {node.node_id.index: [child.node_id.index for child in node.children]
-                for node in iter_nodes(tree)}
-    _players(ids, len(children))
-    return children
+    nodes = list(iter_nodes(tree))
+    _players(_span(nodes), len(nodes))
+    return {node.node_id.index: [child.node_id.index for child in node.children]
+            for node in nodes}
 
 
 def tree_shapley(tree: ProcessTree, spec: PropertySpec) -> ShapleyEstimate:
@@ -209,8 +208,9 @@ def tree_shapley(tree: ProcessTree, spec: PropertySpec) -> ShapleyEstimate:
     def winning(table: list[int]) -> int:
         return sum(table[code] for code in winners)
 
+    join_rows = {id(t): t.reshape(states, states).tolist() for t in _automaton(spec)[1].values()}
     for index, table, below in steps:  # children before parents
-        joins[index], children[index] = table.reshape(states, states).tolist(), below
+        joins[index], children[index] = join_rows[id(table)], below
         for child in below:
             parent[child] = index
             size[index] += size[child]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from procshap.oracle import PropertySpec, _rules, _span, coalition_rows, evaluate_rows
+from procshap.oracle import PropertySpec, ValueCache, _rules, coalition_rows, evaluate_rows
 from procshap.process_tree import ProcessTree
 
 
@@ -51,8 +51,7 @@ def canonical_mask(tree: ProcessTree, mask: int) -> int:
     return walk(tree)
 
 
-def verdicts_of_masks(tree: ProcessTree, masks: list[int], spec: PropertySpec,
-                      *args) -> list[int]:
-    """``evaluate_rows(tree, rows, spec, *args)`` as a list, with the rows
-    made from int *masks* over *tree*'s node ids by ``coalition_rows``."""
-    return evaluate_rows(tree, coalition_rows(masks, _span(tree)), spec, *args).tolist()
+def verdicts_of_masks(cache: ValueCache, masks: list[int]) -> list[int]:
+    """``evaluate_rows(cache, rows)`` as a list, with the rows made from
+    int *masks* over the cache's node ids by ``coalition_rows``."""
+    return evaluate_rows(cache, coalition_rows(masks, cache.program[0])).tolist()

@@ -140,10 +140,10 @@ def test_criterion_convergence(running_example_log):
     n = node_count(tree)
     converged_seeds = []
     for seed in (1, 2, 3, 4, 5):
-        cache = ValueCache()
+        cache = ValueCache(tree, SAT)
         _, report = mc_permutation_shapley(
             n,
-            lambda rows: evaluate_rows(tree, rows, SAT, cache),
+            lambda rows: evaluate_rows(cache, rows),
             permutations=1000,
             seed=seed,
             checkpoint_every=100,
@@ -173,7 +173,8 @@ def test_criterion_oracle_encoder_equivalence():
         n = node_count(tree)
         assert n <= 10
         masks = list(range(1 << n))
-        oracle = {spec: verdicts_of_masks(tree, masks, spec) for spec in (SAT, LIV, SAF)}
+        oracle = {spec: verdicts_of_masks(ValueCache(tree, spec), masks)
+                  for spec in (SAT, LIV, SAF)}
         for mask in masks:
             cut = substitute(tree, mask)
             for spec in (SAT, LIV, SAF):
@@ -199,8 +200,8 @@ def test_criterion_monotonicity_and_signs():
     for tree in CORPUS:
         n = node_count(tree)
         masks = list(range(1 << n))
-        sat_of = dict(zip(masks, verdicts_of_masks(tree, masks, SAT)))
-        saf_of = dict(zip(masks, verdicts_of_masks(tree, masks, SAF)))
+        sat_of = dict(zip(masks, verdicts_of_masks(ValueCache(tree, SAT), masks)))
+        saf_of = dict(zip(masks, verdicts_of_masks(ValueCache(tree, SAF), masks)))
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i
@@ -225,7 +226,7 @@ def test_criterion_monotonicity_and_signs():
         spec = PropertySpec(Property.SAF, safety_pair=("a", "b"), mode=mode,
                             loop_bound=bound)
         n = node_count(tree)
-        saf_of = verdicts_of_masks(tree, list(range(1 << n)), spec)
+        saf_of = verdicts_of_masks(ValueCache(tree, spec), list(range(1 << n)))
         saf_violations += sum(
             saf_of[mask] < saf_of[mask | 1 << i]
             for mask in range(1 << n) for i in range(n)

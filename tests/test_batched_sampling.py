@@ -219,9 +219,9 @@ def test_run_single_batches_and_folds(running_example_tree, monkeypatch):
     calls, folds, built = [], [], []
     evaluate_rows, fold = reports.evaluate_rows, oracle._fold
 
-    def counting_evaluate_rows(tree, rows, spec, cache, *args):
+    def counting_evaluate_rows(cache, rows):
         before = len(folds)
-        values = evaluate_rows(tree, rows, spec, cache, *args)
+        values = evaluate_rows(cache, rows)
         calls.append(len(rows))
         assert folds[before:] == [len(rows)]
         return values
@@ -258,11 +258,11 @@ def test_mc_beyond_64_nodes_counts_distinct_masks(spec):
     tree = random_tree(random.Random(16), max_nodes=100)
     n = sum(1 for _ in iter_nodes(tree))
     assert 64 < n <= 100
-    cache = ValueCache()
+    cache = ValueCache(tree, spec)
     asked, values = [], []
 
     def verdicts(rows):
-        got = evaluate_rows(tree, rows, spec, cache)
+        got = evaluate_rows(cache, rows)
         asked.extend(row_masks(rows))
         values.extend(got.tolist())
         return got

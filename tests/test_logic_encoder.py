@@ -393,8 +393,7 @@ def test_evaluate_with_prover_backend_through_cache():
 
     tree = assign_node_ids(seq(activity("a"), activity("b")))
     n = node_count(tree)
-    cache = ValueCache()
-    config = fake_prover_config()
-    [value] = evaluate_rows(tree, coalition_rows([(1 << n) - 1], n), SAT, cache, config)
+    cache = ValueCache(tree, SAT, fake_prover_config())
+    [value] = evaluate_rows(cache, coalition_rows([(1 << n) - 1], n))
     assert value == 1
     assert cache.distinct_queries == 1

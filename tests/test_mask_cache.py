@@ -4,8 +4,8 @@ per configuration, for sat, liv and saf on the oracle and on the prover
 random sub-batches with the configurations interleaved, gives the
 reference fold's verdicts, counts every coalition asked and every
 distinct (canonical, on the prover) coalition once, and keeps warnings
-in mask order.  A cache refuses any configuration but the one it first
-recorded.  ``get_or_compute``, which ``evaluate_rows`` itself never
+in mask order.  Each cache is made for its configuration.
+``get_or_compute``, which ``evaluate_rows`` itself never
 calls, keeps every key apart from the prover's ``table``: neither
 backend reads what it stored, whatever the key.  The oracle stores no
 verdict: it folds every row and counts its distinct rows apart from
@@ -79,7 +79,10 @@ def test_caches_match_model(data):
     def key(backend: str, mask: int) -> int:
         return canonical_mask(tree, mask) if backend == "prover" else mask
 
-    caches = {job: ValueCache() for job in jobs}
+    caches = {
+        (backend, spec): ValueCache(tree, spec, UNUSED if backend == "prover" else None)
+        for backend, spec in jobs
+    }
     get_or_compute = ValueCache.get_or_compute
     model: dict[tuple, dict[int, int]] = {job: {} for job in jobs}
     folded: dict[tuple, set[int]] = {job: set() for job in jobs}  # oracle rows
@@ -117,7 +120,7 @@ def test_caches_match_model(data):
                 asked[current] += len(batch)
                 if backend == "oracle":
                     folded[current].update(batch)
-                    got = verdicts_of_masks(tree, batch, spec, cache)
+                    got = verdicts_of_masks(cache, batch)
                     assert got == [fold_value(tree, spec, mask) for mask in batch]
                     continue
                 table = model[current]
@@ -127,7 +130,7 @@ def test_caches_match_model(data):
                                        else fold_value(tree, spec, form))
                         if silent(tree, backend, spec, form):
                             warnings[current].append(f"no verdict on {form:#x}")
-                got = verdicts_of_masks(tree, batch, spec, cache, UNUSED)
+                got = verdicts_of_masks(cache, batch)
                 assert got == [table[key(backend, mask)] for mask in batch], current
 
     for job, cache in caches.items():

@@ -113,14 +113,14 @@ def prove_in_batches(tree, batches, spec, silent=never):
     values of every batch in order, the cache, the stand-in and, per
     batch, the index in ``rounds`` of its first round."""
     prover = StandIn(tree, silent)
-    cache = ValueCache()
+    cache = ValueCache(tree, spec, UNUSED)
     values: list[int] = []
     starts: list[int] = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logic_encoder, "values_via_prover", prover)
         for masks in batches:
             starts.append(len(prover.rounds))
-            values += verdicts_of_masks(tree, masks, spec, cache, UNUSED)
+            values += verdicts_of_masks(cache, masks)
     return values, cache, prover, starts
 
 

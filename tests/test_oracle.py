@@ -125,15 +125,15 @@ def test_skip_mode_degeneracy():
         masks = list(range(1 << node_count(tree)))
         for prop in (Property.SAT, Property.LIV):
             spec = PropertySpec(prop, mode=TauMode.SKIP)
-            assert verdicts_of_masks(tree, masks, spec) == [1] * len(masks)
+            assert verdicts_of_masks(ValueCache(tree, spec), masks) == [1] * len(masks)
 
 
 def test_liv_at_most_sat_everywhere():
     for tree in corpus(15, seed=32):
         masks = list(range(1 << node_count(tree)))
         for mode in TauMode:
-            sat = verdicts_of_masks(tree, masks, PropertySpec(Property.SAT, mode=mode))
-            liv = verdicts_of_masks(tree, masks, PropertySpec(Property.LIV, mode=mode))
+            sat = verdicts_of_masks(ValueCache(tree, PropertySpec(Property.SAT, mode=mode)), masks)
+            liv = verdicts_of_masks(ValueCache(tree, PropertySpec(Property.LIV, mode=mode)), masks)
             for s, l in zip(sat, liv, strict=True):
                 assert l <= s
 
@@ -148,7 +148,7 @@ def test_values_match_commitment_enumeration():
     for tree in corpus(25, max_nodes=8, seed=33):
         n = node_count(tree)
         masks = list(range(1 << n))
-        oracle = {spec: verdicts_of_masks(tree, masks, spec) for spec in specs}
+        oracle = {spec: verdicts_of_masks(ValueCache(tree, spec), masks) for spec in specs}
         for mask in masks:
             cut = substitute(tree, mask)
             for spec in specs:
@@ -176,8 +176,8 @@ def test_blocked_monotonicity_exhaustive():
     for tree in corpus(20, seed=35):
         n = node_count(tree)
         masks = list(range(1 << n))
-        sat_of = dict(zip(masks, verdicts_of_masks(tree, masks, SAT)))
-        saf_of = dict(zip(masks, verdicts_of_masks(tree, masks, saf())))
+        sat_of = dict(zip(masks, verdicts_of_masks(ValueCache(tree, SAT), masks)))
+        saf_of = dict(zip(masks, verdicts_of_masks(ValueCache(tree, saf()), masks)))
         for mask in range(1 << n):
             for i in range(n):
                 bit = 1 << i
@@ -243,38 +243,31 @@ def test_evaluate_memoizes():
     assert cache.total_queries == 2 and cache.distinct_queries == 1
 
 
-def test_cache_refuses_another_configuration():
-    """A cache records the tree, spec and backend it was first asked
-    about: another one raises, before the cache changes, where a shared
-    prover cache would hand the second tree the first tree's verdict."""
+def test_each_configuration_keeps_its_own_verdicts():
+    """A cache is made for one tree, spec and backend, so the caches of
+    two trees on one prover, sharing one memo, keep their own verdicts:
+    seq(a, b) without b is 0 and xor(a, b) without b is 1, whichever
+    is asked first."""
     first = assign_node_ids(seq(activity("a"), activity("b")))
     second = assign_node_ids(xor(activity("a"), activity("b")))
     rows = coalition_rows([0b011], 3)
     prover = ProverConfig(executable=sys.executable, extra_args=(FAKE_PROVER,))
-    assert evaluate_rows(second, rows, SAT, ValueCache(), prover).tolist() == [1]
-    cache = ValueCache()
-    assert evaluate_rows(first, rows, SAT, cache, prover).tolist() == [0]
-    before = (dict(cache.table), list(cache.verdicts), cache.total_queries)
-    for tree, spec, config in [
-        (second, SAT, prover),
-        (assign_node_ids(seq(activity("a"), activity("b"))), SAT, prover),
-        (first, saf(), prover),
-        (first, PropertySpec(Property.SAT, mode=TauMode.SKIP), prover),
-        (first, SAT, None),
-        (first, SAT, ProverConfig(executable=sys.executable, extra_args=(FAKE_PROVER,),
-                                  timeout_s=5.0)),
-    ]:
-        with pytest.raises(ValueError, match="another configuration"):
-            evaluate_rows(tree, rows, spec, cache, config)
-    assert (dict(cache.table), list(cache.verdicts), cache.total_queries) == before
-    assert evaluate_rows(first, rows, SAT, cache, prover).tolist() == [0]
+    memo: dict = {}
+    caches = [ValueCache(tree, SAT, prover, memo) for tree in (second, first)]
+    assert [evaluate_rows(cache, rows).tolist() for cache in caches] == [[1], [0]]
+    assert [cache.table for cache in caches] == [{0b011: 1}, {0b011: 0}]
+    assert evaluate_rows(caches[0], rows).tolist() == [1]
+    assert evaluate_rows(ValueCache(first, SAT), rows).tolist() == [0]
+    assert evaluate_rows(ValueCache(second, SAT), rows).tolist() == [1]
 
-    oracle = ValueCache()
-    assert evaluate(first, Coalition.full(3), SAT, oracle) == 1
-    for tree, spec, config in [(second, SAT, None), (first, LIV, None), (first, SAT, prover)]:
-        with pytest.raises(ValueError, match="another configuration"):
-            evaluate_rows(tree, rows, spec, oracle, config)
-    assert oracle.total_queries == oracle.distinct_queries == 1
+
+def test_cache_without_tree_refuses_a_batch():
+    cache = ValueCache()
+    with pytest.raises(ValueError, match="without a tree"):
+        evaluate_rows(cache, coalition_rows([1], 1))
+    assert cache.total_queries == cache.distinct_queries == 0
+    assert cache.get_or_compute("k", lambda: 1) == 1
+    assert cache.total_queries == cache.distinct_queries == 1
 
 
 def test_cached_value_equals_recomputation():

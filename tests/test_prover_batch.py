@@ -132,11 +132,8 @@ def test_rooted_equals_enumeration_through_fake_prover():
     for tree in trees:
         n = node_count(tree)
         for spec in (SAT, LIV, SAF):
-            cache = ValueCache()
-            via_prover = rooted_shapley(
-                tree,
-                lambda rows: evaluate_rows(tree, rows, spec, cache, config),
-            )
+            cache = ValueCache(tree, spec, config)
+            via_prover = rooted_shapley(tree, lambda rows: evaluate_rows(cache, rows))
             reference = exact_shapley(Game(n, lambda c: evaluate(tree, c, spec)))
             assert via_prover.phi_exact == reference.phi_exact, (tree, spec)
             assert cache.warnings == []
@@ -213,10 +210,10 @@ def test_sampling_on_prover_keys_cache_by_canonical_mask(tmp_path, method):
 def test_prover_cache_key_is_canonical():
     tree = tiny_tree()
     config = fake_prover_config()
-    cache = ValueCache()
+    cache = ValueCache(tree, SAT, config)
     # {Seq, b, c} and {Seq} both substitute to seq(a removed, xor removed)
     for mask in (0b11001, 0b00001):
-        evaluate_rows(tree, coalition_rows([mask], 5), SAT, cache, config)
+        evaluate_rows(cache, coalition_rows([mask], 5))
     assert canonical_mask(tree, 0b11001) == 0b00001
     assert cache.total_queries == 2 and cache.distinct_queries == 1
 

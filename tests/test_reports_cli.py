@@ -229,6 +229,37 @@ def test_error_isolation(monkeypatch, running_example_file):
     assert errors[config_id(1.0, PropertySpec(Property.SAT))] is None
 
 
+def test_adaptive_nodes_leave_out_a_label_whose_baseline_failed(
+    monkeypatch, running_example_file
+):
+    """summary.txt names min(noise_levels) as the baseline, so a label
+    whose configuration at that level failed is compared against no other
+    level: it is left out of adaptive_nodes, and the other labels stay."""
+    run_single = reports.run_single
+
+    def failing_sat_at_noise_0(config, tree, noise, spec, *args):
+        if noise == 0.0 and spec.prop is Property.SAT:
+            raise ValueError("refused")
+        return run_single(config, tree, noise, spec, *args)
+
+    monkeypatch.setattr(reports, "run_single", failing_sat_at_noise_0)
+    config = RunConfig(
+        log_path=str(running_example_file),
+        noise_levels=(0.0, 0.25, 0.5, 1.0),
+        properties=(PropertySpec(Property.SAT), PropertySpec(Property.LIV)),
+        method="exact",
+    )
+    report = run_matrix(config)
+    assert [r["id"] for r in report.configurations if r["error"]] == ["noise0_sat"]
+    cross = report.cross
+    assert cross["baseline_noise"] == 0.0
+    assert set(cross["adaptive_nodes"]) == {"liv"}
+    assert set(cross["topk_jaccard_across_noise"]) == {"sat", "liv"}
+    summary = render_summary(report)
+    adaptive = summary.split("adaptive nodes vs baseline noise 0:\n")[1]
+    assert adaptive and not re.search(r"^  sat:", adaptive, re.M)
+
+
 def test_emit_report_files(tmp_path, running_example_file):
     report = run_matrix(small_config(running_example_file))
     paths = emit_report(report, tmp_path)

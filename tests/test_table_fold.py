@@ -13,12 +13,15 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procshap import oracle
+from procshap import oracle, shapley
+from procshap.logic_encoder import ProverConfig
 from procshap.oracle import (
     Property,
     PropertySpec,
@@ -38,7 +41,7 @@ from procshap.process_tree import (
     substitute,
     xor,
 )
-from procshap.reports import RunConfig, run_single
+from procshap.reports import RunConfig, run_matrix, run_single
 
 from _corpus import corpus, random_tree
 from _fold_ref import canonical_mask, fold_value, verdicts_of_masks
@@ -100,9 +103,9 @@ def test_batch_fold_equals_reference_fold(tree, data):
     first = masks[: len(masks) // 2]  # a second batch then hits the cache in part
     for spec in SPECS:
         expected = [fold_value(tree, spec, mask) for mask in masks]
-        cache = ValueCache()
-        assert verdicts_of_masks(tree, first, spec, cache) == expected[: len(first)]
-        assert verdicts_of_masks(tree, masks, spec, cache) == expected, spec
+        cache = ValueCache(tree, spec)
+        assert verdicts_of_masks(cache, first) == expected[: len(first)]
+        assert verdicts_of_masks(cache, masks) == expected, spec
         assert cache.total_queries == len(first) + len(masks)
         assert cache.distinct_queries == len(set(masks))
 
@@ -152,7 +155,7 @@ def test_batch_fold_beyond_64_nodes():
     masks = [full, 0, full >> 1, full & ~1, *(rng.getrandbits(n) for _ in range(200))]
     masks += [full ^ (1 << i) for i in range(n)]  # the top bits matter here
     for spec in SPECS:
-        assert verdicts_of_masks(tree, masks, spec) == [
+        assert verdicts_of_masks(ValueCache(tree, spec), masks) == [
             fold_value(tree, spec, mask) for mask in masks
         ], spec
 
@@ -164,8 +167,8 @@ def test_program_compiled_once_per_cache(monkeypatch, running_example_tree):
     masks = [rng.getrandbits(n) for _ in range(50)]
     fold = oracle._fold
     for spec in RUNNING_SPECS:
-        cache = ValueCache()
-        expected = verdicts_of_masks(tree, masks, spec, cache)
+        cache = ValueCache(tree, spec)
+        expected = verdicts_of_masks(cache, masks)
         with monkeypatch.context() as patch:
             def refuse(*args):
                 raise AssertionError("compiled again for a cache that holds the program")
@@ -176,7 +179,7 @@ def test_program_compiled_once_per_cache(monkeypatch, running_example_tree):
             patch.setattr(oracle, "_fold",
                           lambda program, rows: folds.append(len(rows)) or fold(program, rows))
             again = masks[::-1] + masks[:5]
-            assert verdicts_of_masks(tree, again, spec, cache) == [
+            assert verdicts_of_masks(cache, again) == [
                 expected[masks.index(mask)] for mask in again
             ]
             assert folds == [len(again)]  # every row folded, repeats too
@@ -201,9 +204,9 @@ def test_malformed_coalition_matrix_refused(running_example_tree, backend):
     ]
     for rows in bad:
         with pytest.raises(ValueError, match=rf"shape {re.escape(str(rows.shape))}"):
-            evaluate_rows(tree, rows, spec, None, prover)
-    cache = ValueCache()
-    assert evaluate_rows(tree, np.ones((2, n), dtype=bool), spec, cache).tolist() == [1, 1]
+            evaluate_rows(ValueCache(tree, spec, prover), rows)
+    cache = ValueCache(tree, spec)
+    assert evaluate_rows(cache, np.ones((2, n), dtype=bool)).tolist() == [1, 1]
     # An int mask with a bit past the tree is refused, not cut to the tree.
     for mask in (1 << n, -1):
         with pytest.raises(ValueError, match="past player"):
@@ -232,3 +235,35 @@ def test_tables_built_once_per_spec(monkeypatch, running_example_tree, spec):
     assert len(folds) > 1  # many batches, one compile
     run_single(config, running_example_tree, 0.5, spec, 6)
     assert oracle._automaton.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("method, backend", [
+    ("exact", "oracle"), ("mc", "oracle"), ("rs", "oracle"), ("exact", "prover"),
+])
+def test_program_compiled_once_per_configuration(monkeypatch, running_example_file,
+                                                  method, backend):
+    """``run_matrix`` compiles each configuration's node program once:
+    ``tree_shapley`` for exact values on the oracle, the configuration's
+    ``ValueCache`` for every other estimator and backend."""
+    compiled = []
+    compile_program = oracle._compile
+
+    def counting_compile(tree, spec):
+        compiled.append(spec)
+        return compile_program(tree, spec)
+
+    for module in (oracle, shapley):
+        monkeypatch.setattr(module, "_compile", counting_compile)
+    prover = ProverConfig(executable=sys.executable,
+                          extra_args=(str(Path(__file__).parent / "fake_prover.py"),))
+    config = RunConfig(
+        log_path=str(running_example_file),
+        noise_levels=(0.0,) if backend == "prover" else (0.0, 1.0),
+        properties=tuple(RUNNING_SPECS[:3]),
+        method=method, seed=1, permutations=50, min_permutations=50,
+        samples_per_player=5,
+        prover=prover if backend == "prover" else None,
+    )
+    report = run_matrix(config)
+    assert [r["error"] for r in report.configurations] == [None] * len(report.configurations)
+    assert compiled == [spec for _ in config.noise_levels for spec in config.properties]

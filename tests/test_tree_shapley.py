@@ -19,6 +19,7 @@ from procshap.oracle import (
     Property,
     PropertySpec,
     TauMode,
+    ValueCache,
     evaluate,
     evaluate_rows,
     row_masks,
@@ -65,7 +66,7 @@ def enumerated(tree, spec_list):
     masks = list(range(1 << n))
     return {
         spec: exact_shapley(Game(
-            n, lambda c, table=verdicts_of_masks(tree, masks, spec): table[c.mask]
+            n, lambda c, table=verdicts_of_masks(ValueCache(tree, spec), masks): table[c.mask]
         ))
         for spec in spec_list
     }
@@ -77,7 +78,7 @@ def assert_dp_matches(tree, spec_list):
 
         def verdicts(rows, spec=spec):
             asked.append(row_masks(rows))
-            return evaluate_rows(tree, rows, spec)
+            return evaluate_rows(ValueCache(tree, spec), rows)
 
         for estimate in (
             tree_shapley(tree, spec),
