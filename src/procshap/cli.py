@@ -79,7 +79,13 @@ def _build_specs(args) -> tuple[PropertySpec, ...]:
 
 
 def _prover_config(args) -> ProverConfig | None:
-    if args.backend != "prover":
+    """The prover's config, or None for the oracle.  Without ``--backend``,
+    ``--prover-path`` selects the prover, as a ``ProverConfig`` does in the
+    library; ``--dump-tptp`` saves prover problems, so the oracle refuses it."""
+    backend = args.backend or ("prover" if args.prover_path else "oracle")
+    if backend == "oracle":
+        if args.dump_tptp:
+            raise ValueError("--dump-tptp needs --backend prover")
         return None
     if not args.prover_path:
         raise ValueError("--prover-path is required with --backend prover")
@@ -93,7 +99,8 @@ def _prover_config(args) -> ProverConfig | None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", choices=["blocked", "skip"], default="blocked")
     parser.add_argument("--loop-bound", type=int, default=1, metavar="K")
-    parser.add_argument("--backend", choices=["oracle", "prover"], default="oracle")
+    parser.add_argument("--backend", choices=["oracle", "prover"], default=None,
+                        help="default: prover when --prover-path is given, else oracle")
     parser.add_argument("--prover-path", default=None)
     parser.add_argument("--timeout-ms", type=int, default=2000)
     parser.add_argument("--dump-tptp", default=None, metavar="DIR")

@@ -22,7 +22,9 @@ three problem flavors line up with the oracle module:
 * saf: premises include the root's done variable, conjecture that the
   forbidden pair does not co-occur.
 
-``values_via_prover`` decides a batch of substituted trees.  It is the
+``values_via_prover`` decides a batch of substituted trees in stages,
+one per problem kind the property needs: sat and saf in one, liv in two,
+its sat gate and then liv for the trees the gate passes.  It is the
 one place where prover calls are deduplicated and run in parallel: a
 memo from problem text to SZS status word, which a caller may share
 across batches (``run_matrix`` shares one across its configurations, so
@@ -45,7 +47,6 @@ import subprocess
 import tempfile
 from concurrent import futures
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .oracle import Property, PropertySpec
 from .process_tree import Op, ProcessTree, TauMode
@@ -258,22 +259,6 @@ def run_prover(problem: str, config: ProverConfig) -> str:
         os.unlink(path)
 
 
-def _status_to_value(
-    status: str, prop: Property, about: str, warn: Callable[[str], None]
-) -> int:
-    """The game value a *prop* problem's status word stands for, read from
-    its kind's table; a word the table lacks counts 0 and warns that the
-    prover returned it for *about*."""
-    table = _NO_CONJECTURE if prop is Property.SAT else _CONJECTURE
-    if status not in table:
-        warn(f"prover returned {status} for {about}; treating as 0")
-    return table.get(status, 0)
-
-
-def _problem(tree_c: ProcessTree, spec: PropertySpec) -> str:
-    return emit_tptp(encode(tree_c, spec), name=spec.prop.value)
-
-
 def _decide(
     problems: list[str], prop: Property, config: ProverConfig, memo: dict
 ) -> None:
@@ -321,35 +306,35 @@ def values_via_prover(
     *memo* maps TPTP problem text to SZS status word (a fresh one when
     None); it is the one place where prover calls are deduplicated, so a
     problem asked again, by this batch or a later one sharing the memo,
-    costs no call.  Use one memo per ``ProverConfig``.  sat and saf
-    decide each tree's problem in one round.  liv is gated by sat, so it
-    takes two rounds: the sat problems of every tree, then the liv
-    problems of the trees whose sat verdict is 1.  The gate saves calls,
-    not soundness: liv's premises define each variable from its children,
-    so they are always satisfiable, and liv implies sat, so a sat verdict
-    of 0, often already in the memo, settles liv.
+    costs no call.  Use one memo per ``ProverConfig``.
 
-    The memo holds status words, not values: each use reads its word in
-    its kind's table, so each caller records its own warnings, the gate's
-    before liv's for each tree.  A word that is no verdict counts 0 with
-    a warning."""
+    A property is decided in stages: sat and saf in one stage, liv in
+    two, its sat gate and then liv.  Each stage encodes the problems
+    of the trees no earlier stage set to 0, decides them in one call of
+    ``_decide``, and reads each status word in its kind's table, with
+    any warning under the stage's label.  The gate saves calls, not
+    soundness: liv's premises define each variable from its children, so
+    they are always satisfiable, and liv implies sat, so a sat verdict of
+    0, often already in the memo, settles liv.
+
+    The memo holds status words, not values, so each stage records its
+    own warnings, the gate's before liv's for each tree.  A word that is
+    no verdict counts 0 with a warning."""
 
     memo = {} if memo is None else memo
-    liv = spec.prop is Property.LIV
-    gate = replace(spec, prop=Property.SAT) if liv else spec
-    first = [_problem(tree_c, gate) for tree_c in trees_c]
-    _decide(first, gate.prop, config, memo)
-    about = "liv's sat gate" if liv else spec.prop.value
-    results = []
-    for problem in first:
-        warnings: list[str] = []
-        value = _status_to_value(memo[problem], gate.prop, about, warnings.append)
-        results.append((value, warnings))
-    if liv:
-        second = {i: _problem(trees_c[i], spec) for i, (value, _) in enumerate(results) if value}
-        _decide(list(second.values()), spec.prop, config, memo)
-        for i, problem in second.items():
-            _, warnings = results[i]
-            value = _status_to_value(memo[problem], spec.prop, "liv", warnings.append)
-            results[i] = (value, warnings)
-    return results
+    stages = [(spec, spec.prop.value)]
+    if spec.prop is Property.LIV:
+        stages.insert(0, (replace(spec, prop=Property.SAT), "liv's sat gate"))
+    values = [1] * len(trees_c)
+    warnings: list[list[str]] = [[] for _ in trees_c]
+    for stage, about in stages:
+        problems = {i: emit_tptp(encode(trees_c[i], stage), name=stage.prop.value)
+                    for i, value in enumerate(values) if value}
+        _decide(list(problems.values()), stage.prop, config, memo)
+        table = _NO_CONJECTURE if stage.prop is Property.SAT else _CONJECTURE
+        for i, problem in problems.items():
+            status = memo[problem]
+            if status not in table:
+                warnings[i].append(f"prover returned {status} for {about}; treating as 0")
+            values[i] = table.get(status, 0)
+    return list(zip(values, warnings))

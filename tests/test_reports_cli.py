@@ -1075,16 +1075,17 @@ def test_cli_config_usage_errors(tmp_path, monkeypatch, capsys, argv):
     assert "usage:" in err and "argument --config" in err
 
 
-def test_cli_prover_backend_and_dump(tmp_path, running_example_file, capsys):
-    import os
-    import sys
-
+def fake_prover_wrapper(tmp_path: Path) -> Path:
     from test_logic_encoder import FAKE_PROVER
 
     wrapper = tmp_path / "prover"
     wrapper.write_text(f'#!/bin/sh\nexec "{sys.executable}" "{FAKE_PROVER}" "$@"\n')
     wrapper.chmod(0o755)
+    return wrapper
 
+
+def test_cli_prover_backend_and_dump(tmp_path, running_example_file, capsys):
+    wrapper = fake_prover_wrapper(tmp_path)
     tree_file = tmp_path / "tree.txt"
     tree_file.write_text("seq\n  act a\n  xor\n    act b\n    act c\n")
     dump_dir = tmp_path / "problems"
@@ -1106,3 +1107,36 @@ def test_seed_separation(running_example_file):
     phi1 = r1.configurations[0]["phi"]
     phi2 = r2.configurations[0]["phi"]
     assert phi1 != phi2
+
+
+@pytest.mark.parametrize("backend, expected", [
+    ([], "prover"),
+    (["--backend", "oracle"], "oracle"),
+])
+def test_cli_prover_path_selects_the_prover_unless_the_backend_is_named(
+    tmp_path, tiny_log_file, capsys, backend, expected
+):
+    out = tmp_path / "out"
+    rc = main(["matrix", "--log", str(tiny_log_file), "--noise", "0", "--property", "sat",
+               "--method", "exact", "--prover-path", str(fake_prover_wrapper(tmp_path)),
+               "--timeout-ms", "30000", *backend, "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["meta"]["backend"] == expected
+
+
+@pytest.mark.parametrize("backend", [[], ["--backend", "oracle"]])
+def test_cli_dump_tptp_on_the_oracle_is_an_error(
+    tmp_path, tiny_log_file, capsys, backend
+):
+    prover_path = ["--prover-path", str(fake_prover_wrapper(tmp_path))] if backend else []
+    out, dump = tmp_path / "out", tmp_path / "dump"
+    rc = main(["matrix", "--log", str(tiny_log_file), "--noise", "0", "--property", "sat",
+               "--method", "exact", *backend, *prover_path, "--dump-tptp", str(dump),
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --dump-tptp needs --backend prover\n"
+    assert captured.out == ""
+    assert not out.exists() and not dump.exists()
